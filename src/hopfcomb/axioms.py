@@ -7,19 +7,11 @@ the first counterexample found.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .lincomb import (
-    LinComb,
-    bilinear,
-    pairing,
-    tensor,
-    tensor_apply,
-    tensor_kind,
-    tensor_mul,
-    tensor_swap,
-)
+from .lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
 
 
 @dataclass(frozen=True)
@@ -74,140 +66,165 @@ class HopfReport:
         return out
 
 
-def _counit_sides(alg: GradedBasis, label) -> tuple[LinComb, LinComb]:
-    cop = alg.coproduct(label)
-    left = LinComb.zero(alg.kind)
-    right = LinComb.zero(alg.kind)
+# ---------------------------------------------------------------------------
+# the sweep: tables below the top degree, cases in a fixed order
+
+Cases = Iterable[tuple[tuple, dict[str, Callable[[], bool]]]]
+
+
+def first_failure(cases: Cases, names: tuple[str, ...]) -> dict[str, CheckResult]:
+    """Each named axiom's first counterexample, in the order of ``cases``.
+
+    A case is ``(labels, {axiom: check})``.  Checks are called lazily: an axiom
+    that has failed is not checked again, and the sweep stops once every
+    named axiom has failed.  A case's checks all run before the next case is
+    drawn, so they may close over the generator's loop variables.
+    """
+    found: dict[str, tuple] = {}
+    for case, checks in cases:
+        for name, holds in checks.items():
+            if name not in found and not holds():
+                found[name] = case
+        if len(found) == len(names):
+            break
+    return {name: CheckResult(name not in found, found.get(name)) for name in names}
+
+
+class _Sweep:
+    """Labels and rule values for one :func:`hopf_check` call.
+
+    Products of total degree below the bound and coproducts of labels below
+    it are computed once and kept in plain dicts that die with the sweep.
+    Top-degree values are not kept: they are most of the distinct arguments,
+    and the top degree's labels are streamed from ``alg.basis`` rather than
+    held.  Cached values are shared between the axioms, which is safe because
+    no ``LinComb`` operation mutates its operands.
+    """
+
+    def __init__(self, alg: GradedBasis, bound: int):
+        self.alg = alg
+        self.bound = bound
+        self.below = alg.labels_upto(bound - 1)
+        self.products: dict = {}
+        self.coproducts: dict = {}
+
+    def labels(self, n: int) -> Iterable:
+        if n == self.bound:
+            return self.alg.basis(n)
+        return self.below.get(n, ())
+
+    def product(self, a, b) -> LinComb:
+        value = self.products.get((a, b))
+        if value is None:
+            value = self.alg.product(a, b)
+            if self.alg.degree(a) + self.alg.degree(b) < self.bound:
+                self.products[(a, b)] = value
+        return value
+
+    def coproduct(self, a) -> LinComb:
+        value = self.coproducts.get(a)
+        if value is None:
+            value = self.alg.coproduct(a)
+            if self.alg.degree(a) < self.bound:
+                self.coproducts[a] = value
+        return value
+
+    def product_rule(self, total: int) -> Callable:
+        """The product for arguments of this total degree: cached below the top."""
+        return self.product if total < self.bound else self.alg.product
+
+    def coproduct_rule(self, degree: int) -> Callable:
+        return self.coproduct if degree < self.bound else self.alg.coproduct
+
+
+def _associativity_cases(sweep: _Sweep) -> Cases:
+    """(ab)c = a(bc) for all label triples of total degree up to the bound."""
+    bound = sweep.bound
+    product = sweep.product
+    for i in range(1, bound - 1):
+        for j in range(1, bound - i):
+            for k in range(1, bound - i - j + 1):
+                outer = sweep.product_rule(i + j + k)
+                for a in sweep.labels(i):
+                    for b in sweep.labels(j):
+                        ab = product(a, b)
+                        for c in sweep.labels(k):
+                            yield (a, b, c), {"associativity": lambda: (
+                                ab.apply(lambda l: outer(l, c))
+                                == product(b, c).apply(lambda l: outer(a, l))
+                            )}
+
+
+def _label_cases(sweep: _Sweep) -> Cases:
+    """One coproduct per label serves coassociativity, counit and
+    cocommutativity; the unit law calls the product rule directly."""
+    alg = sweep.alg
+    unit = alg.unit_label
+    for n in range(1, sweep.bound + 1):
+        for a in sweep.labels(n):
+            e = alg.element(a)
+            cop = sweep.coproduct_rule(n)(a)
+
+            def coproduct(l):
+                return cop if l == a else sweep.coproduct(l)
+
+            yield (a,), {
+                "unit": lambda: alg.product(unit, a) == e and alg.product(a, unit) == e,
+                "coassociativity": lambda: (
+                    tensor_apply(cop, 0, coproduct) == tensor_apply(cop, 1, coproduct)
+                ),
+                "counit": lambda: _counit_sides(alg, cop) == (e, e),
+                "cocommutativity": lambda: tensor_swap(cop) == cop,
+            }
+
+
+def _counit_sides(alg: GradedBasis, cop: LinComb) -> tuple[LinComb, LinComb]:
+    left: dict = {}
+    right: dict = {}
     for (u, v), c in cop.terms.items():
         if u == alg.unit_label:
-            left = left + LinComb.basis(alg.kind, v, c)
+            left[v] = left.get(v, 0) + c
         if v == alg.unit_label:
-            right = right + LinComb.basis(alg.kind, u, c)
-    return left, right
+            right[u] = right.get(u, 0) + c
+    return LinComb(alg.kind, left), LinComb(alg.kind, right)
+
+
+def _pair_cases(sweep: _Sweep) -> Cases:
+    """Delta(ab) = Delta(a) Delta(b), and whether ab = ba, on one product per pair."""
+    bound = sweep.bound
+    kind = tensor_kind(sweep.alg.kind)
+    for i in range(1, bound):
+        for j in range(1, bound - i + 1):
+            product = sweep.product_rule(i + j)
+            coproduct = sweep.coproduct_rule(i + j)
+            for a in sweep.labels(i):
+                da = sweep.coproduct(a)
+                for b in sweep.labels(j):
+                    ab = product(a, b)
+
+                    def factor_product(x, y):
+                        return ab if x == a and y == b else sweep.product(x, y)
+
+                    yield (a, b), {
+                        "compatibility": lambda: (
+                            ab.apply(coproduct, kind=kind)
+                            == tensor_mul(da, sweep.coproduct(b), factor_product)
+                        ),
+                        "commutativity": lambda: ab == product(b, a),
+                    }
 
 
 def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
     """Verify associativity, coassociativity, unit/counit, compatibility,
     and record (co)commutativity, exhaustively up to the degree bound."""
-    report = HopfReport(alg.kind, degree_bound)
-    by_degree = alg.labels_upto(degree_bound)
-
-    def labels(n: int) -> list:
-        return by_degree.get(n, [])
-
-    # associativity: (ab)c = a(bc)
-    counter = None
-    for i in range(1, degree_bound - 1):
-        for j in range(1, degree_bound - i):
-            for k in range(1, degree_bound - i - j + 1):
-                for a in labels(i):
-                    for b in labels(j):
-                        ab = alg.product(a, b)
-                        for c in labels(k):
-                            lhs = ab.apply(lambda l: alg.product(l, c))
-                            rhs = alg.product(b, c).apply(lambda l: alg.product(a, l))
-                            if lhs != rhs:
-                                counter = (a, b, c)
-                                break
-                        if counter:
-                            break
-                    if counter:
-                        break
-                if counter:
-                    break
-            if counter:
-                break
-        if counter:
-            break
-    report.checks["associativity"] = CheckResult(counter is None, counter)
-
-    # unit: 1 * a = a * 1 = a
-    counter = None
-    for n in range(1, degree_bound + 1):
-        for a in labels(n):
-            e = alg.element(a)
-            if alg.product(alg.unit_label, a) != e or alg.product(a, alg.unit_label) != e:
-                counter = (a,)
-                break
-        if counter:
-            break
-    report.checks["unit"] = CheckResult(counter is None, counter)
-
-    # coassociativity: (Delta (x) id) Delta = (id (x) Delta) Delta
-    counter = None
-    for n in range(1, degree_bound + 1):
-        for a in labels(n):
-            cop = alg.coproduct(a)
-            if tensor_apply(cop, 0, alg.coproduct) != tensor_apply(cop, 1, alg.coproduct):
-                counter = (a,)
-                break
-        if counter:
-            break
-    report.checks["coassociativity"] = CheckResult(counter is None, counter)
-
-    # counit: (eps (x) id) Delta = id = (id (x) eps) Delta
-    counter = None
-    for n in range(1, degree_bound + 1):
-        for a in labels(n):
-            left, right = _counit_sides(alg, a)
-            if left != alg.element(a) or right != alg.element(a):
-                counter = (a,)
-                break
-        if counter:
-            break
-    report.checks["counit"] = CheckResult(counter is None, counter)
-
-    # bialgebra compatibility: Delta(ab) = Delta(a) Delta(b)
-    counter = None
-    for i in range(1, degree_bound):
-        for j in range(1, degree_bound - i + 1):
-            for a in labels(i):
-                da = alg.coproduct(a)
-                for b in labels(j):
-                    lhs = alg.product(a, b).apply(
-                        alg.coproduct, kind=tensor_kind(alg.kind)
-                    )
-                    rhs = tensor_mul(da, alg.coproduct(b), alg.product)
-                    if lhs != rhs:
-                        counter = (a, b)
-                        break
-                if counter:
-                    break
-            if counter:
-                break
-        if counter:
-            break
-    report.checks["compatibility"] = CheckResult(counter is None, counter)
-
-    # commutativity / cocommutativity (informational)
-    counter = None
-    for i in range(1, degree_bound):
-        for j in range(1, degree_bound - i + 1):
-            for a in labels(i):
-                for b in labels(j):
-                    if alg.product(a, b) != alg.product(b, a):
-                        counter = (a, b)
-                        break
-                if counter:
-                    break
-            if counter:
-                break
-        if counter:
-            break
-    report.checks["commutativity"] = CheckResult(counter is None, counter)
-
-    counter = None
-    for n in range(1, degree_bound + 1):
-        for a in labels(n):
-            cop = alg.coproduct(a)
-            if tensor_swap(cop) != cop:
-                counter = (a,)
-                break
-        if counter:
-            break
-    report.checks["cocommutativity"] = CheckResult(counter is None, counter)
-
-    return report
+    sweep = _Sweep(alg, degree_bound)
+    results = first_failure(_associativity_cases(sweep), ("associativity",))
+    results.update(first_failure(
+        _label_cases(sweep), ("unit", "coassociativity", "counit", "cocommutativity")))
+    results.update(first_failure(_pair_cases(sweep), ("compatibility", "commutativity")))
+    order = ("associativity", "unit", "coassociativity", "counit",
+             "compatibility", "commutativity", "cocommutativity")
+    return HopfReport(alg.kind, degree_bound, {name: results[name] for name in order})
 
 
 def duality_check(
@@ -222,33 +239,25 @@ def duality_check(
     Labels of the dual are identified with primal labels (dual bases pair by
     delta).  When ``dual_product`` is supplied, the transposed law
     <Delta x, z (x) w> = <x, z w> is verified as well.
+
+    Both laws are checked by transposition: the coproduct of every target
+    of a degree is computed once, and <x (x) y, Delta* z> is its coefficient
+    at (x, y).  Triples are visited in the order of the nested loops over
+    (x, y, z), so the first counterexample does not depend on this.
     """
     by_degree = primal.labels_upto(degree_bound)
-    for total in range(2, degree_bound + 1):
-        for i in range(1, total):
-            j = total - i
-            for a in by_degree.get(i, []):
-                for b in by_degree.get(j, []):
-                    prod = primal.product(a, b)
-                    left_tensor = tensor(primal.element(a), primal.element(b))
-                    for z in by_degree.get(total, []):
-                        lhs = prod[z]
-                        rhs = pairing(left_tensor, dual_coproduct(z))
-                        if lhs != rhs:
-                            return CheckResult(False, (a, b, z))
-    if dual_product is not None and primal_coproduct is not None:
+
+    def cases(product: Callable, coproduct: Callable) -> Cases:
         for total in range(2, degree_bound + 1):
+            coproducts = [(z, coproduct(z)) for z in by_degree.get(total, [])]
             for i in range(1, total):
-                j = total - i
-                for z in by_degree.get(i, []):
-                    for w in by_degree.get(j, []):
-                        prod = dual_product(z, w)
-                        for x in by_degree.get(total, []):
-                            lhs = pairing(
-                                primal_coproduct(x),
-                                tensor(primal.element(z), primal.element(w)),
-                            )
-                            rhs = prod[x]
-                            if lhs != rhs:
-                                return CheckResult(False, (z, w, x))
-    return CheckResult(True, None)
+                for a in by_degree.get(i, []):
+                    for b in by_degree.get(total - i, []):
+                        prod = product(a, b)
+                        for z, cop in coproducts:
+                            yield (a, b, z), {"duality": lambda: prod[z] == cop[(a, b)]}
+
+    laws = [cases(primal.product, dual_coproduct)]
+    if dual_product is not None and primal_coproduct is not None:
+        laws.append(cases(dual_product, primal_coproduct))
+    return first_failure(itertools.chain(*laws), ("duality",))["duality"]

@@ -368,6 +368,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verify_degree(args) -> int:
+    """The degree bound of a sweep: --max-degree, else --limit, else the guard."""
+    for knob, value in (("--max-degree", args.max_degree), ("--limit", args.limit)):
+        if value is not None:
+            break
+    else:
+        knob, value = "HOPFCOMB_MAX_DEGREE", current_limits().max_degree
+    if value < 1:
+        raise ValueError(f"{knob} must be at least 1, got {value}")
+    return value
+
+
 def _run(args) -> int:
     if args.command in ("product", "coproduct"):
         spec = _lookup(args.algebra, args.basis)
@@ -464,8 +476,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        max_degree = args.max_degree or args.limit or current_limits().max_degree
-        code, lines = _verify(args.algebra, max_degree)
+        code, lines = _verify(args.algebra, _verify_degree(args))
         for line in lines:
             print(line)
         return code

@@ -131,10 +131,6 @@ class QPoly:
         return f"QPoly({str(self)!r})"
 
 
-def coeff_to_text(c) -> str:
-    return str(c)
-
-
 def coeff_from_text(text: str):
     """Parse an integer or a q-polynomial in the normal printed form."""
     text = text.strip()

@@ -81,13 +81,8 @@ class LinComb:
 
     def apply(self, rule: Callable, kind: str | None = None) -> "LinComb":
         """Linear extension of a basis-level map ``label -> LinComb``."""
-        out: LinComb | None = None
-        for label, c in self.terms.items():
-            piece = rule(label).scale(c)
-            out = piece if out is None else out + piece
-        if out is None:
-            return LinComb.zero(kind if kind is not None else self.kind)
-        return out
+        pieces = ((rule(label), c) for label, c in self.terms.items())
+        return _sum_scaled(pieces, self.kind if kind is None else kind)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -99,14 +94,27 @@ class LinComb:
 def bilinear(x: LinComb, y: LinComb, rule: Callable, kind: str | None = None) -> LinComb:
     """Bilinear extension of a basis-level rule ``(label, label) -> LinComb``."""
     x._check(y)
-    out: LinComb | None = None
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            piece = rule(a, b).scale(ca * cb)
-            out = piece if out is None else out + piece
-    if out is None:
-        return LinComb.zero(kind if kind is not None else x.kind)
-    return out
+    pieces = ((rule(a, b), ca * cb) for a, ca in x.terms.items() for b, cb in y.terms.items())
+    return _sum_scaled(pieces, x.kind if kind is None else kind)
+
+
+def _sum_scaled(pieces: Iterable[tuple[LinComb, object]], empty_kind: str) -> LinComb:
+    """The sum of ``scalar * piece``, accumulated in one dict.
+
+    The pieces are only read, so rules may hand out shared values.  All
+    pieces must have one kind, which the sum takes; an empty sum has
+    ``empty_kind``.
+    """
+    kind = None
+    terms: dict = {}
+    for piece, scalar in pieces:
+        if kind is None:
+            kind = piece.kind
+        elif piece.kind != kind:
+            raise ValueError(f"mixing label kinds {kind!r} and {piece.kind!r}")
+        for label, c in piece.terms.items():
+            terms[label] = terms.get(label, 0) + scalar * c
+    return LinComb(empty_kind if kind is None else kind, terms)
 
 
 def pairing(x: LinComb, y: LinComb):
@@ -158,7 +166,7 @@ def twisted_tensor_mul(
     ``product(label, label) -> LinComb`` is the component product rule.
     """
     t1._check(t2)
-    out = LinComb.zero(t1.kind)
+    terms: dict = {}
     for (a, b), c1 in t1.terms.items():
         for (a2, b2), c2 in t2.terms.items():
             coeff = c1 * c2
@@ -166,13 +174,11 @@ def twisted_tensor_mul(
                 coeff = coeff * chi(b, a2)
             left = product(a, a2)
             right = product(b, b2)
-            terms: dict = {}
             for la, cla in left.terms.items():
                 for lb, clb in right.terms.items():
                     key = (la, lb)
                     terms[key] = terms.get(key, 0) + coeff * cla * clb
-            out = out + LinComb(t1.kind, terms)
-    return out
+    return LinComb(t1.kind, terms)
 
 
 def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
@@ -191,38 +197,4 @@ def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
             out_terms[new_label] = out_terms.get(new_label, 0) + c * ci
     base = kind.split("(x)")[0] if kind else t.kind.split("(x)")[0]
     factors = t.kind.count("(x)") + 2
-    out = LinComb(tensor_kind(base, factors))
-    out.terms = {k: v for k, v in out_terms.items() if v}
-    return out
-
-
-def lincomb_to_json_terms(
-    x: LinComb,
-    label_text: Callable,
-    degree: Callable,
-) -> list[dict]:
-    """Deterministic JSON form: graded, then lexicographic on label encoding."""
-    items = sorted(x.terms.items(), key=lambda t: (degree(t[0]), label_text(t[0])))
-    return [{"label": label_text(label), "coeff": str(c)} for label, c in items]
-
-
-def format_lincomb(
-    x: LinComb,
-    symbol: str,
-    label_text: Callable,
-    degree: Callable,
-) -> str:
-    """Text form like ``M[133] + 2*M[223]``, graded then lexicographic."""
-    if not x.terms:
-        return "0"
-    items = sorted(x.terms.items(), key=lambda t: (degree(t[0]), label_text(t[0])))
-    chunks = []
-    for label, c in items:
-        body = f"{symbol}[{label_text(label)}]"
-        if c == 1:
-            chunks.append(body)
-        elif isinstance(c, int):
-            chunks.append(f"{c}*{body}" if c >= 0 else f"({c})*{body}")
-        else:
-            chunks.append(f"({c})*{body}")
-    return " + ".join(chunks)
+    return LinComb(tensor_kind(base, factors), out_terms)

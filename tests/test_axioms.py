@@ -1,0 +1,208 @@
+"""First counterexamples of the axiom and duality checkers on broken rules.
+
+Each case wraps a correct algebra with a deliberately broken rule and pins
+the exact report: the verdict of every axiom and, where it fails, the first
+counterexample in the checker's visiting order.  The expected tuples were
+recorded from the straightforward nested-loop checker, so they also pin that
+the sweep order of the table-driven checker is unchanged.
+"""
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+
+from hopfcomb import eqsym, parkfunc, phisym, sgqsym
+from hopfcomb.axioms import duality_check, hopf_check
+from hopfcomb.lincomb import LinComb
+from hopfcomb.words import word_from_text
+
+W = word_from_text
+
+
+def corrupt(rule, label, edit):
+    """``rule`` with its value at ``label`` replaced by ``edit(terms)``."""
+
+    def broken(*args):
+        out = rule(*args)
+        if args != label:
+            return out
+        return LinComb(out.kind, edit(dict(out.terms)))
+
+    return broken
+
+
+def drop_last(terms):
+    terms.pop(max(terms, key=repr))
+    return terms
+
+
+def drop(key):
+    def edit(terms):
+        del terms[key]
+        return terms
+
+    return edit
+
+
+def bump(key, by=1):
+    def edit(terms):
+        terms[key] = terms.get(key, 0) + by
+        return terms
+
+    return edit
+
+
+def report_of(alg, bound):
+    report = hopf_check(alg, bound)
+    return {name: result.counterexample for name, result in report.checks.items()}
+
+
+OK = None
+
+HOPF_CASES = {
+    # the correct algebra: only cocommutativity fails, at its first label
+    "eqsym": (eqsym.algebra(), {}),
+    # M_1 M_11 loses one term
+    "product drops a term": (
+        eqsym.algebra(),
+        {"product": ((W("1"), W("11")), drop_last)},
+    ),
+    # M_12 M_() loses its only term, so the unit law fails first at 12
+    "unit product": (
+        eqsym.algebra(),
+        {"product": ((W("12"), ()), drop_last)},
+    ),
+    # M_12 M_12 loses one term: a top-degree product at bound 4
+    "top-degree product": (
+        eqsym.algebra(),
+        {"product": ((W("12"), W("12")), drop_last)},
+    ),
+    # Delta(M_113) loses its middle term
+    "coproduct corrupted": (
+        eqsym.algebra(),
+        {"coproduct": ((W("113"),), drop((W("11"), W("1"))))},
+    ),
+    # Delta(M_1) gains a second M_1 (x) 1: not cocommutative at degree 1
+    "non-cocommutative coproduct": (
+        eqsym.algebra(),
+        {"coproduct": ((W("1"),), bump((W("1"), ())))},
+    ),
+    # the cocommutative dual: Delta(S_12) gains a second 1 (x) S_12
+    "dual made non-cocommutative": (
+        eqsym.dual_algebra(),
+        {"coproduct": ((W("12"),), bump(((), W("12"))))},
+    ),
+}
+
+HOPF_EXPECTED = {
+    "eqsym": {
+        "associativity": OK, "unit": OK, "coassociativity": OK, "counit": OK,
+        "compatibility": OK, "commutativity": OK,
+        "cocommutativity": (W("113"),),
+    },
+    "product drops a term": {
+        "associativity": (W("1"), W("1"), W("11")), "unit": OK,
+        "coassociativity": OK, "counit": OK,
+        "compatibility": (W("1"), W("11")),
+        "commutativity": (W("1"), W("11")),
+        "cocommutativity": (W("113"),),
+    },
+    "unit product": {
+        "associativity": OK, "unit": (W("12"),), "coassociativity": OK,
+        "counit": OK, "compatibility": (W("12"), W("1")), "commutativity": OK,
+        "cocommutativity": (W("113"),),
+    },
+    "top-degree product": {
+        "associativity": (W("1"), W("1"), W("12")), "unit": OK, "coassociativity": OK,
+        "counit": OK, "compatibility": (W("12"), W("12")), "commutativity": OK,
+        "cocommutativity": (W("113"),),
+    },
+    "coproduct corrupted": {
+        "associativity": OK, "unit": OK, "coassociativity": (W("1134"),),
+        "counit": OK, "compatibility": (W("1"), W("11")), "commutativity": OK,
+        "cocommutativity": (W("122"),),
+    },
+    "non-cocommutative coproduct": {
+        "associativity": OK, "unit": OK, "coassociativity": (W("1"),),
+        "counit": (W("1"),), "compatibility": (W("1"), W("1")),
+        "commutativity": OK, "cocommutativity": (W("1"),),
+    },
+    "dual made non-cocommutative": {
+        "associativity": OK, "unit": OK, "coassociativity": (W("12"),),
+        "counit": (W("12"),), "compatibility": (W("1"), W("1")),
+        "commutativity": (W("1"), W("11")), "cocommutativity": (W("12"),),
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(HOPF_CASES))
+def test_first_counterexample_of_every_axiom(name):
+    alg, breaks = HOPF_CASES[name]
+    rules = {rule: corrupt(getattr(alg, rule), label, edit)
+             for rule, (label, edit) in breaks.items()}
+    assert report_of(replace(alg, **rules), 4) == HOPF_EXPECTED[name]
+
+
+def test_report_keeps_its_key_order():
+    report = hopf_check(eqsym.algebra(), 2)
+    assert list(report.checks) == [
+        "associativity", "unit", "coassociativity", "counit",
+        "compatibility", "commutativity", "cocommutativity",
+    ]
+
+
+def test_degree_bounds_below_one_check_nothing():
+    for bound in (0, -1):
+        report = hopf_check(eqsym.algebra(), bound)
+        assert all(r.passed for r in report.checks.values())
+
+
+def _duality(bound, dual_coproduct=eqsym.coproduct_S, dual_product=eqsym.product_S,
+             primal_coproduct=eqsym.coproduct_M):
+    return duality_check(eqsym.algebra(), dual_coproduct, bound,
+                         dual_product=dual_product, primal_coproduct=primal_coproduct)
+
+
+def test_duality_first_counterexamples():
+    assert _duality(4).counterexample is None
+    # <M_1 M_1, S_12> = 2, but the dual coproduct now says 1
+    res = _duality(4, dual_coproduct=corrupt(
+        eqsym.coproduct_S, (W("12"),), bump((W("1"), W("1")), -1)))
+    assert (res.passed, res.counterexample) == (False, (W("1"), W("1"), W("12")))
+    # a degree-3 target: the failure is found at the first (a, b) that meets it
+    res = _duality(4, dual_coproduct=corrupt(
+        eqsym.coproduct_S, (W("123"),), bump((W("12"), W("1")))))
+    assert (res.passed, res.counterexample) == (False, (W("12"), W("1"), W("123")))
+    # the transposed law: a broken dual product ...
+    res = _duality(4, dual_product=corrupt(eqsym.product_S, (W("1"), W("11")), drop_last))
+    assert (res.passed, res.counterexample) == (False, (W("1"), W("11"), W("122")))
+    # ... and a broken primal coproduct
+    res = _duality(4, primal_coproduct=corrupt(
+        eqsym.coproduct_M, (W("1123"),), bump((W("112"), W("1")))))
+    assert (res.passed, res.counterexample) == (False, (W("112"), W("1"), W("1123")))
+
+
+# ---------------------------------------------------------------------------
+# rules that hand out shared LinComb objects from a cache
+
+def _cached(rule, handed_out):
+    @lru_cache(maxsize=None)
+    def cached(*args):
+        out = rule(*args)
+        handed_out.append((out, dict(out.terms)))
+        return out
+
+    return cached
+
+
+@pytest.mark.parametrize("alg", [
+    sgqsym.algebra(), phisym.algebra(), parkfunc.algebra(),
+], ids=["sgqsym", "phisym", "parkfunc"])
+def test_hopf_check_never_mutates_cached_rule_values(alg):
+    handed_out: list = []
+    shared = replace(alg, product=_cached(alg.product, handed_out),
+                     coproduct=_cached(alg.coproduct, handed_out))
+    assert hopf_check(shared, 4).passed
+    assert handed_out
+    for value, snapshot in handed_out:
+        assert value.terms == snapshot

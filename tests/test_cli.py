@@ -146,3 +146,31 @@ def test_limit_guard_exit_two(monkeypatch):
     monkeypatch.setenv("HOPFCOMB_MAX_DEGREE", "2")
     code, out, _ = run_cli("verify", "--algebra", "sgqsym")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, env, knob", [
+    (["--max-degree", "0"], None, "--max-degree"),
+    (["--max-degree", "-2"], None, "--max-degree"),
+    (["--limit", "0"], None, "--limit"),
+    (["--limit", "-1"], None, "--limit"),
+    (["--max-degree", "0", "--limit", "3"], None, "--max-degree"),
+    ([], "0", "HOPFCOMB_MAX_DEGREE"),
+    ([], "-4", "HOPFCOMB_MAX_DEGREE"),
+])
+def test_verify_rejects_degrees_below_one(monkeypatch, argv, env, knob):
+    if env is None:
+        monkeypatch.delenv("HOPFCOMB_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("HOPFCOMB_MAX_DEGREE", env)
+    code, out, err = run_cli("verify", "--algebra", "sgqsym", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: " + knob)
+
+
+def test_verify_degree_one_and_explicit_over_environment(monkeypatch):
+    monkeypatch.setenv("HOPFCOMB_MAX_DEGREE", "0")
+    code, out, _ = run_cli("verify", "--algebra", "sgqsym", "--max-degree", "1")
+    assert code == 0 and "associativity: ok" in out
+    code, out, _ = run_cli("verify", "--algebra", "sgqsym", "--limit", "2")
+    assert code == 0 and "duality-consistency: ok" in out

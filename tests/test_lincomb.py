@@ -9,6 +9,7 @@ from hopfcomb.lincomb import (
     bilinear,
     pairing,
     tensor,
+    tensor_apply,
     tensor_mul,
     tensor_swap,
     twisted_tensor_mul,
@@ -119,3 +120,81 @@ def test_twisted_tensor_at_q1_is_plain_on_random_pairs():
         plain = tensor_mul(t1, t2, qdeform.product_F)
         subs = lambda c: QPoly.coerce(c).subs(1)
         assert twisted.map_coeffs(subs) == plain.map_coeffs(subs)
+
+
+# ---------------------------------------------------------------------------
+# the accumulators: cancelling terms vanish, empty inputs keep their kind
+
+UNITS = [1, QPoly.gen()]
+TT = "t(x)t"
+
+
+def _no_zeros(x: LinComb) -> bool:
+    return all(x.terms.values())
+
+
+@pytest.mark.parametrize("u", UNITS)
+def test_apply_accumulates_without_zero_terms(u):
+    shared = {(1,): LinComb("u", {(9,): u, (8,): -u}), (2,): LinComb("u", {(8,): u})}
+    snapshot = {label: dict(v.terms) for label, v in shared.items()}
+    out = LinComb("t", {(1,): 1, (2,): 1}).apply(shared.__getitem__)
+    assert out == LinComb("u", {(9,): u}) and _no_zeros(out)
+    cancelled = LinComb("t", {(1,): 1, (3,): -1}).apply(
+        lambda l: shared[(1,)] if l == (3,) else shared[l])
+    assert cancelled.kind == "u" and not cancelled.terms
+    assert {label: v.terms for label, v in shared.items()} == snapshot
+
+
+def test_apply_on_zero_keeps_the_kind():
+    assert LinComb.zero("t").apply(lambda l: LinComb.basis("u", l)).kind == "t"
+    assert LinComb.zero("t").apply(lambda l: LinComb.basis("u", l), kind="u").kind == "u"
+    with pytest.raises(ValueError):
+        LinComb("t", {(1,): 1, (2,): 1}).apply(lambda l: LinComb.basis(str(l), l))
+
+
+@pytest.mark.parametrize("u", UNITS)
+def test_bilinear_accumulates_without_zero_terms(u):
+    rule = lambda a, b: LinComb("u", {(len(a + b),): u if a == (1,) else -u, a + b: 1})
+    out = bilinear(LinComb("t", {(1,): 1, (2,): 1}), LinComb.basis("t", (3,)), rule)
+    assert out == LinComb("u", {(1, 3): 1, (2, 3): 1}) and _no_zeros(out)
+    assert bilinear(LinComb.zero("t"), LinComb.basis("t", (3,)), rule).kind == "t"
+    assert bilinear(LinComb.zero("t"), LinComb.zero("t"), rule, kind="u").kind == "u"
+
+
+def _length_product(x, y):
+    return LinComb.basis("t", (len(x + y),))
+
+
+@pytest.mark.parametrize("u", UNITS)
+def test_tensor_mul_accumulates_without_zero_terms(u):
+    t1 = LinComb(TT, {((1,), ()): u, ((2,), ()): -u, ((1, 1), ()): u})
+    t2 = LinComb(TT, {((), ()): 1})
+    out = tensor_mul(t1, t2, _length_product)
+    assert out == LinComb(TT, {((2,), (0,)): u}) and _no_zeros(out)
+    assert tensor_mul(LinComb.zero(TT), t2, _length_product) == LinComb.zero(TT)
+
+
+@pytest.mark.parametrize("u", UNITS)
+def test_twisted_tensor_mul_accumulates_without_zero_terms(u):
+    q = QPoly.gen()
+    chi = lambda b, a2: q ** len(b)
+    t1 = LinComb(TT, {((1,), (1,)): u, ((2,), (2,)): -u})
+    t2 = LinComb(TT, {((), (1,)): 1})
+    out = twisted_tensor_mul(t1, t2, _length_product, chi)
+    assert out == LinComb.zero(TT) and not out.terms
+    t1 = LinComb(TT, {((1,), (1,)): u, ((2,), (2,)): -u, ((1,), (1, 1)): u})
+    out = twisted_tensor_mul(t1, t2, _length_product, chi)
+    assert out == LinComb(TT, {((1,), (3,)): u * q**2}) and _no_zeros(out)
+    assert twisted_tensor_mul(LinComb.zero(TT), t2, _length_product, chi).kind == TT
+
+
+@pytest.mark.parametrize("u", UNITS)
+def test_tensor_apply_accumulates_without_zero_terms(u):
+    def split(label):
+        return LinComb(TT, {((), (len(label),)): 1, (label, ()): 1})
+
+    t = LinComb(TT, {((1,), (5,)): u, ((2,), (5,)): -u})
+    out = tensor_apply(t, 0, split)
+    assert out == LinComb("t(x)t(x)t", {((1,), (), (5,)): u, ((2,), (), (5,)): -u})
+    assert _no_zeros(out)
+    assert tensor_apply(LinComb.zero(TT), 0, split) == LinComb.zero("t(x)t(x)t")
