@@ -1,10 +1,13 @@
 """The commutative Hopf algebra of endofunctions and its free graded dual.
 
-The M basis is indexed by endofunction words.  Products conjugate the
-shifted concatenation by shuffle permutations; coproducts cut at shifted
-concatenation boundaries.  The dual S basis multiplies by shifted
-concatenation, with coproduct given by splitting the ground set into two
-complementary stable subsets.
+The M basis is indexed by endofunction words.  The product of M_f and M_g
+sums over the ways to split [n+m] into an n-set A and its complement B,
+relabelling f on A and g on B through the increasing bijections;
+coproducts cut at shifted concatenation boundaries.  The older route,
+conjugating the shifted concatenation by shuffle permutations, is kept as
+the oracle :func:`product_M_conjugation`.  The dual S basis multiplies by
+shifted concatenation, with coproduct given by splitting the ground set
+into two complementary stable subsets.
 """
 from __future__ import annotations
 
@@ -23,12 +26,46 @@ from .words import (
     is_connected,
     shifted_concat,
     shuffle,
-    standardize,
     unshift,
 )
 
 M_KIND = "eqsym:M"
 S_KIND = "eqsym:S"
+M_TENSOR_KIND = tensor_kind(M_KIND)
+
+
+@lru_cache(maxsize=64)
+def _set_splits(n: int, m: int) -> tuple[tuple[Word, Word], ...]:
+    """Pairs (A, B): A an n-subset of [n+m] as an increasing word, B its complement.
+
+    Ordered lexicographically by A, the order in which :func:`shuffle` places
+    the letters of its first argument.  The 64 cached entries hold every
+    (n, m) with n + m <= 9; the tuples are immutable, so callers share them.
+    """
+    ground = range(1, n + m + 1)
+    splits = []
+    for chosen in itertools.combinations(ground, n):
+        inside = set(chosen)
+        splits.append((chosen, tuple(i for i in ground if i not in inside)))
+    return tuple(splits)
+
+
+def product_M(f: Word, g: Word) -> LinComb:
+    """M_f M_g: sum of M_h over set splits (A, B), h = f relabelled on A, g on B.
+
+    >>> product_M((1,), (1,)).terms
+    {(1, 2): 2}
+    """
+    h = [0] * (len(f) + len(g))
+    terms: dict[Word, int] = {}
+    for a, b in _set_splits(len(f), len(g)):
+        for p, x in zip(a, f):
+            h[p - 1] = a[x - 1]
+        for p, x in zip(b, g):
+            h[p - 1] = b[x - 1]
+        key = tuple(h)
+        terms[key] = terms.get(key, 0) + 1
+    return LinComb(M_KIND, terms)
 
 
 def compose(u: Word, v: Word) -> Word:
@@ -44,8 +81,8 @@ def conjugates(f: Word, g: Word):
         yield compose(inverse(tau), compose(fg, tau))
 
 
-def product_M(f: Word, g: Word) -> LinComb:
-    """M_f M_g as a sum of M_h with shuffle-conjugation multiplicities."""
+def product_M_conjugation(f: Word, g: Word) -> LinComb:
+    """Oracle for :func:`product_M`: shuffle-conjugation multiplicities."""
     terms: dict[Word, int] = {}
     for h in conjugates(f, g):
         terms[h] = terms.get(h, 0) + 1
@@ -53,11 +90,8 @@ def product_M(f: Word, g: Word) -> LinComb:
 
 
 def coproduct_M(h: Word) -> LinComb:
-    terms: dict[tuple[Word, Word], int] = {}
-    for k in cut_points(h) or [0]:
-        key = (h[:k], unshift(h, k))
-        terms[key] = terms.get(key, 0) + 1
-    return LinComb(tensor_kind(M_KIND), terms)
+    """Sum of M_u (x) M_v over the cuts of h = u . v; every cut is distinct."""
+    return LinComb(M_TENSOR_KIND, {(h[:k], unshift(h, k)): 1 for k in cut_points(h)})
 
 
 def product_S(f: Word, g: Word) -> LinComb:

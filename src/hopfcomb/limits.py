@@ -30,17 +30,27 @@ class Limits:
 
 
 def current_limits() -> Limits:
-    """The active limits, honouring the ``HOPFCOMB_MAX_DEGREE`` override."""
+    """The active limits, honouring the ``HOPFCOMB_MAX_DEGREE`` override.
+
+    Only ``max_degree`` reads the environment, so only the sweeps that use it
+    call this; a malformed value raises ``ValueError`` naming the variable.
+    """
     limits = Limits()
     override = os.environ.get("HOPFCOMB_MAX_DEGREE")
     if override is not None:
-        limits = replace(limits, max_degree=int(override))
+        try:
+            max_degree = int(override)
+        except ValueError:
+            raise ValueError(
+                f"HOPFCOMB_MAX_DEGREE must be an integer, got {override!r}"
+            ) from None
+        limits = replace(limits, max_degree=max_degree)
     return limits
 
 
 def guard(kind: str, n: int, limits: Limits | None = None) -> None:
     """Refuse an enumeration of family ``kind`` at size ``n`` beyond the bound."""
-    limits = limits or current_limits()
+    limits = limits or Limits()
     bound = getattr(limits, kind)
     if n > bound:
         raise LimitExceeded(f"{kind} enumeration at n={n} exceeds configured bound {bound}")

@@ -13,6 +13,7 @@ from functools import lru_cache
 from .coeffs import QPoly
 from .lincomb import LinComb, bilinear, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
 from .limits import guard
+from .parkfunc import catalan  # noqa: F401  (re-exported: counts the q-classes)
 from .realize import qvar_mul, realize_fundamental
 from .words import (
     Composition,
@@ -238,12 +239,6 @@ def confluence_check(system: str, length: int, n_letters: int) -> tuple[bool, Wo
 def class_census(system: str, n: int) -> int:
     """Number of rewriting classes of permutations, forgetting q powers."""
     return len({q_rewrite(sigma, system)[0] for sigma in permutations(n)})
-
-
-def catalan(n: int) -> int:
-    from math import comb
-
-    return comb(2 * n, n) // (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,11 @@ V_KIND = "ncsf:V"
 # the M basis on permutations: three routes to the same product
 
 def product_M(alpha: Word, beta: Word) -> LinComb:
-    """Shuffle-conjugation product, restricted from endofunctions."""
+    """Set-split product, restricted from endofunctions.
+
+    Calls :func:`eqsym.product_M`; :func:`eqsym.product_M_conjugation` is the
+    shuffle-conjugation oracle for all three routes.
+    """
     return LinComb(M_KIND, eqsym.product_M(alpha, beta).terms)
 
 

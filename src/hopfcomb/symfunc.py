@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .limits import current_limits, guard
+from .limits import guard
 from .lincomb import LinComb
 from .words import IntegerPartition, partition_multiplicities
 
@@ -250,7 +250,7 @@ def convert(x: LinComb, target: str) -> LinComb:
     for mu, c in in_m.terms.items():
         by_degree.setdefault(sum(mu), {})[mu] = c
     for degree, terms in by_degree.items():
-        guard("symfunc_degree", degree, current_limits())
+        guard("symfunc_degree", degree)
         table = _m_to_basis_matrix(target, degree)
         for mu, c in terms.items():
             for lam, coeff in table[mu].items():

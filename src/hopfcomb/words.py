@@ -124,12 +124,20 @@ def shifted_concat(f: Sequence[int], g: Sequence[int]) -> Word:
 def cut_points(h: Sequence[int]) -> list[int]:
     """Positions k where h splits as a shifted concatenation of length-k and rest.
 
-    Includes the trivial cuts 0 and len(h).
+    Includes the trivial cuts 0 and len(h).  An interior k is a cut exactly
+    when max(h[:k]) <= k < min(h[k:]), read off a running prefix maximum and
+    a precomputed suffix minimum, so the scan is linear.
+
+    >>> cut_points((1, 3, 2, 4))
+    [0, 1, 3, 4]
+    >>> cut_points(())
+    [0]
     """
     n = len(h)
+    tail_min = list(itertools.accumulate(reversed(h), min))  # [j] = min(h[n-1-j:])
     cuts = [0]
-    for k in range(1, n):
-        if all(h[i] <= k for i in range(k)) and all(h[i] > k for i in range(k, n)):
+    for k, head_max in enumerate(itertools.accumulate(h[:-1], max), start=1):
+        if head_max <= k < tail_min[n - 1 - k]:
             cuts.append(k)
     if n > 0:
         cuts.append(n)

@@ -174,3 +174,17 @@ def test_verify_degree_one_and_explicit_over_environment(monkeypatch):
     assert code == 0 and "associativity: ok" in out
     code, out, _ = run_cli("verify", "--algebra", "sgqsym", "--limit", "2")
     assert code == 0 and "duality-consistency: ok" in out
+
+
+def test_malformed_max_degree_variable_only_reaches_verify(monkeypatch):
+    monkeypatch.setenv("HOPFCOMB_MAX_DEGREE", "abc")
+    code, out, err = run_cli("count", "--family", "parking", "3")
+    assert (code, out, err) == (0, "16\n", "")
+    code, out, err = run_cli("product", "--algebra", "eqsym", "--basis", "M", "1", "1")
+    assert code == 0 and err == ""
+    code, out, err = run_cli("coproduct", "--algebra", "eqsym", "--basis", "M", "11")
+    assert code == 0 and err == ""
+    code, out, err = run_cli("verify", "--algebra", "sgqsym")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: HOPFCOMB_MAX_DEGREE")

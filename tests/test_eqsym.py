@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -129,3 +130,35 @@ def test_duality_degree_3():
         primal_coproduct=eqsym.coproduct_M,
     )
     assert res.passed, res
+
+
+def _random_endofunction(rng, n):
+    return tuple(rng.randint(1, n) for _ in range(n))
+
+
+def _seeded_pairs(seed, total, count):
+    """Endofunction pairs (f, g) with len(f) + len(g) == total, cycling the split."""
+    rng = random.Random(seed)
+    return [
+        (_random_endofunction(rng, n), _random_endofunction(rng, total - n))
+        for n in (1 + k % (total - 1) for k in range(count))
+    ]
+
+
+def test_set_split_product_matches_conjugation_up_to_degree_5():
+    for total in range(6):
+        for n in range(total + 1):
+            for f in endofunctions(n):
+                for g in endofunctions(total - n):
+                    assert eqsym.product_M(f, g) == eqsym.product_M_conjugation(f, g), (f, g)
+
+
+@pytest.mark.parametrize("total", [7, 8])
+def test_set_split_product_matches_conjugation_seeded(total):
+    for f, g in _seeded_pairs(total, total, 28):
+        assert eqsym.product_M(f, g) == eqsym.product_M_conjugation(f, g), (f, g)
+
+
+def test_set_split_product_matches_matrix_oracle_degree_7():
+    for f, g in _seeded_pairs(77, 7, 24):
+        assert eqsym.oracle_check(f, g), (f, g)

@@ -1,7 +1,8 @@
 import math
+import random
 
 from conftest import lc
-from hopfcomb import sgqsym, symfunc
+from hopfcomb import eqsym, sgqsym, symfunc
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, bilinear, pairing, tensor
 from hopfcomb.words import (
@@ -48,6 +49,17 @@ def test_three_product_implementations_agree():
                     p1 = sgqsym.product_M(a, b)
                     assert p1 == sgqsym.product_M_splitting(a, b), (a, b)
                     assert p1 == sgqsym.product_M_dual_count(a, b), (a, b)
+
+
+def test_product_routes_agree_on_seeded_degree_7_pairs():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        a = tuple(rng.sample(range(1, n + 1), n))
+        b = tuple(rng.sample(range(1, 8 - n), 7 - n))
+        p1 = sgqsym.product_M(a, b)
+        assert p1 == sgqsym.product_M_splitting(a, b), (a, b)
+        assert p1 == sgqsym.product_M_dual_count(a, b), (a, b)
+        assert p1.terms == eqsym.product_M_conjugation(a, b).terms, (a, b)
 
 
 def test_coproduct_from_connected_factorization():

@@ -201,3 +201,22 @@ def test_partition_of_word():
 def test_cut_points():
     assert cut_points((4, 2, 3, 2, 2, 7, 7)) == [0, 5, 7]
     assert cut_points(()) == [0]
+
+
+def _cut_points_quadratic(h):
+    """The definition read literally: every k with h[:k] <= k < h[k:] letterwise."""
+    n = len(h)
+    inner = [k for k in range(1, n)
+             if all(h[i] <= k for i in range(k)) and all(h[i] > k for i in range(k, n))]
+    return [0] + inner + ([n] if n else [])
+
+
+def test_cut_points_matches_quadratic_definition_up_to_degree_6():
+    for n in range(7):
+        for h in enumerate_family("endofunctions", n):
+            assert cut_points(h) == _cut_points_quadratic(h), h
+
+
+@given(st.lists(st.integers(min_value=1, max_value=20), max_size=9).map(tuple))
+def test_cut_points_matches_quadratic_definition_on_large_letters(h):
+    assert cut_points(h) == _cut_points_quadratic(h)
