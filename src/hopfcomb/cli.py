@@ -2,7 +2,8 @@
 counts, stalactic insertion, triangles, and verification sweeps.
 
 Output is deterministic: terms print graded, then lexicographically by label
-encoding.  Exit codes: 0 success, 1 verification failure, 2 usage errors.
+encoding.  Exit codes: 0 success, 1 verification failure, 2 usage errors,
+including labels outside their basis's family.
 """
 from __future__ import annotations
 
@@ -13,16 +14,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
-from .axioms import duality_check, hopf_check
-from .coeffs import QPoly
+from .axioms import GradedBasis, duality_check, hopf_check
 from .limits import LimitExceeded, current_limits
-from .lincomb import LinComb, pairing, tensor
+from .lincomb import LinComb
 from .words import (
     composition_from_text,
     composition_to_text,
-    connected_factorization,
     enumerate_family,
-    is_connected,
+    is_endofunction,
+    is_nondecreasing,
+    is_parking,
+    is_permutation,
+    permutations,
     set_partition_from_text,
     set_partition_to_text,
     word_from_text,
@@ -41,27 +44,52 @@ def _letters_from_text(text: str):
     return word_from_text(text)
 
 
-def _forest_from_text(text: str):
-    return parkfunc.forest_certificate(word_from_text(text))
-
-
-def _word_degree(label) -> int:
-    return len(label)
-
-
-def _partition_degree(label) -> int:
-    return sum(label)
-
-
 def _blocks_degree(label) -> int:
     return sum(len(b) for b in label)
+
+
+def _family(parse: Callable, valid: Callable, name: str, text: Callable,
+            degree: Callable) -> tuple[Callable, Callable, Callable]:
+    """A label family's (parse, text, degree); parsing refuses labels outside it."""
+    def checked(label_text: str):
+        label = parse(label_text)
+        if not valid(label):
+            raise ValueError(f"not {name}: {label_text!r}")
+        return label
+    return checked, text, degree
+
+
+def _positive(parts) -> bool:
+    return all(p > 0 for p in parts)
+
+
+def _covers(pi) -> bool:
+    return sorted(a for b in pi for a in b) == list(range(1, _blocks_degree(pi) + 1))
+
+
+_ENDOFUNCTIONS = _family(word_from_text, is_endofunction, "an endofunction",
+                         word_to_text, len)
+_PERMUTATIONS = _family(word_from_text, is_permutation, "a permutation", word_to_text, len)
+_PARKING = _family(word_from_text, is_parking, "a parking function", word_to_text, len)
+_ND_PARKING = _family(word_from_text, lambda w: is_nondecreasing(w) and is_parking(w),
+                      "a nondecreasing parking function", word_to_text, len)
+_SET_PARTITIONS = _family(set_partition_from_text, _covers, "a set partition of 1..n",
+                          set_partition_to_text, _blocks_degree)
+_COMPOSITIONS = _family(composition_from_text, _positive, "a composition",
+                        composition_to_text, sum)
+_PARTITIONS = _family(_partition_from_text, _positive, "a partition",
+                      composition_to_text, sum)
+_FORESTS = (lambda text: parkfunc.forest_certificate(word_from_text(text)),
+            parkfunc.forest_text, parkfunc.forest_size)
+# the unlabelled parking-graph basis takes parking-function representatives
+_PARKING_GRAPHS = (lambda text: parkfunc.graph_certificate(word_from_text(text)),
+                   parkfunc.certificate_text, parkfunc.cert_size)
 
 
 @dataclass(frozen=True)
 class BasisSpec:
     algebra: str
     basis: str
-    symbol: str
     parse: Callable
     text: Callable
     degree: Callable
@@ -69,141 +97,82 @@ class BasisSpec:
     coproduct: Callable | None = None
 
 
+# Flat, so that the benchmark's tracer, which patches fields of records held in
+# module-level dicts, reaches every rule.  An algebra's first basis is its default.
 _REGISTRY: dict[tuple[str, str], BasisSpec] = {}
 
 
-def _register(spec: BasisSpec) -> None:
-    _REGISTRY[(spec.algebra, spec.basis)] = spec
+def _register(algebra: str, basis: str, family: tuple, product, coproduct) -> None:
+    _REGISTRY[(algebra, basis)] = BasisSpec(algebra, basis, *family, product, coproduct)
 
 
-_register(BasisSpec("eqsym", "M", "M", word_from_text, word_to_text, _word_degree,
-                    eqsym.product_M, eqsym.coproduct_M))
-_register(BasisSpec("eqsym", "S", "S", word_from_text, word_to_text, _word_degree,
-                    eqsym.product_S, eqsym.coproduct_S))
-_register(BasisSpec("sgqsym", "M", "M", word_from_text, word_to_text, _word_degree,
-                    sgqsym.product_M, sgqsym.coproduct_M))
-_register(BasisSpec("sgqsym", "S", "S", word_from_text, word_to_text, _word_degree,
-                    sgqsym.product_S, sgqsym.coproduct_S))
-_register(BasisSpec("piqsym", "upi", "upi", set_partition_from_text,
-                    set_partition_to_text, _blocks_degree,
-                    sgqsym.product_upi, sgqsym.coproduct_upi))
-_register(BasisSpec("wsym", "Mw", "Mw", set_partition_from_text,
-                    set_partition_to_text, _blocks_degree,
-                    sgqsym.product_Mw, sgqsym.coproduct_Mw))
-_register(BasisSpec("qsym-embed", "uq", "uq", composition_from_text,
-                    composition_to_text, _partition_degree,
-                    sgqsym.product_uq, sgqsym.coproduct_uq))
-_register(BasisSpec("sym-embed", "ul", "ul", _partition_from_text,
-                    composition_to_text, _partition_degree,
-                    sgqsym.product_ul, sgqsym.coproduct_ul))
-_register(BasisSpec("ncsf", "V", "V", composition_from_text, composition_to_text,
-                    _partition_degree, sgqsym.product_V, None))
-_register(BasisSpec("phisym", "phi", "phi", word_from_text, word_to_text,
-                    _word_degree, phisym.product_phi, phisym.coproduct_phi))
-_register(BasisSpec("phisym", "Sp", "Sp", word_from_text, word_to_text,
-                    _word_degree, phisym.product_sprime, phisym.coproduct_sprime))
-_register(BasisSpec("phisym", "Ss", "Ss", word_from_text, word_to_text,
-                    _word_degree, phisym.product_ssecond, phisym.coproduct_ssecond))
-_register(BasisSpec("phisym", "Y", "Y", _partition_from_text, composition_to_text,
-                    _partition_degree, phisym.product_Y, phisym.coproduct_Y))
-_register(BasisSpec("cpqsym", "Mpa", "Mpa", word_from_text, word_to_text,
-                    _word_degree, parkfunc.product_Mpa, parkfunc.coproduct_Mpa))
-_register(BasisSpec("ccqsym", "Mpa", "Mpa", word_from_text, word_to_text,
-                    _word_degree, parkfunc.cc_product, parkfunc.cc_coproduct))
-_register(BasisSpec("ccqsym", "S", "S", word_from_text, word_to_text,
-                    _word_degree, parkfunc.cc_dual_product, parkfunc.cc_dual_coproduct))
-_register(BasisSpec("forest", "M", "M",
-                    lambda text: parkfunc.forest_certificate(word_from_text(text)),
-                    parkfunc.forest_text, parkfunc.forest_size,
-                    parkfunc.forest_product, None))
-# the unlabelled parking-graph basis takes parking-function representatives
-_register(BasisSpec("parkgraph", "N", "N",
-                    lambda text: parkfunc.graph_certificate(word_from_text(text)),
-                    parkfunc.certificate_text, parkfunc.cert_size,
-                    parkfunc.unlabelled_product, parkfunc.unlabelled_coproduct))
-_register(BasisSpec("fqsym-q", "F", "F", word_from_text, word_to_text, _word_degree,
-                    qdeform.product_F, qdeform.coproduct_q_F))
-_register(BasisSpec("qsym-q", "M", "M", composition_from_text, composition_to_text,
-                    _partition_degree, None, qdeform.coproduct_q_M))
-_register(BasisSpec("ncsf-q", "S", "S", composition_from_text, composition_to_text,
-                    _partition_degree, qdeform.product_S_ncsf, qdeform.coproduct_q_S))
+_register("eqsym", "M", _ENDOFUNCTIONS, eqsym.product_M, eqsym.coproduct_M)
+_register("eqsym", "S", _ENDOFUNCTIONS, eqsym.product_S, eqsym.coproduct_S)
+_register("sgqsym", "M", _PERMUTATIONS, sgqsym.product_M, sgqsym.coproduct_M)
+_register("sgqsym", "S", _PERMUTATIONS, sgqsym.product_S, sgqsym.coproduct_S)
+_register("piqsym", "upi", _SET_PARTITIONS, sgqsym.product_upi, sgqsym.coproduct_upi)
+_register("wsym", "Mw", _SET_PARTITIONS, sgqsym.product_Mw, sgqsym.coproduct_Mw)
+_register("qsym-embed", "uq", _COMPOSITIONS, sgqsym.product_uq, sgqsym.coproduct_uq)
+_register("sym-embed", "ul", _PARTITIONS, sgqsym.product_ul, sgqsym.coproduct_ul)
+_register("ncsf", "V", _COMPOSITIONS, sgqsym.product_V, None)
+_register("phisym", "phi", _PERMUTATIONS, phisym.product_phi, phisym.coproduct_phi)
+_register("phisym", "Sp", _PERMUTATIONS, phisym.product_sprime, phisym.coproduct_sprime)
+_register("phisym", "Ss", _PERMUTATIONS, phisym.product_ssecond, phisym.coproduct_ssecond)
+_register("phisym", "Y", _PARTITIONS, phisym.product_Y, phisym.coproduct_Y)
+_register("cpqsym", "Mpa", _PARKING, parkfunc.product_Mpa, parkfunc.coproduct_Mpa)
+_register("ccqsym", "Mpa", _ND_PARKING, parkfunc.cc_product, parkfunc.cc_coproduct)
+_register("ccqsym", "S", _ND_PARKING, parkfunc.cc_dual_product, parkfunc.cc_dual_coproduct)
+_register("forest", "M", _FORESTS, parkfunc.forest_product, None)
+_register("parkgraph", "N", _PARKING_GRAPHS,
+          parkfunc.unlabelled_product, parkfunc.unlabelled_coproduct)
+_register("fqsym-q", "F", _PERMUTATIONS, qdeform.product_F, qdeform.coproduct_q_F)
+_register("qsym-q", "M", _COMPOSITIONS, None, qdeform.coproduct_q_M)
+_register("ncsf-q", "S", _COMPOSITIONS, qdeform.product_S_ncsf, qdeform.coproduct_q_S)
 
 ALGEBRAS = sorted({algebra for algebra, _ in _REGISTRY})
 
 
 def _lookup(algebra: str, basis: str | None) -> BasisSpec:
-    candidates = [spec for (alg, _), spec in _REGISTRY.items() if alg == algebra]
-    if not candidates:
+    """A registered basis; without a name, the algebra's first registered one."""
+    bases = {name: spec for (alg, name), spec in _REGISTRY.items() if alg == algebra}
+    if not bases:
         raise KeyError(f"unknown algebra {algebra!r}")
-    if basis is None:
-        if len(candidates) == 1:
-            return candidates[0]
-        basis = {"eqsym": "M", "sgqsym": "M", "phisym": "phi", "cpqsym": "Mpa",
-                 "ccqsym": "Mpa", "fqsym-q": "F"}.get(algebra, candidates[0].basis)
-    try:
-        return _REGISTRY[(algebra, basis)]
-    except KeyError:
-        raise KeyError(f"unknown basis {basis!r} for algebra {algebra!r}") from None
+    if basis is not None and basis not in bases:
+        raise KeyError(f"unknown basis {basis!r} for algebra {algebra!r}")
+    return bases[basis or next(iter(bases))]
 
 
-def _coeff_text(c) -> str:
-    return str(c)
-
-
-def _format_terms(x: LinComb, spec: BasisSpec, tensor_terms: bool) -> str:
-    if not x.terms:
-        return "0"
-
-    def term_text(label) -> str:
-        if tensor_terms:
-            return "(x)".join(f"{spec.symbol}[{spec.text(part)}]" for part in label)
-        return f"{spec.symbol}[{spec.text(label)}]"
-
-    def term_degree(label) -> int:
-        if tensor_terms:
-            return sum(spec.degree(part) for part in label)
-        return spec.degree(label)
-
-    items = sorted(
-        x.terms.items(), key=lambda t: (term_degree(t[0]), term_text(t[0]))
-    )
-    chunks = []
-    for label, c in items:
-        body = term_text(label)
-        if c == 1:
-            chunks.append(body)
-        elif isinstance(c, int):
-            chunks.append(f"{c}*{body}" if c >= 0 else f"({c})*{body}")
-        else:
-            chunks.append(f"({c})*{body}")
-    return " + ".join(chunks)
-
-
-def _json_terms(x: LinComb, spec: BasisSpec, tensor_terms: bool) -> list[dict]:
-    def label_text(label) -> str:
-        if tensor_terms:
-            return "|".join(spec.text(part) for part in label)
-        return spec.text(label)
-
-    def term_degree(label) -> int:
-        if tensor_terms:
-            return sum(spec.degree(part) for part in label)
-        return spec.degree(label)
-
-    items = sorted(x.terms.items(), key=lambda t: (term_degree(t[0]), label_text(t[0])))
-    return [{"label": label_text(label), "coeff": _coeff_text(c)} for label, c in items]
+def _terms(x: LinComb, spec: BasisSpec, tensor_terms: bool,
+           part: Callable[[str], str], sep: str) -> list[tuple[str, object]]:
+    """(label text, coefficient) in output order: graded, then by text.
+    Each factor is written by ``part``; tensor factors are joined by ``sep``."""
+    rows = []
+    for label, c in x.terms.items():
+        factors = label if tensor_terms else (label,)
+        text = sep.join(part(spec.text(f)) for f in factors)
+        rows.append((sum(spec.degree(f) for f in factors), text, c))
+    return [(text, c) for _, text, c in sorted(rows, key=lambda row: row[:2])]
 
 
 def _emit(x: LinComb, spec: BasisSpec, fmt: str, tensor_terms: bool = False) -> None:
     if fmt == "json":
+        terms = _terms(x, spec, tensor_terms, str, "|")
         payload = {
             "algebra": spec.algebra,
             "basis": spec.basis,
-            "terms": _json_terms(x, spec, tensor_terms),
+            "terms": [{"label": text, "coeff": str(c)} for text, c in terms],
         }
         print(json.dumps(payload, sort_keys=True))
-    else:
-        print(_format_terms(x, spec, tensor_terms))
+        return
+    chunks = []
+    for body, c in _terms(x, spec, tensor_terms, lambda t: f"{spec.basis}[{t}]", "(x)"):
+        if c == 1:
+            chunks.append(body)
+        elif isinstance(c, int) and c >= 0:
+            chunks.append(f"{c}*{body}")
+        else:
+            chunks.append(f"({c})*{body}")
+    print(" + ".join(chunks) or "0")
 
 
 # ---------------------------------------------------------------------------
@@ -237,80 +206,74 @@ _COUNTS: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 # verification sweeps
 
-def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
+DUALITY_DEGREE = 4  # duality and q = 0 cocommutativity stop at this degree
+
+
+@dataclass(frozen=True)
+class AlgebraSpec:
+    """What ``verify`` runs: :func:`hopf_check` on ``factory()``, its
+    :func:`duality_check` with the registered basis ``dual``, and ``extra``,
+    which maps the degree bound to (passed, report lines)."""
+    factory: Callable[[], GradedBasis] | None
+    dual: str | None = None
+    extra: Callable[[int], tuple[bool, list[str]]] | None = None
+
+
+def _fqsym_q_checks(max_degree: int) -> tuple[bool, list[str]]:
     lines: list[str] = []
-    failed = False
-
-    def run_hopf(adapter, note: str = "") -> None:
-        nonlocal failed
-        report = hopf_check(adapter, max_degree)
-        for line in report.lines():
-            lines.append(line)
-        if not report.passed:
-            failed = True
-
-    if algebra == "eqsym":
-        run_hopf(eqsym.algebra())
-        res = duality_check(
-            eqsym.algebra(), eqsym.coproduct_S, min(max_degree, 4),
-            dual_product=eqsym.product_S, primal_coproduct=eqsym.coproduct_M,
-        )
-        lines.append(f"duality-consistency: {'ok' if res.passed else f'FAIL at {res.counterexample}'}")
-        failed = failed or not res.passed
-    elif algebra == "sgqsym":
-        run_hopf(sgqsym.algebra())
-        res = duality_check(
-            sgqsym.algebra(), sgqsym.coproduct_S, min(max_degree, 4),
-            dual_product=sgqsym.product_S, primal_coproduct=sgqsym.coproduct_M,
-        )
-        lines.append(f"duality-consistency: {'ok' if res.passed else f'FAIL at {res.counterexample}'}")
-        failed = failed or not res.passed
-    elif algebra == "piqsym":
-        run_hopf(sgqsym.piqsym_algebra())
-    elif algebra == "wsym":
-        run_hopf(sgqsym.wsym_algebra())
-    elif algebra == "qsym-embed":
-        run_hopf(sgqsym.qsym_algebra())
-    elif algebra == "sym-embed":
-        run_hopf(sgqsym.sym_algebra())
-    elif algebra == "phisym":
-        run_hopf(phisym.algebra())
-    elif algebra == "cpqsym":
-        run_hopf(parkfunc.algebra())
-    elif algebra == "ccqsym":
-        run_hopf(parkfunc.cc_algebra())
-        res = duality_check(
-            parkfunc.cc_algebra(), parkfunc.cc_dual_coproduct, min(max_degree, 4),
-            dual_product=parkfunc.cc_dual_product,
-            primal_coproduct=parkfunc.cc_coproduct,
-        )
-        lines.append(f"duality-consistency: {'ok' if res.passed else f'FAIL at {res.counterexample}'}")
-        failed = failed or not res.passed
-    elif algebra == "fqsym-q":
-        ok = True
-        from .words import permutations
-
-        for i in range(1, max_degree):
-            for j in range(1, max_degree - i + 1):
-                for a in permutations(i):
-                    for b in permutations(j):
-                        if not qdeform.fqsym_twisted_morphism_check(a, b):
-                            ok = False
-                            lines.append(f"twisted-morphism: FAIL at {(a, b)}")
-        if ok:
-            lines.append("twisted-morphism: ok")
-        cocom = qdeform.cocommutativity_check(min(max_degree, 4))
-        lines.append(f"q0-cocommutativity: {'yes' if cocom else 'no'}")
-        failed = failed or not ok or not cocom
-    else:
-        raise KeyError(f"no verification registered for algebra {algebra!r}")
-    return (1 if failed else 0), lines
+    for i in range(1, max_degree):
+        for j in range(1, max_degree - i + 1):
+            for a in permutations(i):
+                for b in permutations(j):
+                    if not qdeform.fqsym_twisted_morphism_check(a, b):
+                        lines.append(f"twisted-morphism: FAIL at {(a, b)}")
+    ok = not lines
+    if ok:
+        lines.append("twisted-morphism: ok")
+    cocom = qdeform.cocommutativity_check(min(max_degree, DUALITY_DEGREE))
+    lines.append(f"q0-cocommutativity: {'yes' if cocom else 'no'}")
+    return ok and cocom, lines
 
 
-VERIFIABLE = [
-    "eqsym", "sgqsym", "piqsym", "wsym", "qsym-embed", "sym-embed",
-    "phisym", "cpqsym", "ccqsym", "fqsym-q",
-]
+# `perfbench/make_golden.py` records the sweep in this order.
+_VERIFY: dict[str, AlgebraSpec] = {
+    "eqsym": AlgebraSpec(eqsym.algebra, dual="S"),
+    "sgqsym": AlgebraSpec(sgqsym.algebra, dual="S"),
+    "piqsym": AlgebraSpec(sgqsym.piqsym_algebra),
+    "wsym": AlgebraSpec(sgqsym.wsym_algebra),
+    "qsym-embed": AlgebraSpec(sgqsym.qsym_algebra),
+    "sym-embed": AlgebraSpec(sgqsym.sym_algebra),
+    "phisym": AlgebraSpec(phisym.algebra),
+    "cpqsym": AlgebraSpec(parkfunc.algebra),
+    "ccqsym": AlgebraSpec(parkfunc.cc_algebra, dual="S"),
+    "fqsym-q": AlgebraSpec(None, extra=_fqsym_q_checks),
+}
+
+VERIFIABLE = list(_VERIFY)
+
+
+def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
+    plan = _VERIFY[algebra]
+    lines: list[str] = []
+    passed = True
+    if plan.factory is not None:
+        alg = plan.factory()
+        report = hopf_check(alg, max_degree)
+        lines += report.lines()
+        passed = report.passed
+        if plan.dual is not None:
+            dual = _REGISTRY[(algebra, plan.dual)]
+            res = duality_check(
+                alg, dual.coproduct, min(max_degree, DUALITY_DEGREE),
+                dual_product=dual.product, primal_coproduct=alg.coproduct,
+            )
+            lines.append(f"duality-consistency: {'ok' if res.passed else f'FAIL at {res.counterexample}'}")
+            passed = passed and res.passed
+    if plan.extra is not None:
+        ok, extra_lines = plan.extra(max_degree)
+        lines += extra_lines
+        passed = passed and ok
+    return (0 if passed else 1), lines
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +346,13 @@ def _verify_degree(args) -> int:
 def _run(args) -> int:
     if args.command in ("product", "coproduct"):
         spec = _lookup(args.algebra, args.basis)
-        if args.command == "product":
-            if spec.product is None:
-                print(f"no product registered for {args.algebra}:{spec.basis}",
-                      file=sys.stderr)
-                return 2
-            x, y = (spec.parse(e) for e in args.elements)
-            _emit(spec.product(x, y), spec, args.format)
-        else:
-            if spec.coproduct is None:
-                print(f"no coproduct registered for {args.algebra}:{spec.basis}",
-                      file=sys.stderr)
-                return 2
-            (x,) = (spec.parse(e) for e in args.elements)
-            _emit(spec.coproduct(x), spec, args.format, tensor_terms=True)
+        rule = getattr(spec, args.command)
+        if rule is None:
+            print(f"no {args.command} registered for {args.algebra}:{spec.basis}",
+                  file=sys.stderr)
+            return 2
+        labels = [spec.parse(e) for e in args.elements]
+        _emit(rule(*labels), spec, args.format, tensor_terms=args.command == "coproduct")
         return 0
 
     if args.command == "pair":
@@ -416,21 +372,16 @@ def _run(args) -> int:
             conversions = {
                 ("phi", "Sp"): phisym.phi_to_sprime,
                 ("phi", "Ss"): phisym.phi_to_ssecond,
-                ("Sp", "phi"): lambda x: phisym.sprime_to_phi(
-                    LinComb("phisym:phi", x.terms)
-                ),
-                ("Ss", "phi"): lambda x: phisym.ssecond_to_phi(
-                    LinComb("phisym:phi", x.terms)
-                ),
+                ("Sp", "phi"): phisym.sprime_to_phi,
+                ("Ss", "phi"): phisym.ssecond_to_phi,
             }
             key = (args.src, args.dst)
             if key not in conversions:
                 print(f"unsupported conversion {args.src} -> {args.dst}",
                       file=sys.stderr)
                 return 2
-            label = word_from_text(args.element)
-            x = LinComb.basis("phisym:phi", label)
-            out = conversions[key](x)
+            label = _lookup("phisym", args.src).parse(args.element)
+            out = conversions[key](LinComb.basis("phisym:phi", label))
             _emit(out, _lookup("phisym", args.dst), args.format)
             return 0
         # classical symmetric functions
@@ -438,10 +389,8 @@ def _run(args) -> int:
             print(f"unsupported basis name {args.src!r} or {args.dst!r}",
                   file=sys.stderr)
             return 2
-        lam = _partition_from_text(args.element)
-        out = symfunc.convert(symfunc.sym(args.src, lam), args.dst)
-        spec = BasisSpec("sym-classical", args.dst, args.dst,
-                         _partition_from_text, composition_to_text, _partition_degree)
+        spec = BasisSpec("sym-classical", args.dst, *_PARTITIONS)
+        out = symfunc.convert(symfunc.sym(args.src, spec.parse(args.element)), args.dst)
         _emit(out, spec, args.format)
         return 0
 

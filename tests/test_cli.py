@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from hopfcomb import cli
 from hopfcomb.cli import main
 
 
@@ -188,3 +189,150 @@ def test_malformed_max_degree_variable_only_reaches_verify(monkeypatch):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: HOPFCOMB_MAX_DEGREE")
+
+
+def test_verify_failure_output_eqsym(monkeypatch):
+    from hopfcomb import eqsym
+    from hopfcomb.lincomb import LinComb
+
+    product_M = eqsym.product_M
+
+    def drop_one_term(f, g):
+        x = product_M(f, g)
+        if (f, g) != ((1,), (1, 1)):
+            return x
+        terms = dict(x.terms)
+        del terms[max(terms)]
+        return LinComb(x.kind, terms)
+
+    monkeypatch.setattr(eqsym, "product_M", drop_one_term)
+    code, out, err = run_cli("verify", "--algebra", "eqsym", "--max-degree", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "associativity: ok",
+        "unit: ok",
+        "coassociativity: ok",
+        "counit: ok",
+        "compatibility: FAIL at ((1,), (1, 1))",
+        "commutativity: no",
+        "cocommutativity: no",
+        "duality-consistency: FAIL at ((1,), (1, 1), (1, 2, 2))",
+    ]
+
+
+def test_verify_failure_output_fqsym_q(monkeypatch):
+    from hopfcomb import qdeform
+
+    check = qdeform.fqsym_twisted_morphism_check
+    monkeypatch.setattr(qdeform, "fqsym_twisted_morphism_check",
+                        lambda a, b: (a, b) != ((1,), (2, 1)) and check(a, b))
+    code, out, err = run_cli("verify", "--algebra", "fqsym-q", "--max-degree", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "twisted-morphism: FAIL at ((1,), (2, 1))",
+        "q0-cocommutativity: yes",
+    ]
+
+
+# Labels outside their basis's family: left unchecked, some of these crash
+# with a traceback and some get an answer outside the algebra.
+@pytest.mark.parametrize("argv", [
+    "product --algebra eqsym --basis M 1 9",
+    "product --algebra cpqsym 3 1",
+    "product --algebra wsym {1,3} {1}",
+    "coproduct --algebra ccqsym --basis S 21",
+    "product --algebra sgqsym --basis M 11 1",
+    "coproduct --algebra sgqsym 22",
+    "product --algebra piqsym {1|1} {1}",
+    "product --algebra qsym-embed (0,1) (1)",
+    "product --algebra phisym --basis Y (0) (1)",
+    "product --algebra ncsf (0) (1)",
+    "coproduct --algebra qsym-q (2,0)",
+    "coproduct --algebra fqsym-q 11",
+    "pair --algebra eqsym --basis M 12 13",
+    "convert --algebra sym-classical --from h --to m (0)",
+])
+def test_wrong_family_labels_exit_two(argv):
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: not ")
+    assert "Traceback" not in err
+
+
+# (algebra, basis) -> (a degree-2 label, its printed text, a label outside the
+# family or None).  Forest and parking-graph labels are entered through a
+# parking function and print as their certificates.
+LABELS = {
+    ("eqsym", "M"): ("21", "21", "13"),
+    ("eqsym", "S"): ("11", "11", "03"),
+    ("sgqsym", "M"): ("21", "21", "11"),
+    ("sgqsym", "S"): ("12", "12", "22"),
+    ("piqsym", "upi"): ("{1|2}", "{1|2}", "{1|1}"),
+    ("wsym", "Mw"): ("{1,2}", "{1,2}", "{1,3}"),
+    ("qsym-embed", "uq"): ("(1,1)", "(1,1)", "(0,2)"),
+    ("sym-embed", "ul"): ("(2)", "(2)", "(2,0)"),
+    ("ncsf", "V"): ("(2)", "(2)", "(0)"),
+    ("phisym", "phi"): ("21", "21", "11"),
+    ("phisym", "Sp"): ("12", "12", "11"),
+    ("phisym", "Ss"): ("21", "21", "22"),
+    ("phisym", "Y"): ("(1,1)", "(1,1)", "(0,2)"),
+    ("cpqsym", "Mpa"): ("21", "21", "22"),
+    ("ccqsym", "Mpa"): ("11", "11", "21"),
+    ("ccqsym", "S"): ("12", "12", "22"),
+    ("forest", "M"): ("12", "()()", "21"),
+    ("parkgraph", "N"): ("21", "<(),()>", None),
+    ("fqsym-q", "F"): ("21", "21", "11"),
+    ("qsym-q", "M"): ("(2)", "(2)", "(2,0)"),
+    ("ncsf-q", "S"): ("(1,1)", "(1,1)", "(1,-1)"),
+}
+
+
+def test_labels_cover_the_registry():
+    assert set(LABELS) == set(cli._REGISTRY)
+
+
+@pytest.mark.parametrize("key", sorted(LABELS), ids=":".join)
+def test_registered_labels_round_trip_and_reject_other_families(key):
+    spec = cli._REGISTRY[key]
+    text, printed, wrong = LABELS[key]
+    label = spec.parse(text)
+    assert spec.degree(label) == 2
+    assert spec.text(label) == printed
+    if printed == text:
+        assert spec.parse(printed) == label
+    if wrong is not None:
+        with pytest.raises(ValueError):
+            spec.parse(wrong)
+
+
+def test_default_bases():
+    assert {algebra: cli._lookup(algebra, None).basis for algebra in cli.ALGEBRAS} == {
+        "eqsym": "M", "sgqsym": "M", "phisym": "phi", "cpqsym": "Mpa", "ccqsym": "Mpa",
+        "fqsym-q": "F", "piqsym": "upi", "wsym": "Mw", "qsym-embed": "uq",
+        "sym-embed": "ul", "ncsf": "V", "forest": "M", "parkgraph": "N",
+        "qsym-q": "M", "ncsf-q": "S",
+    }
+
+
+@pytest.mark.parametrize("algebra", cli.ALGEBRAS)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_default_basis_prints_as_named_basis(algebra, fmt):
+    basis = cli._lookup(algebra, None).basis
+    text = LABELS[(algebra, basis)][0]
+    for command, labels in (("product", [text, text]), ("coproduct", [text])):
+        argv = [command, "--algebra", algebra, "--format", fmt, *labels]
+        assert run_cli(*argv) == run_cli(*argv, "--basis", basis)
+
+
+def test_verifiable_algebras_keep_the_sweep_order():
+    assert cli.VERIFIABLE == [
+        "eqsym", "sgqsym", "piqsym", "wsym", "qsym-embed", "sym-embed",
+        "phisym", "cpqsym", "ccqsym", "fqsym-q",
+    ]
+
+
+@pytest.mark.parametrize("algebra", cli.VERIFIABLE)
+def test_verify_passes_at_degree_three(algebra):
+    code, out, err = run_cli("verify", "--algebra", algebra, "--max-degree", "3")
+    assert (code, err) == (0, "")
+    assert out and "FAIL" not in out
