@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
 
@@ -88,6 +88,16 @@ def first_failure(cases: Cases, names: tuple[str, ...]) -> dict[str, CheckResult
         if len(found) == len(names):
             break
     return {name: CheckResult(name not in found, found.get(name)) for name in names}
+
+
+def graded_pairs(labels: Callable[[int], Iterable], bound: int) -> Iterator[tuple]:
+    """Label pairs (x, y) of degrees i, j >= 1 with i + j <= bound, in the
+    order of the nested loops over (i, j, x, y); ``labels(n)`` lists degree n."""
+    for i in range(1, bound):
+        for j in range(1, bound - i + 1):
+            for x in labels(i):
+                for y in labels(j):
+                    yield x, y
 
 
 class _Sweep:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
-from .axioms import GradedBasis, duality_check, hopf_check
-from .limits import LimitExceeded, current_limits
+from .axioms import GradedBasis, duality_check, graded_pairs, hopf_check
+from .limits import LimitExceeded, current_limits, guard
 from .lincomb import LinComb
 from .words import (
     composition_from_text,
@@ -79,10 +79,11 @@ _COMPOSITIONS = _family(composition_from_text, _positive, "a composition",
                         composition_to_text, sum)
 _PARTITIONS = _family(_partition_from_text, _positive, "a partition",
                       composition_to_text, sum)
-_FORESTS = (lambda text: parkfunc.forest_certificate(word_from_text(text)),
+# forest and unlabelled parking-graph labels are entered through a checked
+# representative and held as its certificate
+_FORESTS = (lambda text: parkfunc.forest_certificate(_ND_PARKING[0](text)),
             parkfunc.forest_text, parkfunc.forest_size)
-# the unlabelled parking-graph basis takes parking-function representatives
-_PARKING_GRAPHS = (lambda text: parkfunc.graph_certificate(word_from_text(text)),
+_PARKING_GRAPHS = (lambda text: parkfunc.graph_certificate(_PARKING[0](text)),
                    parkfunc.certificate_text, parkfunc.cert_size)
 
 
@@ -182,16 +183,15 @@ def _stalactic_count(family: str):
     return lambda n: stalactic.class_count(family, n)
 
 
+def _enumerated_count(family: str):
+    return lambda n: sum(1 for _ in enumerate_family(family, n))
+
+
+_ENUMERATED = ("endofunctions", "permutations", "parking", "nondecreasing_parking",
+               "set_partitions", "initial_words", "involutions")
+
 _COUNTS: dict[str, Callable] = {
-    "endofunctions": lambda n: sum(1 for _ in enumerate_family("endofunctions", n)),
-    "permutations": lambda n: sum(1 for _ in enumerate_family("permutations", n)),
-    "parking": lambda n: sum(1 for _ in enumerate_family("parking", n)),
-    "nondecreasing-parking": lambda n: sum(
-        1 for _ in enumerate_family("nondecreasing_parking", n)
-    ),
-    "set-partitions": lambda n: sum(1 for _ in enumerate_family("set_partitions", n)),
-    "initial-words": lambda n: sum(1 for _ in enumerate_family("initial_words", n)),
-    "involutions": lambda n: sum(1 for _ in enumerate_family("involutions", n)),
+    **{family.replace("_", "-"): _enumerated_count(family) for family in _ENUMERATED},
     "connected-endofunctions": eqsym.connected_count,
     "free-lie-dims": eqsym.lie_dims,
     "parking-stalactic": _stalactic_count("parking"),
@@ -213,20 +213,18 @@ DUALITY_DEGREE = 4  # duality and q = 0 cocommutativity stop at this degree
 class AlgebraSpec:
     """What ``verify`` runs: :func:`hopf_check` on ``factory()``, its
     :func:`duality_check` with the registered basis ``dual``, and ``extra``,
-    which maps the degree bound to (passed, report lines)."""
+    which maps the degree bound to (passed, report lines).  ``family`` names
+    the :class:`~hopfcomb.limits.Limits` bound of the labels swept, if any."""
     factory: Callable[[], GradedBasis] | None
+    family: str | None
     dual: str | None = None
     extra: Callable[[int], tuple[bool, list[str]]] | None = None
 
 
 def _fqsym_q_checks(max_degree: int) -> tuple[bool, list[str]]:
-    lines: list[str] = []
-    for i in range(1, max_degree):
-        for j in range(1, max_degree - i + 1):
-            for a in permutations(i):
-                for b in permutations(j):
-                    if not qdeform.fqsym_twisted_morphism_check(a, b):
-                        lines.append(f"twisted-morphism: FAIL at {(a, b)}")
+    lines = [f"twisted-morphism: FAIL at {(a, b)}"
+             for a, b in graded_pairs(permutations, max_degree)
+             if not qdeform.fqsym_twisted_morphism_check(a, b)]
     ok = not lines
     if ok:
         lines.append("twisted-morphism: ok")
@@ -237,16 +235,16 @@ def _fqsym_q_checks(max_degree: int) -> tuple[bool, list[str]]:
 
 # `perfbench/make_golden.py` records the sweep in this order.
 _VERIFY: dict[str, AlgebraSpec] = {
-    "eqsym": AlgebraSpec(eqsym.algebra, dual="S"),
-    "sgqsym": AlgebraSpec(sgqsym.algebra, dual="S"),
-    "piqsym": AlgebraSpec(sgqsym.piqsym_algebra),
-    "wsym": AlgebraSpec(sgqsym.wsym_algebra),
-    "qsym-embed": AlgebraSpec(sgqsym.qsym_algebra),
-    "sym-embed": AlgebraSpec(sgqsym.sym_algebra),
-    "phisym": AlgebraSpec(phisym.algebra),
-    "cpqsym": AlgebraSpec(parkfunc.algebra),
-    "ccqsym": AlgebraSpec(parkfunc.cc_algebra, dual="S"),
-    "fqsym-q": AlgebraSpec(None, extra=_fqsym_q_checks),
+    "eqsym": AlgebraSpec(eqsym.algebra, "endofunctions", dual="S"),
+    "sgqsym": AlgebraSpec(sgqsym.algebra, "permutations", dual="S"),
+    "piqsym": AlgebraSpec(sgqsym.piqsym_algebra, "set_partitions"),
+    "wsym": AlgebraSpec(sgqsym.wsym_algebra, "set_partitions"),
+    "qsym-embed": AlgebraSpec(sgqsym.qsym_algebra, None),
+    "sym-embed": AlgebraSpec(sgqsym.sym_algebra, None),
+    "phisym": AlgebraSpec(phisym.algebra, "permutations"),
+    "cpqsym": AlgebraSpec(parkfunc.algebra, "parking"),
+    "ccqsym": AlgebraSpec(parkfunc.cc_algebra, "nondecreasing_parking", dual="S"),
+    "fqsym-q": AlgebraSpec(None, "permutations", extra=_fqsym_q_checks),
 }
 
 VERIFIABLE = list(_VERIFY)
@@ -254,6 +252,8 @@ VERIFIABLE = list(_VERIFY)
 
 def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
     plan = _VERIFY[algebra]
+    if plan.family is not None:
+        guard(plan.family, max_degree)
     lines: list[str] = []
     passed = True
     if plan.factory is not None:
@@ -400,6 +400,8 @@ def _run(args) -> int:
 
     if args.command == "insert":
         word = _letters_from_text(args.word)
+        if not _positive(word):
+            raise ValueError(f"not a word of positive letters: {args.word!r}")
         tableau, q_symbol = stalactic.insert(word)
 
         alphabetic = args.word.strip().isalpha()
@@ -420,6 +422,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "triangle":
+        if args.rows < 0:
+            raise ValueError("rows must be nonnegative")
         for n in range(1, args.rows + 1):
             print(" ".join(str(v) for v in stalactic.triangle(args.name, n)))
         return 0

@@ -13,17 +13,17 @@ from functools import lru_cache
 from math import comb
 
 from . import eqsym
-from .axioms import GradedBasis
-from .lincomb import LinComb, tensor_kind
+from .axioms import GradedBasis, graded_pairs
+from .lincomb import LinComb, bilinear, tensor_kind
 from .words import (
     Word,
     cut_points,
     enumerate_family,
     is_nondecreasing,
     is_parking,
+    multiset_splits,
     nondecreasing_parking_functions,
     parking_functions,
-    unshift,
 )
 
 MPA_KIND = "cpqsym:Mpa"
@@ -47,13 +47,10 @@ def coproduct_Mpa(p: Word) -> LinComb:
 
 def parking_closure_check(degree_bound: int) -> bool:
     """Every term of a product of parking labels is again a parking label."""
-    for n in range(1, degree_bound):
-        for m in range(1, degree_bound - n + 1):
-            for p in parking_functions(n):
-                for q in parking_functions(m):
-                    if any(not is_parking(h) for h in product_Mpa(p, q).terms):
-                        return False
-    return True
+    return all(
+        all(map(is_parking, product_Mpa(p, q).terms))
+        for p, q in graded_pairs(parking_functions, degree_bound)
+    )
 
 
 def algebra() -> GradedBasis:
@@ -119,10 +116,15 @@ def graph_certificate(p: Word) -> tuple:
     return tuple(sorted(components))
 
 
-def certificate_text(cert: tuple) -> str:
-    def tree_text(t: tuple) -> str:
-        return "(" + "".join(tree_text(c) for c in t) + ")"
+def tree_text(t: tuple) -> str:
+    return "(" + "".join(tree_text(c) for c in t) + ")"
 
+
+def tree_size(t: tuple) -> int:
+    return 1 + sum(tree_size(c) for c in t)
+
+
+def certificate_text(cert: tuple) -> str:
     return "".join("<" + ",".join(tree_text(t) for t in comp) + ">" for comp in cert)
 
 
@@ -165,10 +167,7 @@ def graph_representative(cert: tuple, n: int) -> Word:
 
 
 def cert_size(cert: tuple) -> int:
-    def tree_size(t: tuple) -> int:
-        return 1 + sum(tree_size(c) for c in t)
-
-    return sum(sum(tree_size(t) for t in comp) for comp in cert)
+    return sum(forest_size(comp) for comp in cert)
 
 
 def unlabelled_product(cert1: tuple, cert2: tuple) -> LinComb:
@@ -223,17 +222,7 @@ def unlabelled_coproduct(cert: tuple) -> LinComb:
     Labelled pieces pair off bijectively with (labelled graph, cut) pairs, so
     the class-sum coefficients are all 1.
     """
-    components = list(cert)
-    distinct = sorted(set(components))
-    mult = {c: components.count(c) for c in distinct}
-    terms: dict[tuple, int] = {}
-    for counts in itertools.product(*(range(mult[c] + 1) for c in distinct)):
-        left: list = []
-        right: list = []
-        for c, k in zip(distinct, counts):
-            left += [c] * k
-            right += [c] * (mult[c] - k)
-        terms[(tuple(sorted(left)), tuple(sorted(right)))] = 1
+    terms = {split: 1 for split in multiset_splits(cert)}
     return LinComb(tensor_kind(GRAPH_KIND), terms)
 
 
@@ -276,19 +265,12 @@ def cc_coproduct(p: Word) -> LinComb:
 
 def cc_ideal_check(degree_bound: int) -> bool:
     """Products against a non-nondecreasing label stay in the ideal."""
-    for n in range(1, degree_bound):
-        for m in range(1, degree_bound - n + 1):
-            for p in parking_functions(n):
-                if is_nondecreasing(p):
-                    continue
-                for q in parking_functions(m):
-                    for h in product_Mpa(p, q).terms:
-                        if is_nondecreasing(h):
-                            return False
-                    for h in product_Mpa(q, p).terms:
-                        if is_nondecreasing(h):
-                            return False
-    return True
+    return not any(
+        is_nondecreasing(h)
+        for p, q in graded_pairs(parking_functions, degree_bound)
+        if not is_nondecreasing(p)
+        for h in itertools.chain(product_Mpa(p, q).terms, product_Mpa(q, p).terms)
+    )
 
 
 def cc_dual_product(p: Word, q: Word) -> LinComb:
@@ -340,27 +322,24 @@ def reordering_not_subalgebra_example(degree_bound: int = 4):
     Returns a witness pair of nondecreasing labels, or None if the sums close
     at these degrees.
     """
-    for n in range(1, degree_bound):
-        for m in range(1, degree_bound - n + 1):
-            for p in nondecreasing_parking_functions(n):
-                for q in nondecreasing_parking_functions(m):
-                    total = LinComb.zero(MPA_KIND)
-                    for pp in set(itertools.permutations(p)):
-                        for qq in set(itertools.permutations(q)):
-                            total = total + product_Mpa(pp, qq)
-                    by_class: dict[Word, dict[Word, int]] = {}
-                    for h, c in total.terms.items():
-                        key = tuple(sorted(h))
-                        by_class.setdefault(key, {})[h] = c
-                    for key, coeffs in by_class.items():
-                        class_words = {
-                            w
-                            for w in set(itertools.permutations(key))
-                            if is_parking(w)
-                        }
-                        values = {coeffs.get(w, 0) for w in class_words}
-                        if len(values) > 1:
-                            return (p, q)
+    def rearrangements(p: Word) -> LinComb:
+        return LinComb(MPA_KIND, {w: 1 for w in set(itertools.permutations(p))})
+
+    for p, q in graded_pairs(nondecreasing_parking_functions, degree_bound):
+        total = bilinear(rearrangements(p), rearrangements(q), product_Mpa)
+        by_class: dict[Word, dict[Word, int]] = {}
+        for h, c in total.terms.items():
+            key = tuple(sorted(h))
+            by_class.setdefault(key, {})[h] = c
+        for key, coeffs in by_class.items():
+            class_words = {
+                w
+                for w in set(itertools.permutations(key))
+                if is_parking(w)
+            }
+            values = {coeffs.get(w, 0) for w in class_words}
+            if len(values) > 1:
+                return (p, q)
     return None
 
 
@@ -387,16 +366,10 @@ def forest_certificate(p: Word) -> tuple:
 
 
 def forest_text(cert: tuple) -> str:
-    def tree_text(t: tuple) -> str:
-        return "(" + "".join(tree_text(c) for c in t) + ")"
-
     return "".join(tree_text(t) for t in cert) or "()"
 
 
 def forest_size(cert: tuple) -> int:
-    def tree_size(t: tuple) -> int:
-        return 1 + sum(tree_size(c) for c in t)
-
     return sum(tree_size(t) for t in cert)
 
 

@@ -13,15 +13,14 @@ from functools import lru_cache
 from math import factorial
 
 from . import symfunc
-from .axioms import GradedBasis
-from .lincomb import LinComb, bilinear, tensor_kind
-from .realize import biword_mul, realize_phi
+from .axioms import GradedBasis, graded_pairs
+from .lincomb import LinComb, bilinear, tensor, tensor_kind
+from .realize import BIWORD_KIND, biword_mul, realize_phi
 from .words import (
     Cycle,
     CycleSet,
     IntegerPartition,
     Word,
-    canonical_cycle,
     connected_factorization,
     cycle_from_word,
     cycle_type,
@@ -31,6 +30,7 @@ from .words import (
     partition_multiplicities,
     permutations,
     shuffle,
+    standardized_cycles,
 )
 
 PHI_KIND = "phisym:phi"
@@ -89,14 +89,6 @@ def product_phi(sigma: Word, tau: Word) -> LinComb:
     return LinComb(PHI_KIND, terms)
 
 
-def _std_cycle_subset(cycle_list, chosen) -> Word:
-    support = sorted(a for i in chosen for a in cycle_list[i])
-    rank = {a: i for i, a in enumerate(support, start=1)}
-    return from_cycles(
-        [tuple(rank[a] for a in cycle_list[i]) for i in chosen], len(support)
-    )
-
-
 def coproduct_phi(sigma: Word) -> LinComb:
     """Unshuffle the cycles: split the cycle set, renumbering both parts."""
     cyc = cycles(sigma)
@@ -104,7 +96,7 @@ def coproduct_phi(sigma: Word) -> LinComb:
     for size in range(len(cyc) + 1):
         for chosen in itertools.combinations(range(len(cyc)), size):
             rest = tuple(i for i in range(len(cyc)) if i not in chosen)
-            key = (_std_cycle_subset(cyc, chosen), _std_cycle_subset(cyc, rest))
+            key = (standardized_cycles(cyc, chosen), standardized_cycles(cyc, rest))
             terms[key] = terms.get(key, 0) + 1
     return LinComb(tensor_kind(PHI_KIND), terms)
 
@@ -163,17 +155,11 @@ def phi_to_ssecond(x: LinComb) -> LinComb:
 
 
 def sprime_to_phi(x: LinComb) -> LinComb:
-    out = LinComb.zero(PHI_KIND)
-    for sigma, c in x.terms.items():
-        out = out + sprime_expand(sigma).scale(c)
-    return out
+    return x.apply(sprime_expand, kind=PHI_KIND)
 
 
 def ssecond_to_phi(x: LinComb) -> LinComb:
-    out = LinComb.zero(PHI_KIND)
-    for sigma, c in x.terms.items():
-        out = out + ssecond_expand(sigma).scale(c)
-    return out
+    return x.apply(ssecond_expand, kind=PHI_KIND)
 
 
 def product_sprime(alpha: Word, beta: Word) -> LinComb:
@@ -202,19 +188,8 @@ def coproduct_phi_lifted(x: LinComb) -> LinComb:
 
 
 def _convert_tensor(t: LinComb, convert, target_kind: str) -> LinComb:
-    out: dict[tuple[Word, Word], object] = {}
-    for (a, b), c in t.terms.items():
-        left = convert(LinComb.basis(PHI_KIND, a))
-        right = convert(LinComb.basis(PHI_KIND, b))
-        for la, ca in left.terms.items():
-            for lb, cb in right.terms.items():
-                key = (la, lb)
-                value = out.get(key, 0) + c * ca * cb
-                if value:
-                    out[key] = value
-                else:
-                    out.pop(key, None)
-    return LinComb(tensor_kind(target_kind), out)
+    return t.apply(lambda ab: tensor(convert(phi_elem(ab[0])), convert(phi_elem(ab[1]))),
+                   kind=tensor_kind(target_kind))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +210,7 @@ def project_Y(x: LinComb) -> LinComb:
     for sigma, c in x.terms.items():
         lam = cycle_type(sigma)
         terms[lam] = terms.get(lam, 0) + c
-    return LinComb(Y_KIND, {k: v for k, v in terms.items() if v})
+    return LinComb(Y_KIND, terms)
 
 
 def product_Y(lam1: IntegerPartition, lam2: IntegerPartition) -> LinComb:
@@ -252,14 +227,10 @@ def coproduct_Y(lam: IntegerPartition) -> LinComb:
 
 
 def y_representative_independent(degree_bound: int) -> bool:
-    for n in range(1, degree_bound):
-        for m in range(1, degree_bound - n + 1):
-            for sigma in permutations(n):
-                for tau in permutations(m):
-                    expected = product_Y(cycle_type(sigma), cycle_type(tau))
-                    if project_Y(product_phi(sigma, tau)) != expected:
-                        return False
-    return True
+    return all(
+        project_Y(product_phi(sigma, tau)) == product_Y(cycle_type(sigma), cycle_type(tau))
+        for sigma, tau in graded_pairs(permutations, degree_bound)
+    )
 
 
 def y_to_sym(lam: IntegerPartition) -> LinComb:
@@ -275,21 +246,11 @@ def y_to_sym(lam: IntegerPartition) -> LinComb:
 
 def y_iso_check(degree_bound: int) -> bool:
     """The cycle-type quotient maps to Sym as an algebra morphism."""
-    lams = [
-        (l1, l2)
-        for n in range(1, degree_bound)
-        for m in range(1, degree_bound - n + 1)
-        for l1 in symfunc.partitions(n)
-        for l2 in symfunc.partitions(m)
-    ]
-    for l1, l2 in lams:
-        image = LinComb.zero(symfunc.kind("m"))
-        for lam, c in product_Y(l1, l2).terms.items():
-            image = image + y_to_sym(lam).scale(c)
-        direct = symfunc.m_mul(y_to_sym(l1), y_to_sym(l2))
-        if image != direct:
-            return False
-    return True
+    return all(
+        product_Y(l1, l2).apply(y_to_sym, kind=symfunc.kind("m"))
+        == symfunc.m_mul(y_to_sym(l1), y_to_sym(l2))
+        for l1, l2 in graded_pairs(symfunc.partitions, degree_bound)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +266,7 @@ def biword_product_check(sigma: Word, tau: Word, n_trunc: int | None = None) -> 
     if n_trunc is None:
         n_trunc = len(sigma) + len(tau)
     lhs = biword_mul(_realized(sigma, n_trunc), _realized(tau, n_trunc))
-    rhs = LinComb.zero("biword")
-    for gamma, c in product_phi(sigma, tau).terms.items():
-        rhs = rhs + _realized(gamma, n_trunc).scale(c)
+    rhs = product_phi(sigma, tau).apply(lambda gamma: _realized(gamma, n_trunc), kind=BIWORD_KIND)
     return lhs == rhs
 
 

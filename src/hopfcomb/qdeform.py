@@ -8,13 +8,12 @@ with class censuses by descent compositions and by binary trees.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .coeffs import QPoly
-from .lincomb import LinComb, bilinear, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
+from .lincomb import LinComb, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
 from .limits import guard
 from .parkfunc import catalan  # noqa: F401  (re-exported: counts the q-classes)
-from .realize import qvar_mul, realize_fundamental
+from .realize import QMONO_KIND, qvar_mul, realize_fundamental
 from .words import (
     Composition,
     Word,
@@ -143,18 +142,12 @@ def phi_map(sigma: Word) -> LinComb:
 
 
 def phi_lincomb(x: LinComb) -> LinComb:
-    out = LinComb.zero(QF_KIND)
-    for sigma, c in x.terms.items():
-        out = out + phi_map(sigma).scale(c)
-    return out
+    return x.apply(phi_map, kind=QF_KIND)
 
 
 def phi_realized(x: LinComb, n_trunc: int) -> LinComb:
     """Evaluate an image of phi in the ring of q-commuting variables."""
-    out = LinComb.zero("qring")
-    for comp, c in x.terms.items():
-        out = out + realize_fundamental(comp, n_trunc).scale(QPoly.coerce(c))
-    return out
+    return x.apply(lambda comp: realize_fundamental(comp, n_trunc), kind=QMONO_KIND)
 
 
 def phi_morphism_check(alpha: Word, beta: Word, n_trunc: int | None = None) -> bool:

@@ -21,7 +21,6 @@ from .words import (
     Word,
     cycle_from_word,
     cycle_supports,
-    cycles,
     inverse,
     partition_of_word,
     standardize,
@@ -65,10 +64,7 @@ def realize_endofunction(f: Word, n_trunc: int) -> LinComb:
 
 
 def realize_lincomb(x: LinComb, n_trunc: int) -> LinComb:
-    out = LinComb.zero(ROW_KIND)
-    for label, c in x.terms.items():
-        out = out + realize_endofunction(label, n_trunc).scale(c)
-    return out
+    return x.apply(lambda f: realize_endofunction(f, n_trunc), kind=ROW_KIND)
 
 
 def oracle_product_check(f: Word, g: Word, n_trunc: int, combinatorial: LinComb) -> bool:

@@ -15,7 +15,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import eqsym, symfunc
-from .axioms import GradedBasis
+from .axioms import GradedBasis, graded_pairs
 from .lincomb import LinComb, tensor_kind
 from .realize import (
     diagonal_weighted_sum,
@@ -33,7 +33,7 @@ from .words import (
     cycle_type,
     cycles,
     from_cycles,
-    is_involution,
+    multiset_splits,
     ordered_cycle_type,
     partition_multiplicities,
     partition_of_word,
@@ -44,6 +44,7 @@ from .words import (
     shuffle,
     sort_composition,
     standardize,
+    standardized_cycles,
 )
 
 M_KIND = "sgqsym:M"
@@ -81,14 +82,6 @@ def product_M_splitting(alpha: Word, beta: Word) -> LinComb:
     return LinComb(M_KIND, terms)
 
 
-def _cycle_subset_std(sigma_cycles: Sequence, chosen: Sequence[int]) -> Word:
-    support = sorted(a for i in chosen for a in sigma_cycles[i])
-    rank = {a: i for i, a in enumerate(support, start=1)}
-    return from_cycles(
-        [tuple(rank[a] for a in sigma_cycles[i]) for i in chosen], len(support)
-    )
-
-
 def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
     """Third route: count complementary cycle subsets standardizing to the pair."""
     n, m = len(alpha), len(beta)
@@ -102,8 +95,8 @@ def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
                     continue
                 rest = tuple(i for i in range(len(cyc)) if i not in chosen)
                 if (
-                    _cycle_subset_std(cyc, chosen) == alpha
-                    and _cycle_subset_std(cyc, rest) == beta
+                    standardized_cycles(cyc, chosen) == alpha
+                    and standardized_cycles(cyc, rest) == beta
                 ):
                     count += 1
         if count:
@@ -312,16 +305,10 @@ def coproduct_ul(lam: IntegerPartition) -> LinComb:
     Matches the cut coproduct of the class sums: a pair of labels arises from
     exactly one (permutation, cut) pair per labelled pair.
     """
-    mult = partition_multiplicities(lam)
-    parts = sorted(mult)
-    terms: dict[tuple[IntegerPartition, IntegerPartition], int] = {}
-    for counts in itertools.product(*(range(mult[p] + 1) for p in parts)):
-        left: list[int] = []
-        right: list[int] = []
-        for p, c in zip(parts, counts):
-            left += [p] * c
-            right += [p] * (mult[p] - c)
-        terms[(sort_composition(left), sort_composition(right))] = 1
+    terms = {
+        (sort_composition(left), sort_composition(right)): 1
+        for left, right in multiset_splits(lam)
+    }
     return LinComb(tensor_kind(UL_KIND), terms)
 
 
@@ -391,20 +378,11 @@ def subalgebra_closure_check(predicate: Callable, degree_bound: int) -> bool:
             for (a, b), _ in coproduct_M(sigma).terms.items():
                 if (a and not predicate(a)) or (b and not predicate(b)):
                     return False
-    for i in range(1, degree_bound):
-        for j in range(1, degree_bound - i + 1):
-            for alpha in permutations(i):
-                if not predicate(alpha):
-                    continue
-                for beta in permutations(j):
-                    if not predicate(beta):
-                        continue
-                    if any(
-                        not predicate(gamma)
-                        for gamma in product_M(alpha, beta).terms
-                    ):
-                        return False
-    return True
+    return all(
+        all(map(predicate, product_M(alpha, beta).terms))
+        for alpha, beta in graded_pairs(permutations, degree_bound)
+        if predicate(alpha) and predicate(beta)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +407,7 @@ def project_V(x: LinComb) -> LinComb:
     for pi, c in x.terms.items():
         comp = composition_class(pi)
         terms[comp] = terms.get(comp, 0) + c
-    return LinComb(V_KIND, {k: v for k, v in terms.items() if v})
+    return LinComb(V_KIND, terms)
 
 
 def product_V(comp1: Composition, comp2: Composition) -> LinComb:
@@ -443,24 +421,18 @@ def product_V(comp1: Composition, comp2: Composition) -> LinComb:
 
 def quotient_well_defined(degree_bound: int) -> bool:
     """Class products are independent of the representative set partitions."""
-    for n in range(1, degree_bound):
-        for m in range(1, degree_bound - n + 1):
-            for pi1 in set_partitions(n):
-                for pi2 in set_partitions(m):
-                    expected = product_V(composition_class(pi1), composition_class(pi2))
-                    if project_V(product_Mw(pi1, pi2)) != expected:
-                        return False
-    return True
+    return all(
+        project_V(product_Mw(pi1, pi2))
+        == product_V(composition_class(pi1), composition_class(pi2))
+        for pi1, pi2 in graded_pairs(set_partitions, degree_bound)
+    )
 
 
 def bell_polynomial(n: int) -> dict[IntegerPartition, int]:
     """Coefficients c_lam of the n-th power of the one-block class."""
     power = LinComb.basis(MW_KIND, ((1,),))
     for _ in range(n - 1):
-        out = LinComb.zero(MW_KIND)
-        for pi, c in power.terms.items():
-            out = out + product_Mw(pi, ((1,),)).scale(c)
-        power = out
+        power = power.apply(lambda pi: product_Mw(pi, ((1,),)), kind=MW_KIND)
     coeffs: dict[IntegerPartition, int] = {}
     for pi, c in power.terms.items():
         lam = sort_composition(block_composition(pi))

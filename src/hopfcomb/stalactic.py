@@ -7,7 +7,6 @@ column position sets in a set partition.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -257,19 +256,12 @@ def class_product_well_defined(family: str, n: int, m: int) -> bool:
     for w in enumerate_family(family, m):
         reps2.setdefault(canonical_form(w), []).append(w)
 
-    def lifted(u: Word, v: Word) -> LinComb:
-        if family == "endofunctions":
-            return LinComb.basis(
-                ENDO_CLASS_KIND, canonical_form(shifted_concat(u, v))
-            )
-        return class_product(family, u, v)
-
     for us in reps.values():
         for vs in reps2.values():
             expected = None
             for u in us:
                 for v in vs:
-                    got = lifted(u, v)
+                    got = class_product(family, u, v)
                     if expected is None:
                         expected = got
                     elif got != expected:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterator
 
 from .limits import guard
@@ -116,15 +117,8 @@ def m_eval_at_n(mu: IntegerPartition, n: int) -> int:
     for i in range(length):
         count *= n - i
     for mult in partition_multiplicities(mu).values():
-        count //= _factorial(mult)
+        count //= factorial(mult)
     return count
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +194,16 @@ def basis_in_m(basis: str, lam: IntegerPartition) -> LinComb:
 def expand_to_monomial(x: LinComb) -> LinComb:
     """Exact change of basis into the monomial basis."""
     basis = x.kind.split(":", 1)[1]
-    out = LinComb.zero(kind("m"))
-    for lam, c in x.terms.items():
-        out = out + basis_in_m(basis, lam).scale(c)
-    return out
+    return x.apply(lambda lam: basis_in_m(basis, lam), kind=kind("m"))
 
 
 @lru_cache(maxsize=None)
-def _m_to_basis_matrix(basis: str, degree: int) -> dict:
-    """Expansion of each m_mu (mu of the degree) over the target basis."""
+def _m_to_basis_matrix(basis: str, degree: int) -> dict[IntegerPartition, LinComb]:
+    """Expansion of each m_mu (mu of the degree) over the target basis.
+
+    Guarded per degree; a refused degree raises and so is never cached.
+    """
+    guard("symfunc_degree", degree)
     lams = list(partitions(degree))
     index = {lam: i for i, lam in enumerate(lams)}
     size = len(lams)
@@ -233,7 +228,7 @@ def _m_to_basis_matrix(basis: str, degree: int) -> dict:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
                 inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
     return {
-        mu: {lams[i]: inv[i][index[mu]] for i in range(size) if inv[i][index[mu]]}
+        mu: LinComb(kind(basis), {lams[i]: inv[i][index[mu]] for i in range(size)})
         for mu in lams
     }
 
@@ -245,17 +240,7 @@ def convert(x: LinComb, target: str) -> LinComb:
     in_m = x if x.kind == kind("m") else expand_to_monomial(x)
     if target == "m":
         return in_m
-    out = LinComb.zero(kind(target))
-    by_degree: dict[int, dict] = {}
-    for mu, c in in_m.terms.items():
-        by_degree.setdefault(sum(mu), {})[mu] = c
-    for degree, terms in by_degree.items():
-        guard("symfunc_degree", degree)
-        table = _m_to_basis_matrix(target, degree)
-        for mu, c in terms.items():
-            for lam, coeff in table[mu].items():
-                out = out + sym(target, lam, c * coeff)
-    return out
+    return in_m.apply(lambda mu: _m_to_basis_matrix(target, sum(mu))[mu], kind=kind(target))
 
 
 def product(x: LinComb, y: LinComb) -> LinComb:

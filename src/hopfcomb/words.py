@@ -220,6 +220,19 @@ def from_cycles(cycle_set: Iterable[Cycle], n: int | None = None) -> Word:
     return tuple(word)
 
 
+def standardized_cycles(cycle_list: Sequence[Cycle], chosen: Sequence[int]) -> Word:
+    """The permutation formed by the chosen cycles, renumbered onto 1..k.
+
+    >>> standardized_cycles(((1, 3), (2,), (4, 5)), (0, 2))
+    (2, 1, 4, 3)
+    """
+    support = sorted(a for i in chosen for a in cycle_list[i])
+    rank = {a: i for i, a in enumerate(support, start=1)}
+    return from_cycles(
+        [tuple(rank[a] for a in cycle_list[i]) for i in chosen], len(support)
+    )
+
+
 def cycle_words(c: Cycle) -> list[Cycle]:
     """All rotations of a cycle word."""
     return [c[k:] + c[:k] for k in range(len(c))]
@@ -301,6 +314,20 @@ def partition_multiplicities(lam: Sequence[int]) -> dict[int, int]:
     for part in lam:
         mult[part] = mult.get(part, 0) + 1
     return mult
+
+
+def multiset_splits(items: Sequence) -> Iterator[tuple[tuple, tuple]]:
+    """Every distinct split of a multiset into (left, right), each once, both sorted.
+
+    >>> list(multiset_splits((2, 1)))
+    [((), (1, 2)), ((2,), (1,)), ((1,), (2,)), ((1, 2), ())]
+    """
+    mult = partition_multiplicities(items)
+    distinct = sorted(mult)
+    for counts in itertools.product(*(range(mult[a] + 1) for a in distinct)):
+        left = tuple(a for a, k in zip(distinct, counts) for _ in range(k))
+        right = tuple(a for a, k in zip(distinct, counts) for _ in range(mult[a] - k))
+        yield left, right
 
 
 # ---------------------------------------------------------------------------

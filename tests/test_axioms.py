@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 from hopfcomb import eqsym, parkfunc, phisym, sgqsym
-from hopfcomb.axioms import duality_check, hopf_check
+from hopfcomb.axioms import duality_check, graded_pairs, hopf_check
 from hopfcomb.lincomb import LinComb
 from hopfcomb.words import word_from_text
 
@@ -155,6 +155,22 @@ def test_degree_bounds_below_one_check_nothing():
     for bound in (0, -1):
         report = hopf_check(eqsym.algebra(), bound)
         assert all(r.passed for r in report.checks.values())
+
+
+def test_graded_pairs_keep_the_nested_loop_order():
+    def labels(n):
+        return [f"{n}{c}" for c in "ab"[:n]]
+
+    assert list(graded_pairs(labels, 3)) == [
+        ("1a", "1a"), ("1a", "2a"), ("1a", "2b"), ("2a", "1a"), ("2b", "1a"),
+    ]
+    nested = [(x, y)
+              for i in range(1, 5) for j in range(1, 5 - i + 1)
+              for x in labels(i) for y in labels(j)]
+    assert list(graded_pairs(labels, 5)) == nested
+    assert list(graded_pairs(labels, 1)) == []
+    assert list(graded_pairs(labels, 2)) == [("1a", "1a")]
+    assert list(graded_pairs(labels, 0)) == []
 
 
 def _duality(bound, dual_coproduct=eqsym.coproduct_S, dual_product=eqsym.product_S,

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -149,6 +150,31 @@ def test_limit_guard_exit_two(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    "insert 0",
+    "insert 2,0,1",
+    "insert 1,-3",
+    "triangle --name lah -1",
+    "triangle --name pascal -5",
+])
+def test_out_of_range_input_exits_two(argv):
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("algebra, degree", [
+    ("sgqsym", 10), ("piqsym", 12), ("fqsym-q", 10),
+])
+def test_verify_refuses_degrees_beyond_the_family_bound(algebra, degree):
+    start = time.perf_counter()
+    code, out, err = run_cli("verify", "--algebra", algebra, "--max-degree", str(degree))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize("argv, env, knob", [
     (["--max-degree", "0"], None, "--max-degree"),
     (["--max-degree", "-2"], None, "--max-degree"),
@@ -251,6 +277,9 @@ def test_verify_failure_output_fqsym_q(monkeypatch):
     "coproduct --algebra fqsym-q 11",
     "pair --algebra eqsym --basis M 12 13",
     "convert --algebra sym-classical --from h --to m (0)",
+    "product --algebra parkgraph 33 1",
+    "coproduct --algebra parkgraph 0",
+    "product --algebra forest 21 1",
 ])
 def test_wrong_family_labels_exit_two(argv):
     code, out, err = run_cli(*argv.split())
@@ -260,7 +289,7 @@ def test_wrong_family_labels_exit_two(argv):
 
 
 # (algebra, basis) -> (a degree-2 label, its printed text, a label outside the
-# family or None).  Forest and parking-graph labels are entered through a
+# family).  Forest and parking-graph labels are entered through a
 # parking function and print as their certificates.
 LABELS = {
     ("eqsym", "M"): ("21", "21", "13"),
@@ -280,7 +309,7 @@ LABELS = {
     ("ccqsym", "Mpa"): ("11", "11", "21"),
     ("ccqsym", "S"): ("12", "12", "22"),
     ("forest", "M"): ("12", "()()", "21"),
-    ("parkgraph", "N"): ("21", "<(),()>", None),
+    ("parkgraph", "N"): ("21", "<(),()>", "33"),
     ("fqsym-q", "F"): ("21", "21", "11"),
     ("qsym-q", "M"): ("(2)", "(2)", "(2,0)"),
     ("ncsf-q", "S"): ("(1,1)", "(1,1)", "(1,-1)"),
@@ -300,9 +329,8 @@ def test_registered_labels_round_trip_and_reject_other_families(key):
     assert spec.text(label) == printed
     if printed == text:
         assert spec.parse(printed) == label
-    if wrong is not None:
-        with pytest.raises(ValueError):
-            spec.parse(wrong)
+    with pytest.raises(ValueError):
+        spec.parse(wrong)
 
 
 def test_default_bases():

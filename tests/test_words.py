@@ -22,6 +22,7 @@ from hopfcomb.words import (
     is_connected,
     is_involution,
     is_parking,
+    multiset_splits,
     ordered_cycle_type,
     partition_of_word,
     permutations,
@@ -220,3 +221,15 @@ def test_cut_points_matches_quadratic_definition_up_to_degree_6():
 @given(st.lists(st.integers(min_value=1, max_value=20), max_size=9).map(tuple))
 def test_cut_points_matches_quadratic_definition_on_large_letters(h):
     assert cut_points(h) == _cut_points_quadratic(h)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), max_size=7))
+def test_multiset_splits_are_the_distinct_sub_multiset_splits(items):
+    brute = set()
+    for chosen in itertools.product((False, True), repeat=len(items)):
+        left = sorted(a for a, c in zip(items, chosen) if c)
+        right = sorted(a for a, c in zip(items, chosen) if not c)
+        brute.add((tuple(left), tuple(right)))
+    splits = list(multiset_splits(items))
+    assert len(splits) == len(set(splits))
+    assert set(splits) == brute
