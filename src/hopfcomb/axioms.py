@@ -200,28 +200,33 @@ def _counit_sides(alg: GradedBasis, cop: LinComb) -> tuple[LinComb, LinComb]:
 
 
 def _pair_cases(sweep: _Sweep) -> Cases:
-    """Delta(ab) = Delta(a) Delta(b), and whether ab = ba, on one product per pair."""
+    """Delta(ab) = Delta(a) Delta(b), and whether ab = ba, on one product per pair.
+
+    Commutativity is checked only at whichever of (a, b) and (b, a) is
+    visited first: i < j, or i == j with a listed before b.  That is where
+    checking both would first fail, so the counterexample is the same.
+    """
     bound = sweep.bound
     kind = tensor_kind(sweep.alg.kind)
     for i in range(1, bound):
         for j in range(1, bound - i + 1):
             product = sweep.product_rule(i + j)
             coproduct = sweep.coproduct_rule(i + j)
-            for a in sweep.labels(i):
+            for ia, a in enumerate(sweep.labels(i)):
                 da = sweep.coproduct(a)
-                for b in sweep.labels(j):
+                for ib, b in enumerate(sweep.labels(j)):
                     ab = product(a, b)
 
                     def factor_product(x, y):
                         return ab if x == a and y == b else sweep.product(x, y)
 
-                    yield (a, b), {
-                        "compatibility": lambda: (
-                            ab.apply(coproduct, kind=kind)
-                            == tensor_mul(da, sweep.coproduct(b), factor_product)
-                        ),
-                        "commutativity": lambda: ab == product(b, a),
-                    }
+                    checks = {"compatibility": lambda: (
+                        ab.apply(coproduct, kind=kind)
+                        == tensor_mul(da, sweep.coproduct(b), factor_product)
+                    )}
+                    if i < j or (i == j and ia < ib):
+                        checks["commutativity"] = lambda: ab == product(b, a)
+                    yield (a, b), checks
 
 
 def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
@@ -250,22 +255,35 @@ def duality_check(
     delta).  When ``dual_product`` is supplied, the transposed law
     <Delta x, z (x) w> = <x, z w> is verified as well.
 
-    Both laws are checked by transposition: the coproduct of every target
-    of a degree is computed once, and <x (x) y, Delta* z> is its coefficient
-    at (x, y).  Triples are visited in the order of the nested loops over
-    (x, y, z), so the first counterexample does not depend on this.
+    Both laws are checked by rows: the coproducts of a degree's targets are
+    transposed once into columns ``(x, y) -> {z: coeff}``, and each product
+    row ``x y`` is compared with its column as a dict.  A mismatch reports
+    the differing z that comes first in the degree's target order, so the
+    counterexample is the first triple of the nested loops over (x, y, z).
+    This is stricter than reading only the targets: a product term whose
+    label is not a target of its degree also fails, and ranks after them.
     """
     by_degree = primal.labels_upto(degree_bound)
 
     def cases(product: Callable, coproduct: Callable) -> Cases:
         for total in range(2, degree_bound + 1):
-            coproducts = [(z, coproduct(z)) for z in by_degree.get(total, [])]
+            targets = by_degree.get(total, [])
+            rank = {z: r for r, z in enumerate(targets)}
+            cols: dict = {}
+            for z in targets:
+                for pair, c in coproduct(z).terms.items():
+                    cols.setdefault(pair, {})[z] = c
             for i in range(1, total):
                 for a in by_degree.get(i, []):
                     for b in by_degree.get(total - i, []):
-                        prod = product(a, b)
-                        for z, cop in coproducts:
-                            yield (a, b, z), {"duality": lambda: prod[z] == cop[(a, b)]}
+                        row = product(a, b).terms
+                        col = cols.get((a, b), {})
+                        z = None
+                        if row != col:
+                            diff = [w for w in itertools.chain(row, col)
+                                    if row.get(w, 0) != col.get(w, 0)]
+                            z = min(diff, key=lambda w: rank.get(w, len(targets)))
+                        yield (a, b, z), {"duality": lambda: z is None}
 
     laws = [cases(primal.product, dual_coproduct)]
     if dual_product is not None and primal_coproduct is not None:

@@ -214,9 +214,9 @@ class AlgebraSpec:
     """What ``verify`` runs: :func:`hopf_check` on ``factory()``, its
     :func:`duality_check` with the registered basis ``dual``, and ``extra``,
     which maps the degree bound to (passed, report lines).  ``family`` names
-    the :class:`~hopfcomb.limits.Limits` bound of the labels swept, if any."""
+    the :class:`~hopfcomb.limits.Limits` bound of the labels swept."""
     factory: Callable[[], GradedBasis] | None
-    family: str | None
+    family: str
     dual: str | None = None
     extra: Callable[[int], tuple[bool, list[str]]] | None = None
 
@@ -239,8 +239,8 @@ _VERIFY: dict[str, AlgebraSpec] = {
     "sgqsym": AlgebraSpec(sgqsym.algebra, "permutations", dual="S"),
     "piqsym": AlgebraSpec(sgqsym.piqsym_algebra, "set_partitions"),
     "wsym": AlgebraSpec(sgqsym.wsym_algebra, "set_partitions"),
-    "qsym-embed": AlgebraSpec(sgqsym.qsym_algebra, None),
-    "sym-embed": AlgebraSpec(sgqsym.sym_algebra, None),
+    "qsym-embed": AlgebraSpec(sgqsym.qsym_algebra, "compositions"),
+    "sym-embed": AlgebraSpec(sgqsym.sym_algebra, "partitions"),
     "phisym": AlgebraSpec(phisym.algebra, "permutations"),
     "cpqsym": AlgebraSpec(parkfunc.algebra, "parking"),
     "ccqsym": AlgebraSpec(parkfunc.cc_algebra, "nondecreasing_parking", dual="S"),
@@ -252,8 +252,7 @@ VERIFIABLE = list(_VERIFY)
 
 def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
     plan = _VERIFY[algebra]
-    if plan.family is not None:
-        guard(plan.family, max_degree)
+    guard(plan.family, max_degree)
     lines: list[str] = []
     passed = True
     if plan.factory is not None:
@@ -395,6 +394,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "count":
+        if args.n < 0:
+            raise ValueError("n must be nonnegative")
         print(_COUNTS[args.family](args.n))
         return 0
 

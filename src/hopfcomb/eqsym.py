@@ -14,20 +14,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
+from typing import Callable
 
 from .axioms import GradedBasis
 from .lincomb import LinComb, tensor_kind
-from .realize import oracle_product_check, realize_endofunction
-from .words import (
-    Word,
-    cut_points,
-    endofunctions,
-    inverse,
-    is_connected,
-    shifted_concat,
-    shuffle,
-    unshift,
-)
+from .realize import oracle_product_check
+from .words import Word, endofunctions, inverse, is_connected, shifted_concat, shuffle
 
 M_KIND = "eqsym:M"
 S_KIND = "eqsym:S"
@@ -35,18 +28,27 @@ M_TENSOR_KIND = tensor_kind(M_KIND)
 
 
 @lru_cache(maxsize=64)
-def _set_splits(n: int, m: int) -> tuple[tuple[Word, Word], ...]:
-    """Pairs (A, B): A an n-subset of [n+m] as an increasing word, B its complement.
+def _set_splits(n: int, m: int) -> tuple[tuple[Word, Callable], ...]:
+    """One entry ``(ab, place)`` per set split (A, B) of [n+m], |A| = n.
 
-    Ordered lexicographically by A, the order in which :func:`shuffle` places
-    the letters of its first argument.  The 64 cached entries hold every
-    (n, m) with n + m <= 9; the tuples are immutable, so callers share them.
+    ``ab = (0,) + A + B`` sends each letter of the shifted concatenation of
+    an n-word and an m-word to its place in A or B (the 0 makes lookups
+    1-indexed), and ``place`` reorders values listed along A then B into
+    positions 1..n+m.  Splits are ordered lexicographically by A, the order
+    in which :func:`shuffle` places the letters of its first argument.
+    Needs n + m >= 2: an ``itemgetter`` of one index returns a bare item.
+    The 64 cached entries hold every (n, m) with n + m <= 9; the entries are
+    immutable, so callers share them.
     """
     ground = range(1, n + m + 1)
     splits = []
     for chosen in itertools.combinations(ground, n):
         inside = set(chosen)
-        splits.append((chosen, tuple(i for i in ground if i not in inside)))
+        ab = chosen + tuple(i for i in ground if i not in inside)
+        slot = [0] * (n + m)
+        for i, p in enumerate(ab):
+            slot[p - 1] = i
+        splits.append(((0,) + ab, itemgetter(*slot)))
     return tuple(splits)
 
 
@@ -56,16 +58,15 @@ def product_M(f: Word, g: Word) -> LinComb:
     >>> product_M((1,), (1,)).terms
     {(1, 2): 2}
     """
-    h = [0] * (len(f) + len(g))
+    n = len(f)
+    if n + len(g) < 2:
+        return LinComb._owned(M_KIND, {shifted_concat(f, g): 1})
+    values = itemgetter(*f, *(n + x for x in g))
     terms: dict[Word, int] = {}
-    for a, b in _set_splits(len(f), len(g)):
-        for p, x in zip(a, f):
-            h[p - 1] = a[x - 1]
-        for p, x in zip(b, g):
-            h[p - 1] = b[x - 1]
-        key = tuple(h)
-        terms[key] = terms.get(key, 0) + 1
-    return LinComb(M_KIND, terms)
+    for ab, place in _set_splits(n, len(g)):
+        h = place(values(ab))
+        terms[h] = terms.get(h, 0) + 1
+    return LinComb._owned(M_KIND, terms)
 
 
 def compose(u: Word, v: Word) -> Word:
@@ -90,8 +91,25 @@ def product_M_conjugation(f: Word, g: Word) -> LinComb:
 
 
 def coproduct_M(h: Word) -> LinComb:
-    """Sum of M_u (x) M_v over the cuts of h = u . v; every cut is distinct."""
-    return LinComb(M_TENSOR_KIND, {(h[:k], unshift(h, k)): 1 for k in cut_points(h)})
+    """Sum of M_u (x) M_v over the cuts of h = u . v; every cut is distinct.
+
+    The cuts are those of :func:`~hopfcomb.words.cut_points`, found inline in
+    one scan: an interior k is a cut when max(h[:k]) <= k < min(h[k:]), read
+    off a running prefix maximum and a precomputed suffix minimum.  The
+    trivial cuts 0 and len(h) reuse h.
+    """
+    n = len(h)
+    terms = {((), h): 1}
+    if n:
+        tail_min = list(itertools.accumulate(reversed(h), min))  # [j] = min(h[n-1-j:])
+        head_max = 0
+        for k in range(1, n):
+            if h[k - 1] > head_max:
+                head_max = h[k - 1]
+            if head_max <= k < tail_min[n - 1 - k]:
+                terms[(h[:k], tuple(a - k for a in h[k:]))] = 1
+        terms[(h, ())] = 1
+    return LinComb._owned(M_TENSOR_KIND, terms)
 
 
 def product_S(f: Word, g: Word) -> LinComb:
@@ -199,10 +217,6 @@ def brute_connected_count(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # oracle plumbing
-
-def oracle_realize(f: Word, n_trunc: int) -> LinComb:
-    return realize_endofunction(f, n_trunc)
-
 
 def oracle_check(f: Word, g: Word, n_trunc: int | None = None) -> bool:
     if n_trunc is None:

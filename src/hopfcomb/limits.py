@@ -24,6 +24,9 @@ class Limits:
     set_partitions: int = 11
     initial_words: int = 8
     involutions: int = 10
+    # the verify sweeps at these bounds take about 2 s each on a 2-vCPU Xeon
+    compositions: int = 10
+    partitions: int = 14
     rewrite_length: int = 10
     symfunc_degree: int = 10
     max_degree: int = 6

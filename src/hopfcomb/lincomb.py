@@ -17,9 +17,21 @@ class LinComb:
         self.kind = kind
         self.terms = {label: c for label, c in (terms or {}).items() if c}
 
+    @classmethod
+    def _owned(cls, kind: str, terms: dict) -> "LinComb":
+        """Wrap ``terms`` as is: no copy, no zero filter.
+
+        Only for a dict the caller has just built, whose coefficients are
+        all nonzero, and which nothing else holds or will mutate.
+        """
+        out = object.__new__(cls)
+        out.kind = kind
+        out.terms = terms
+        return out
+
     @staticmethod
     def basis(kind: str, label, coeff=1) -> "LinComb":
-        return LinComb(kind, {label: coeff})
+        return LinComb._owned(kind, {label: coeff}) if coeff else LinComb(kind)
 
     @staticmethod
     def zero(kind: str) -> "LinComb":
@@ -184,17 +196,31 @@ def twisted_tensor_mul(
 def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
     """Apply a label -> LinComb map inside one slot of a tensor, flattening.
 
-    Used to form (Delta (x) id) Delta and friends; the result has labels one
-    tuple-entry longer at ``slot``.
+    Used to form (Delta (x) id) Delta and friends: ``rule`` returns 2-tensors,
+    and the result has labels one tuple-entry longer at ``slot``.  On a
+    2-tensor the new labels are built directly, without slicing.
     """
     out_terms: dict = {}
     kind = None
-    for label, c in t.terms.items():
-        expanded = rule(label[slot])
-        kind = expanded.kind
-        for inner, ci in expanded.terms.items():
-            new_label = label[:slot] + inner + label[slot + 1 :]
-            out_terms[new_label] = out_terms.get(new_label, 0) + c * ci
+    if slot in (0, 1) and t.kind.count("(x)") == 1:
+        for (u, v), c in t.terms.items():
+            expanded = rule(v if slot else u)
+            kind = expanded.kind
+            if slot:
+                for (x, y), ci in expanded.terms.items():
+                    key = (u, x, y)
+                    out_terms[key] = out_terms.get(key, 0) + c * ci
+            else:
+                for (x, y), ci in expanded.terms.items():
+                    key = (x, y, v)
+                    out_terms[key] = out_terms.get(key, 0) + c * ci
+    else:
+        for label, c in t.terms.items():
+            expanded = rule(label[slot])
+            kind = expanded.kind
+            for inner, ci in expanded.terms.items():
+                new_label = label[:slot] + inner + label[slot + 1 :]
+                out_terms[new_label] = out_terms.get(new_label, 0) + c * ci
     base = kind.split("(x)")[0] if kind else t.kind.split("(x)")[0]
     factors = t.kind.count("(x)") + 2
     return LinComb(tensor_kind(base, factors), out_terms)

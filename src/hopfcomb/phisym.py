@@ -21,8 +21,8 @@ from .words import (
     CycleSet,
     IntegerPartition,
     Word,
+    canonical_cycle,
     connected_factorization,
-    cycle_from_word,
     cycle_type,
     cycle_words,
     cycles,
@@ -47,12 +47,12 @@ def cyclic_shuffle(c1: Cycle, c2: Cycle) -> frozenset[Cycle]:
     """
     if set(c1) & set(c2):
         raise ValueError("cyclic shuffle requires disjoint supports")
-    out = set()
-    for w1 in cycle_words(c1):
-        for w2 in cycle_words(c2):
-            for u in shuffle(w1, w2):
-                out.add(cycle_from_word(u))
-    return frozenset(out)
+    # Rotating a merged cycle word to start at c1's first letter leaves c1
+    # unrotated and c2 in one rotation, so each merged cycle is built once.
+    head, rest = c1[:1], c1[1:]
+    return frozenset(
+        canonical_cycle(head + u) for w2 in cycle_words(c2) for u in shuffle(rest, w2)
+    )
 
 
 def canonical_cycle_set(cycle_set) -> CycleSet:

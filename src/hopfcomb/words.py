@@ -243,15 +243,6 @@ def cycle_from_word(w: Sequence[int]) -> Cycle:
     return canonical_cycle(w, {w[i]: w[(i + 1) % len(w)] for i in range(len(w))})
 
 
-def relabel_cycle(c: Cycle, mapping: dict[int, int]) -> Cycle:
-    return canonical_cycle(tuple(mapping[a] for a in c))
-
-
-def standardize_cycle(c: Cycle) -> Cycle:
-    support = sorted(c)
-    return relabel_cycle(c, {a: i for i, a in enumerate(support, start=1)})
-
-
 def cycle_supports(sigma: Sequence[int]) -> SetPartition:
     """Set partition whose blocks are the supports of the cycles."""
     return canonical_set_partition(cycles(sigma))
@@ -454,14 +445,6 @@ def word_from_text(text: str) -> Word:
     if "," in text:
         return tuple(int(a) for a in text.split(","))
     return tuple(int(ch) for ch in text)
-
-
-def cycles_to_text(cycle_set: Iterable[Cycle]) -> str:
-    parts = []
-    for c in sorted(tuple(x) for x in cycle_set):
-        inner = ",".join(str(a) for a in c) if max(c) > 9 else "".join(str(a) for a in c)
-        parts.append(f"({inner})")
-    return "".join(parts) if parts else "()"
 
 
 def _cycles_from_text(text: str) -> list[Cycle]:

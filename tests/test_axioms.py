@@ -92,6 +92,17 @@ HOPF_CASES = {
         eqsym.dual_algebra(),
         {"coproduct": ((W("12"),), bump(((), W("12"))))},
     ),
+    # M_12 M_11 loses a term; M_11 precedes M_12 in degree 2, so the equal-degree
+    # pair is first met, and its commutativity first fails, at (11, 12)
+    "equal-degree pair broken": (
+        eqsym.algebra(),
+        {"product": ((W("12"), W("11")), drop_last)},
+    ),
+    # M_11 M_1 loses a term; commutativity first fails at the reversed pair (1, 11)
+    "descending-degree pair broken": (
+        eqsym.algebra(),
+        {"product": ((W("11"), W("1")), drop_last)},
+    ),
 }
 
 HOPF_EXPECTED = {
@@ -131,6 +142,20 @@ HOPF_EXPECTED = {
         "associativity": OK, "unit": OK, "coassociativity": (W("12"),),
         "counit": (W("12"),), "compatibility": (W("1"), W("1")),
         "commutativity": (W("1"), W("11")), "cocommutativity": (W("12"),),
+    },
+    "equal-degree pair broken": {
+        "associativity": (W("1"), W("1"), W("11")), "unit": OK,
+        "coassociativity": OK, "counit": OK,
+        "compatibility": (W("12"), W("11")),
+        "commutativity": (W("11"), W("12")),
+        "cocommutativity": (W("113"),),
+    },
+    "descending-degree pair broken": {
+        "associativity": (W("1"), W("11"), W("1")), "unit": OK,
+        "coassociativity": OK, "counit": OK,
+        "compatibility": (W("11"), W("1")),
+        "commutativity": (W("1"), W("11")),
+        "cocommutativity": (W("113"),),
     },
 }
 

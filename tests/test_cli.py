@@ -150,12 +150,23 @@ def test_limit_guard_exit_two(monkeypatch):
     assert code == 0
 
 
+# closed-form counts, which enumerate nothing that could refuse a negative size
+NEGATIVE_COUNTS = [
+    "count --family parking-stalactic -1",
+    "count --family parking-stalactic -2",
+    "count --family endofunctions-stalactic -1",
+    "count --family initial-words-stalactic -3",
+    "count --family hypoplactic-q-classes -1",
+]
+
+
 @pytest.mark.parametrize("argv", [
     "insert 0",
     "insert 2,0,1",
     "insert 1,-3",
     "triangle --name lah -1",
     "triangle --name pascal -5",
+    *NEGATIVE_COUNTS,
 ])
 def test_out_of_range_input_exits_two(argv):
     code, out, err = run_cli(*argv.split())
@@ -164,8 +175,14 @@ def test_out_of_range_input_exits_two(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS)
+def test_closed_form_counts_reject_negative_sizes(argv):
+    assert run_cli(*argv.split()) == (2, "", "error: n must be nonnegative\n")
+
+
 @pytest.mark.parametrize("algebra, degree", [
     ("sgqsym", 10), ("piqsym", 12), ("fqsym-q", 10),
+    ("qsym-embed", 11), ("qsym-embed", 40), ("sym-embed", 15),
 ])
 def test_verify_refuses_degrees_beyond_the_family_bound(algebra, degree):
     start = time.perf_counter()

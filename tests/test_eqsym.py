@@ -7,7 +7,7 @@ from conftest import lc, tensor_terms
 from hopfcomb import eqsym
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, pairing, tensor
-from hopfcomb.words import endofunctions, word_from_text as W
+from hopfcomb.words import cut_points, endofunctions, unshift, word_from_text as W
 
 M = "eqsym:M"
 S = "eqsym:S"
@@ -39,6 +39,16 @@ def test_coproduct_golden_examples():
         M, ("4232277", "()", 1), ("42322", "22", 1), ("()", "4232277", 1)
     )
     assert eqsym.coproduct_M(()) == tensor_terms(M, ("()", "()", 1))
+
+
+def test_coproduct_matches_cut_point_oracle_up_to_degree_6():
+    # the cuts of words.cut_points, each unshifted, in the same term order
+    for n in range(7):
+        for h in endofunctions(n):
+            oracle = {(h[:k], unshift(h, k)): 1 for k in cut_points(h)}
+            out = eqsym.coproduct_M(h)
+            assert out.kind == eqsym.M_TENSOR_KIND
+            assert list(out.terms.items()) == list(oracle.items()), h
 
 
 def test_dual_product_is_shifted_concatenation():

@@ -10,6 +10,7 @@ from hopfcomb.lincomb import (
     pairing,
     tensor,
     tensor_apply,
+    tensor_kind,
     tensor_mul,
     tensor_swap,
     twisted_tensor_mul,
@@ -198,3 +199,37 @@ def test_tensor_apply_accumulates_without_zero_terms(u):
     assert out == LinComb("t(x)t(x)t", {((1,), (), (5,)): u, ((2,), (), (5,)): -u})
     assert _no_zeros(out)
     assert tensor_apply(LinComb.zero(TT), 0, split) == LinComb.zero("t(x)t(x)t")
+
+
+def _slicing_tensor_apply(t, slot, rule):
+    """The generic loop of ``tensor_apply``: splice each value into the label."""
+    terms: dict = {}
+    kind = None
+    for label, c in t.terms.items():
+        expanded = rule(label[slot])
+        kind = expanded.kind
+        for inner, ci in expanded.terms.items():
+            new_label = label[:slot] + inner + label[slot + 1:]
+            terms[new_label] = terms.get(new_label, 0) + c * ci
+    base = (kind or t.kind).split("(x)")[0]
+    return LinComb(tensor_kind(base, t.kind.count("(x)") + 2), terms)
+
+
+small_labels = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("coeffs", [st.integers(-2, 2), qpolys], ids=["int", "QPoly"])
+@given(data=st.data())
+def test_tensor_apply_pair_path_matches_the_slicing_loop(slot, coeffs, data):
+    pair_terms = st.dictionaries(st.tuples(small_labels, small_labels), coeffs, max_size=5)
+    t = LinComb(TT, data.draw(pair_terms))
+    table = data.draw(st.dictionaries(small_labels, pair_terms, max_size=4))
+
+    def rule(label):
+        return LinComb("u(x)u", table.get(label, {((), label): 1}))
+
+    out = tensor_apply(t, slot, rule)
+    expected = _slicing_tensor_apply(t, slot, rule)
+    assert out == expected and list(out.terms) == list(expected.terms)
+    assert _no_zeros(out)

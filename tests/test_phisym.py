@@ -37,15 +37,30 @@ def test_cyclic_shuffle_rejects_overlap():
         phisym.cyclic_shuffle((1, 2), (2, 3))
 
 
+def _cycles_on(support):
+    first, *rest = support
+    return [(first, *order) for order in itertools.permutations(rest)]
+
+
 def test_cyclic_shuffle_against_rotation_closure_oracle():
-    # independent route: shuffle one fixed rotation pair, then close by rotation
-    for c1, c2 in [((1, 2), (3, 4)), ((1, 3, 2), (4, 5)), ((1,), (2, 3))]:
-        words = set()
-        for w1 in cycle_words(c1):
-            for w2 in cycle_words(c2):
-                words.update(shuffle(w1, w2))
-        closed = {cycle_from_word(w) for w in words}
-        assert phisym.cyclic_shuffle(c1, c2) == frozenset(closed)
+    # independent route: shuffle every pair of rotations, then read each word
+    # as a cycle; over every cycle pair of total length up to 6
+    pairs = 0
+    for total in range(2, 7):
+        ground = range(1, total + 1)
+        for size in range(1, total):
+            for s1 in itertools.combinations(ground, size):
+                s2 = tuple(i for i in ground if i not in s1)
+                for c1 in _cycles_on(s1):
+                    for c2 in _cycles_on(s2):
+                        words = set()
+                        for w1 in cycle_words(c1):
+                            for w2 in cycle_words(c2):
+                                words.update(shuffle(w1, w2))
+                        closed = {cycle_from_word(w) for w in words}
+                        assert phisym.cyclic_shuffle(c1, c2) == frozenset(closed), (c1, c2)
+                        pairs += 1
+    assert pairs == 678  # sum over n, k of C(n, k) (k - 1)! (n - k - 1)!
 
 
 def test_matching_product_worked_example():
