@@ -20,7 +20,7 @@ from typing import Callable
 from .axioms import GradedBasis
 from .lincomb import LinComb, tensor_kind
 from .realize import oracle_product_check
-from .words import Word, endofunctions, inverse, is_connected, shifted_concat, shuffle
+from .words import Word, cut_points, endofunctions, inverse, is_connected, shifted_concat, shuffle
 
 M_KIND = "eqsym:M"
 S_KIND = "eqsym:S"
@@ -93,21 +93,13 @@ def product_M_conjugation(f: Word, g: Word) -> LinComb:
 def coproduct_M(h: Word) -> LinComb:
     """Sum of M_u (x) M_v over the cuts of h = u . v; every cut is distinct.
 
-    The cuts are those of :func:`~hopfcomb.words.cut_points`, found inline in
-    one scan: an interior k is a cut when max(h[:k]) <= k < min(h[k:]), read
-    off a running prefix maximum and a precomputed suffix minimum.  The
-    trivial cuts 0 and len(h) reuse h.
+    The cuts are those of :func:`~hopfcomb.words.cut_points`; the trivial
+    cuts 0 and len(h) reuse h.
     """
-    n = len(h)
     terms = {((), h): 1}
-    if n:
-        tail_min = list(itertools.accumulate(reversed(h), min))  # [j] = min(h[n-1-j:])
-        head_max = 0
-        for k in range(1, n):
-            if h[k - 1] > head_max:
-                head_max = h[k - 1]
-            if head_max <= k < tail_min[n - 1 - k]:
-                terms[(h[:k], tuple(a - k for a in h[k:]))] = 1
+    for k in cut_points(h)[1:-1]:
+        terms[(h[:k], tuple(a - k for a in h[k:]))] = 1
+    if h:
         terms[(h, ())] = 1
     return LinComb._owned(M_TENSOR_KIND, terms)
 

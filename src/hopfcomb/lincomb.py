@@ -194,33 +194,18 @@ def twisted_tensor_mul(
 
 
 def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
-    """Apply a label -> LinComb map inside one slot of a tensor, flattening.
+    """Apply a label -> LinComb map inside one slot of a 2-tensor, flattening.
 
-    Used to form (Delta (x) id) Delta and friends: ``rule`` returns 2-tensors,
-    and the result has labels one tuple-entry longer at ``slot``.  On a
-    2-tensor the new labels are built directly, without slicing.
+    Used to form (Delta (x) id) Delta and (id (x) Delta) Delta: ``t`` and the
+    values of ``rule`` are 2-tensors, and each result label ``(u, x, y)``
+    (slot 1) or ``(x, y, v)`` (slot 0) is a 3-tensor label built directly.
     """
     out_terms: dict = {}
-    kind = None
-    if slot in (0, 1) and t.kind.count("(x)") == 1:
-        for (u, v), c in t.terms.items():
-            expanded = rule(v if slot else u)
-            kind = expanded.kind
-            if slot:
-                for (x, y), ci in expanded.terms.items():
-                    key = (u, x, y)
-                    out_terms[key] = out_terms.get(key, 0) + c * ci
-            else:
-                for (x, y), ci in expanded.terms.items():
-                    key = (x, y, v)
-                    out_terms[key] = out_terms.get(key, 0) + c * ci
-    else:
-        for label, c in t.terms.items():
-            expanded = rule(label[slot])
-            kind = expanded.kind
-            for inner, ci in expanded.terms.items():
-                new_label = label[:slot] + inner + label[slot + 1 :]
-                out_terms[new_label] = out_terms.get(new_label, 0) + c * ci
-    base = kind.split("(x)")[0] if kind else t.kind.split("(x)")[0]
-    factors = t.kind.count("(x)") + 2
-    return LinComb(tensor_kind(base, factors), out_terms)
+    kind = t.kind
+    for (u, v), c in t.terms.items():
+        expanded = rule(v if slot else u)
+        kind = expanded.kind
+        for (x, y), ci in expanded.terms.items():
+            key = (u, x, y) if slot else (x, y, v)
+            out_terms[key] = out_terms.get(key, 0) + c * ci
+    return LinComb(tensor_kind(kind.split("(x)")[0], 3), out_terms)

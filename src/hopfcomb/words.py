@@ -136,7 +136,10 @@ def cut_points(h: Sequence[int]) -> list[int]:
     n = len(h)
     tail_min = list(itertools.accumulate(reversed(h), min))  # [j] = min(h[n-1-j:])
     cuts = [0]
-    for k, head_max in enumerate(itertools.accumulate(h[:-1], max), start=1):
+    head_max = 0
+    for k in range(1, n):
+        if h[k - 1] > head_max:
+            head_max = h[k - 1]
         if head_max <= k < tail_min[n - 1 - k]:
             cuts.append(k)
     if n > 0:

@@ -202,7 +202,7 @@ def test_tensor_apply_accumulates_without_zero_terms(u):
 
 
 def _slicing_tensor_apply(t, slot, rule):
-    """The generic loop of ``tensor_apply``: splice each value into the label."""
+    """Oracle for ``tensor_apply``: splice each value into the label by slicing."""
     terms: dict = {}
     kind = None
     for label, c in t.terms.items():
