@@ -196,7 +196,7 @@ def _counit_sides(alg: GradedBasis, cop: LinComb) -> tuple[LinComb, LinComb]:
             left[v] = left.get(v, 0) + c
         if v == alg.unit_label:
             right[u] = right.get(u, 0) + c
-    return LinComb(alg.kind, left), LinComb(alg.kind, right)
+    return LinComb._summed(alg.kind, left), LinComb._summed(alg.kind, right)
 
 
 def _pair_cases(sweep: _Sweep) -> Cases:

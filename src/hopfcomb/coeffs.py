@@ -27,17 +27,24 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _normal(cls, coeffs: tuple) -> "QPoly":
+        """Wrap a tuple already in normal form: its last entry, if any, is nonzero."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     @staticmethod
     def gen() -> "QPoly":
         return QPoly((0, 1))
 
     @staticmethod
     def const(n: int) -> "QPoly":
-        return QPoly((n,))
+        return QPoly._normal((n,) if n else ())
 
     @staticmethod
     def monomial(exponent: int, coeff: int = 1) -> "QPoly":
-        return QPoly((0,) * exponent + (coeff,))
+        return QPoly._normal((0,) * exponent + (coeff,) if coeff else ())
 
     @staticmethod
     def coerce(value: "QPoly | int") -> "QPoly":
@@ -62,16 +69,19 @@ class QPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "QPoly | int") -> "QPoly":
-        other = QPoly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return QPoly([x + y for x, y in zip(a, b)])
+        a = self.coeffs
+        b = QPoly.coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(a) == len(b):
+            # only equal lengths can cancel the top coefficient
+            return QPoly([x + y for x, y in zip(a, b)])
+        return QPoly._normal(tuple([x + y for x, y in zip(a, b)]) + a[len(b):])
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return QPoly._normal(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "QPoly | int") -> "QPoly":
         return self + (-QPoly.coerce(other))
@@ -80,15 +90,23 @@ class QPoly:
         return QPoly.const(other) - self
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
-        other = QPoly.coerce(other)
-        if not self or not other:
-            return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
+        # a product of nonzero integer polynomials keeps a nonzero top
+        # coefficient, so the result needs no trailing-zero strip
+        a = self.coeffs
+        b = QPoly.coerce(other).coeffs
+        if not a or not b:
+            return QPoly._normal(())
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            return QPoly._normal(tuple([c * x for x in a]))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return QPoly._normal(tuple(out))
 
     __rmul__ = __mul__
 

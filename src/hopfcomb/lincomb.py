@@ -29,6 +29,19 @@ class LinComb:
         out.terms = terms
         return out
 
+    @classmethod
+    def _summed(cls, kind: str, terms: dict) -> "LinComb":
+        """Wrap a dict of sums as :meth:`_owned` does, first deleting in place
+        the coefficients that cancelled to zero.
+
+        Only for a dict the caller has just built and that nothing else
+        holds or will mutate.
+        """
+        if not all(terms.values()):
+            for label in [label for label, c in terms.items() if not c]:
+                del terms[label]
+        return cls._owned(kind, terms)
+
     @staticmethod
     def basis(kind: str, label, coeff=1) -> "LinComb":
         return LinComb._owned(kind, {label: coeff}) if coeff else LinComb(kind)
@@ -72,7 +85,7 @@ class LinComb:
                 terms[label] = new
             else:
                 terms.pop(label, None)
-        return LinComb(self.kind, terms)
+        return LinComb._owned(self.kind, terms)
 
     def __neg__(self) -> "LinComb":
         return LinComb(self.kind, {label: -c for label, c in self.terms.items()})
@@ -126,7 +139,7 @@ def _sum_scaled(pieces: Iterable[tuple[LinComb, object]], empty_kind: str) -> Li
             raise ValueError(f"mixing label kinds {kind!r} and {piece.kind!r}")
         for label, c in piece.terms.items():
             terms[label] = terms.get(label, 0) + scalar * c
-    return LinComb(empty_kind if kind is None else kind, terms)
+    return LinComb._summed(empty_kind if kind is None else kind, terms)
 
 
 def pairing(x: LinComb, y: LinComb):
@@ -153,11 +166,11 @@ def tensor(x: LinComb, y: LinComb) -> LinComb:
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
             terms[(a, b)] = terms.get((a, b), 0) + ca * cb
-    return LinComb(kind, terms)
+    return LinComb._summed(kind, terms)
 
 
 def tensor_swap(t: LinComb) -> LinComb:
-    return LinComb(t.kind, {(b, a): c for (a, b), c in t.terms.items()})
+    return LinComb._owned(t.kind, {(b, a): c for (a, b), c in t.terms.items()})
 
 
 def tensor_mul(t1: LinComb, t2: LinComb, product: Callable) -> LinComb:
@@ -190,7 +203,7 @@ def twisted_tensor_mul(
                 for lb, clb in right.terms.items():
                     key = (la, lb)
                     terms[key] = terms.get(key, 0) + coeff * cla * clb
-    return LinComb(t1.kind, terms)
+    return LinComb._summed(t1.kind, terms)
 
 
 def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
@@ -208,4 +221,4 @@ def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
         for (x, y), ci in expanded.terms.items():
             key = (u, x, y) if slot else (x, y, v)
             out_terms[key] = out_terms.get(key, 0) + c * ci
-    return LinComb(tensor_kind(kind.split("(x)")[0], 3), out_terms)
+    return LinComb._summed(tensor_kind(kind.split("(x)")[0], 3), out_terms)

@@ -14,7 +14,7 @@ import pytest
 from hopfcomb import eqsym, parkfunc, phisym, sgqsym
 from hopfcomb.axioms import duality_check, graded_pairs, hopf_check
 from hopfcomb.lincomb import LinComb
-from hopfcomb.words import word_from_text
+from hopfcomb.words import set_partition_from_text, word_from_text
 
 W = word_from_text
 
@@ -166,6 +166,61 @@ def test_first_counterexample_of_every_axiom(name):
     rules = {rule: corrupt(getattr(alg, rule), label, edit)
              for rule, (label, edit) in breaks.items()}
     assert report_of(replace(alg, **rules), 4) == HOPF_EXPECTED[name]
+
+
+def drop_first(terms):
+    terms.pop(min(terms, key=repr))
+    return terms
+
+
+def lossy(product, edit):
+    """``product`` with ``edit`` applied to every product of two nonempty labels."""
+
+    def broken(a, b):
+        out = product(a, b)
+        return LinComb(out.kind, edit(dict(out.terms))) if a and b else out
+
+    return broken
+
+
+P = set_partition_from_text
+
+# Recorded with the filtering enumerators (every endofunction tested for the
+# parking property), so a generator that visits labels in another order moves
+# a pin: wsym's degree-2 labels come as {12} then {1|2}, cpqsym's degree-3
+# labels start 111, 112, 113.
+LOSSY_EXPECTED = {
+    ("cpqsym", "drop_first"): {
+        "associativity": (W("1"), W("1"), W("11")), "unit": OK,
+        "coassociativity": OK, "counit": OK, "compatibility": (W("1"), W("1")),
+        "commutativity": OK, "cocommutativity": (W("113"),),
+    },
+    ("cpqsym", "drop_last"): {
+        "associativity": (W("1"), W("1"), W("11")), "unit": OK,
+        "coassociativity": OK, "counit": OK, "compatibility": (W("1"), W("1")),
+        "commutativity": OK, "cocommutativity": (W("113"),),
+    },
+    ("wsym", "drop_first"): {
+        "associativity": (P("{1}"), P("{1}"), P("{1}")), "unit": OK,
+        "coassociativity": OK, "counit": OK,
+        "compatibility": (P("{1}"), P("{1|2}")),
+        "commutativity": (P("{1}"), P("{1,2}")), "cocommutativity": OK,
+    },
+    ("wsym", "drop_last"): {
+        "associativity": (P("{1}"), P("{1}"), P("{1}")), "unit": OK,
+        "coassociativity": OK, "counit": OK, "compatibility": (P("{1}"), P("{1}")),
+        "commutativity": (P("{1}"), P("{1,2}")), "cocommutativity": OK,
+    },
+}
+
+
+@pytest.mark.parametrize("name, edit", [
+    (name, edit) for name in ("cpqsym", "wsym") for edit in (drop_first, drop_last)
+], ids=lambda v: getattr(v, "__name__", v))
+def test_lossy_product_counterexamples_follow_label_order(name, edit):
+    alg = {"cpqsym": parkfunc.algebra, "wsym": sgqsym.wsym_algebra}[name]()
+    lossy_alg = replace(alg, product=lossy(alg.product, edit))
+    assert report_of(lossy_alg, 5) == LOSSY_EXPECTED[name, edit.__name__]
 
 
 def test_report_keeps_its_key_order():

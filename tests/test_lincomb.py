@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,39 @@ def test_qpoly_ring_axioms(a, b, c):
     assert a + QPoly() == a
     assert a * QPoly.const(1) == a
     assert a - a == QPoly()
+
+
+def _raw_op(op, xs, ys):
+    """``op`` on raw coefficient lists, normalised only at the end by the constructor."""
+    if op == "*":
+        out = [0] * max(len(xs) + len(ys) - 1, 0)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                out[i + j] += x * y
+    else:
+        sign = 1 if op == "+" else -1
+        out = [x + sign * y for x, y in itertools.zip_longest(xs, ys, fillvalue=0)]
+    return QPoly(out).coeffs
+
+
+raw_coeffs = st.lists(st.integers(-3, 3), max_size=5)
+
+
+@given(raw_coeffs, raw_coeffs, st.integers(0, 5), st.integers(-3, 3))
+def test_qpoly_arithmetic_matches_the_normalising_constructor(xs, noise, keep, k):
+    # ys agrees with -xs above position ``keep``, so sums cancel from the top
+    ys = noise[:keep] + [-x for x in xs[keep:]]
+    a, b = QPoly(xs), QPoly(ys)
+    assert (a + b).coeffs == _raw_op("+", xs, ys)
+    assert (a - b).coeffs == _raw_op("-", xs, ys)
+    assert (b - a).coeffs == _raw_op("-", ys, xs)
+    assert (a * b).coeffs == _raw_op("*", xs, ys)
+    assert (a == b) == (QPoly(xs).coeffs == QPoly(ys).coeffs)
+    for op, left, right in (("+", a + k, k + a), ("*", a * k, k * a)):
+        assert left.coeffs == right.coeffs == _raw_op(op, xs, [k])
+    assert (a - k).coeffs == _raw_op("-", xs, [k])
+    assert (k - a).coeffs == _raw_op("-", [k], xs)
+    assert (a == k) == (k == a) == (a.coeffs == QPoly([k]).coeffs)
 
 
 @given(qpolys, st.integers(-3, 3))

@@ -17,17 +17,23 @@ from hopfcomb.words import (
     descent_composition,
     enumerate_family,
     from_cycles,
+    initial_words,
     inverse,
     inversions,
+    involutions,
     is_connected,
+    is_initial,
     is_involution,
     is_parking,
     multiset_splits,
+    nondecreasing_parking_functions,
     ordered_cycle_type,
+    parking_functions,
     partition_of_word,
     permutations,
     set_partition_from_text,
     set_partition_to_text,
+    set_partitions,
     shifted_concat,
     shifted_shuffle,
     shuffle,
@@ -147,11 +153,78 @@ def test_enumeration_counts():
 def test_enumeration_guard():
     with pytest.raises(LimitExceeded):
         list(enumerate_family("endofunctions", 9))
+    # refused when called, before the first item is drawn
+    for family, n in (("parking", 9), ("initial_words", 9), ("involutions", 11)):
+        with pytest.raises(LimitExceeded):
+            enumerate_family(family, n)
     limits = Limits(endofunctions=2)
     with pytest.raises(LimitExceeded):
         list(enumerate_family("endofunctions", 3, limits))
     with pytest.raises(ValueError):
         enumerate_family("no-such-family", 2)
+
+
+# The filters the generators replaced, kept as oracles: each generator must
+# stream the same list in the same order, since sweep counterexamples are
+# reported in label order.
+
+def _filtered_words(n, keep):
+    return [w for w in itertools.product(range(1, n + 1), repeat=n) if keep(w)]
+
+
+def _recursive_set_partitions(n):
+    def rec(i, blocks):
+        if i > n:
+            yield canonical_set_partition(blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    return list(rec(1, []))
+
+
+def _recursive_nondecreasing_parking(n):
+    def rec(prefix):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for a in range(prefix[-1] if prefix else 1, len(prefix) + 2):
+            prefix.append(a)
+            yield from rec(prefix)
+            prefix.pop()
+
+    return list(rec([]))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_parking_functions_match_the_filter_in_order(n):
+    assert list(parking_functions(n)) == _filtered_words(n, is_parking)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_initial_words_match_the_filter_in_order(n):
+    assert list(initial_words(n)) == _filtered_words(n, is_initial)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_involutions_match_the_filter_in_order(n):
+    expected = [w for w in itertools.permutations(range(1, n + 1)) if is_involution(w)]
+    assert list(involutions(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_set_partitions_match_the_canonicalizing_recursion_in_order(n):
+    assert list(set_partitions(n)) == _recursive_set_partitions(n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_nondecreasing_parking_functions_match_the_recursion_in_order(n):
+    assert list(nondecreasing_parking_functions(n)) == _recursive_nondecreasing_parking(n)
 
 
 def test_parking_predicate():
