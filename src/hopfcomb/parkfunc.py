@@ -59,60 +59,54 @@ def algebra() -> GradedBasis:
 # ---------------------------------------------------------------------------
 # functional-graph certificates
 
-def _cyclic_nodes(p: Word) -> set[int]:
-    n = len(p)
-    landing = set()
-    for start in range(1, n + 1):
-        cur = start
-        for _ in range(n):
-            cur = p[cur - 1]
-        landing.add(cur)
-    return landing
-
-
-def _tree_canons(p: Word, cyclic: set[int]) -> dict[int, tuple]:
-    n = len(p)
-    children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for u in range(1, n + 1):
-        if u not in cyclic:
-            children[p[u - 1]].append(u)
-
-    canon: dict[int, tuple] = {}
-
-    def visit(v: int) -> tuple:
-        if v not in canon:
-            canon[v] = tuple(sorted(visit(u) for u in children[v]))
-        return canon[v]
-
-    for v in range(1, n + 1):
-        visit(v)
-    return canon
-
-
 def graph_certificate(p: Word) -> tuple:
     """Canonical form of the functional graph up to relabelling.
 
     Components are directed cycles of rooted trees; trees canonize as nested
     sorted tuples and each cycle takes its lexicographically minimal rotation.
+
+    One pass finds the cycles: a walk from each unvisited node marks the
+    nodes it meets with its start until it reaches a marked node, which
+    closes a new cycle when the walk itself marked it.  The walk's nodes
+    before the cycle hang as children below their images.
     """
-    cyclic = _cyclic_nodes(p)
-    canon = _tree_canons(p, cyclic)
-    seen: set[int] = set()
-    components = []
-    for v in sorted(cyclic):
-        if v in seen:
+    n = len(p)
+    image = (0, *p)
+    mark = [0] * (n + 1)
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    cycles = []
+    for start in range(1, n + 1):
+        if mark[start]:
             continue
-        orbit = [v]
-        seen.add(v)
-        cur = p[v - 1]
-        while cur != v:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = p[cur - 1]
-        seq = tuple(canon[u] for u in orbit)
-        rotations = [seq[k:] + seq[:k] for k in range(len(seq))]
-        components.append(min(rotations))
-    return tuple(sorted(components))
+        path = []
+        v = start
+        while not mark[v]:
+            mark[v] = start
+            path.append(v)
+            v = image[v]
+        if mark[v] == start:
+            k = path.index(v)
+            cycles.append(path[k:])
+            del path[k:]
+        for u in path:
+            children[image[u]].append(u)
+
+    def canon(v: int) -> tuple:
+        kids = children[v]
+        if not kids:
+            return ()
+        if len(kids) == 1:
+            return (canon(kids[0]),)
+        return tuple(sorted(map(canon, kids)))
+
+    components = []
+    for cycle in cycles:
+        seq = tuple(map(canon, cycle))
+        if len(seq) > 1:
+            seq = min(seq[k:] + seq[:k] for k in range(len(seq)))
+        components.append(seq)
+    components.sort()
+    return tuple(components)
 
 
 def tree_text(t: tuple) -> str:

@@ -8,6 +8,8 @@ with class censuses by descent compositions and by binary trees.
 from __future__ import annotations
 
 import itertools
+from functools import partial
+from typing import Iterator
 
 from .coeffs import QPoly
 from .lincomb import LinComb, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
@@ -19,6 +21,7 @@ from .words import (
     Word,
     connected_factorization,
     descent_composition,
+    enumerate_family,
     inversions,
     permutations,
     shifted_shuffle,
@@ -184,28 +187,39 @@ def _qs_applicable(w: Word, i: int) -> bool:
 _SYSTEMS = {"qH": _qh_applicable, "qS": _qs_applicable}
 
 
+def _applicable(system: str):
+    if system not in _SYSTEMS:
+        raise ValueError(f"unknown rewriting system {system!r}")
+    return _SYSTEMS[system]
+
+
+def _positions(w: Word, applicable) -> Iterator[int]:
+    """Positions of w where a rewrite step applies, in increasing order."""
+    return filter(partial(applicable, w), range(len(w) - 1))
+
+
+def _swap(w: Word, i: int) -> Word:
+    return w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+
+
 def rewrite_steps(w: Word, system: str) -> list[Word]:
-    applicable = _SYSTEMS[system]
-    return [
-        w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-        for i in range(len(w) - 1)
-        if applicable(w, i)
-    ]
+    return [_swap(w, i) for i in _positions(w, _applicable(system))]
 
 
 def q_rewrite(w: Word, system: str) -> tuple[Word, int]:
-    """Normal form with the accumulated q exponent (one per swap)."""
-    if system not in _SYSTEMS:
-        raise ValueError(f"unknown rewriting system {system!r}")
+    """Normal form with the accumulated q exponent (one per swap).
+
+    Each step is the first one ``rewrite_steps`` lists: the swap at the
+    least applicable position.
+    """
+    applicable = _applicable(system)
     guard("rewrite_length", len(w))
     exponent = 0
     current = tuple(w)
-    while True:
-        steps = rewrite_steps(current, system)
-        if not steps:
-            return current, exponent
-        current = steps[0]
+    while (i := next(_positions(current, applicable), None)) is not None:
+        current = _swap(current, i)
         exponent += 1
+    return current, exponent
 
 
 def confluence_check(system: str, length: int, n_letters: int) -> tuple[bool, Word | None]:
@@ -230,8 +244,21 @@ def confluence_check(system: str, length: int, n_letters: int) -> tuple[bool, Wo
 
 
 def class_census(system: str, n: int) -> int:
-    """Number of rewriting classes of permutations, forgetting q powers."""
-    return len({q_rewrite(sigma, system)[0] for sigma in permutations(n)})
+    """Number of rewriting classes of permutations, forgetting q powers.
+
+    This counts the irreducible permutations of size n: those where no
+    rewrite step applies.  A step swaps two adjacent letters, so rewriting
+    a permutation gives a permutation, and ``q_rewrite`` stops exactly at
+    an irreducible word; an irreducible permutation is its own normal form.
+    So the normal forms of S_n are exactly its irreducible permutations,
+    and one applicability scan per permutation counts them.
+    """
+    applicable = _applicable(system)
+    return sum(
+        1
+        for sigma in enumerate_family("permutations", n)
+        if next(_positions(sigma, applicable), None) is None
+    )
 
 
 # ---------------------------------------------------------------------------

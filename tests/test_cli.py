@@ -192,6 +192,15 @@ def test_verify_refuses_degrees_beyond_the_family_bound(algebra, degree):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("family", ["hypoplactic-q-classes", "sylvester-q-classes"])
+def test_census_counts_refuse_sizes_beyond_the_permutation_bound(family):
+    start = time.perf_counter()
+    code, out, err = run_cli("count", "--family", family, "10")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("argv, env, knob", [
     (["--max-degree", "0"], None, "--max-degree"),
     (["--max-degree", "-2"], None, "--max-degree"),

@@ -68,6 +68,66 @@ def test_certificates_decide_graph_isomorphism():
                 assert same == isomorphic(p, q), (p, q)
 
 
+def _cyclic_nodes(p):
+    """Nodes on cycles: where n steps from every start land."""
+    n = len(p)
+    landing = set()
+    for start in range(1, n + 1):
+        cur = start
+        for _ in range(n):
+            cur = p[cur - 1]
+        landing.add(cur)
+    return landing
+
+
+def _tree_canons(p, cyclic):
+    n = len(p)
+    children = {v: [] for v in range(1, n + 1)}
+    for u in range(1, n + 1):
+        if u not in cyclic:
+            children[p[u - 1]].append(u)
+    canon = {}
+
+    def visit(v):
+        if v not in canon:
+            canon[v] = tuple(sorted(visit(u) for u in children[v]))
+        return canon[v]
+
+    for v in range(1, n + 1):
+        visit(v)
+    return canon
+
+
+def _graph_certificate_by_iteration(p):
+    """The certificate with the cycles found by iterating p n times from
+    every start: the independent route for the one-pass certificate."""
+    cyclic = _cyclic_nodes(p)
+    canon = _tree_canons(p, cyclic)
+    seen = set()
+    components = []
+    for v in sorted(cyclic):
+        if v in seen:
+            continue
+        orbit = [v]
+        seen.add(v)
+        cur = p[v - 1]
+        while cur != v:
+            orbit.append(cur)
+            seen.add(cur)
+            cur = p[cur - 1]
+        seq = tuple(canon[u] for u in orbit)
+        components.append(min(seq[k:] + seq[:k] for k in range(len(seq))))
+    return tuple(sorted(components))
+
+
+def test_certificate_matches_the_iteration_route():
+    labels = itertools.chain(
+        *(endofunctions(n) for n in range(6)), parking_functions(6)
+    )
+    for p in labels:
+        assert parkfunc.graph_certificate(p) == _graph_certificate_by_iteration(p), p
+
+
 def test_unlabelled_product_matches_brute_expansion():
     certs = [
         parkfunc.graph_certificate(W("1")),

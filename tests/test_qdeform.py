@@ -4,6 +4,7 @@ import pytest
 
 from hopfcomb import qdeform
 from hopfcomb.coeffs import QPoly
+from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_kind, tensor_swap, twisted_tensor_mul
 from hopfcomb.words import inversions, permutations, standardize, word_from_text as W
 
@@ -164,6 +165,50 @@ def test_confluence_small():
 def test_class_censuses():
     assert [qdeform.class_census("qS", n) for n in range(1, 6)] == [1, 2, 5, 14, 42]
     assert [qdeform.class_census("qH", n) for n in range(1, 7)] == [1, 2, 4, 8, 16, 32]
+
+
+def _rewrite_by_listed_steps(w, system):
+    exponent = 0
+    while steps := qdeform.rewrite_steps(w, system):
+        w = steps[0]
+        exponent += 1
+    return w, exponent
+
+
+@pytest.mark.parametrize("system", ["qH", "qS"])
+def test_q_rewrite_takes_the_first_listed_step(system):
+    for length in range(7):
+        for w in itertools.product((1, 2, 3, 4), repeat=length):
+            assert qdeform.q_rewrite(w, system) == _rewrite_by_listed_steps(w, system), w
+
+
+@pytest.mark.parametrize("system", ["qH", "qS"])
+def test_class_census_matches_rewriting(system):
+    for n in range(8):
+        normal_forms = {qdeform.q_rewrite(sigma, system)[0] for sigma in permutations(n)}
+        assert qdeform.class_census(system, n) == len(normal_forms), n
+
+
+@pytest.mark.parametrize("system", ["qH", "qS"])
+def test_normal_forms_are_the_irreducible_permutations(system):
+    for n in range(7):
+        normal_forms = {qdeform.q_rewrite(sigma, system)[0] for sigma in permutations(n)}
+        irreducible = {
+            sigma for sigma in permutations(n) if not qdeform.rewrite_steps(sigma, system)
+        }
+        assert normal_forms == irreducible, n
+
+
+def test_class_census_edge_cases():
+    for system in ("qH", "qS"):
+        assert qdeform.class_census(system, 0) == 1
+        assert qdeform.class_census(system, 1) == 1
+        with pytest.raises(ValueError):
+            qdeform.class_census(system, -1)
+        with pytest.raises(LimitExceeded):
+            qdeform.class_census(system, 10)
+    with pytest.raises(ValueError):
+        qdeform.class_census("zz", 3)
 
 
 def test_qh_classes_are_recoil_classes():
