@@ -262,9 +262,16 @@ def _realized(sigma: Word, n_trunc: int) -> LinComb:
 
 
 def biword_product_check(sigma: Word, tau: Word, n_trunc: int | None = None) -> bool:
-    """The concatenated biword realization equals the matching-product rule."""
+    """The concatenated biword realization equals the matching-product rule.
+
+    The truncation must be at least the total degree: below it, the
+    permutations with more cycles than letters have no biwords, so a
+    dropped term can go unseen.
+    """
     if n_trunc is None:
         n_trunc = len(sigma) + len(tau)
+    if n_trunc < len(sigma) + len(tau):
+        raise ValueError("truncation too small to separate degree-(n+m) labels")
     lhs = biword_mul(_realized(sigma, n_trunc), _realized(tau, n_trunc))
     rhs = product_phi(sigma, tau).apply(lambda gamma: _realized(gamma, n_trunc), kind=BIWORD_KIND)
     return lhs == rhs

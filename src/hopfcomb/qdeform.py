@@ -8,7 +8,7 @@ with class censuses by descent compositions and by binary trees.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterator
 
 from .coeffs import QPoly
@@ -148,15 +148,27 @@ def phi_lincomb(x: LinComb) -> LinComb:
     return x.apply(phi_map, kind=QF_KIND)
 
 
+@lru_cache(maxsize=None)
+def _fundamental(comp: Composition, n_trunc: int) -> LinComb:
+    return realize_fundamental(comp, n_trunc)
+
+
 def phi_realized(x: LinComb, n_trunc: int) -> LinComb:
     """Evaluate an image of phi in the ring of q-commuting variables."""
-    return x.apply(lambda comp: realize_fundamental(comp, n_trunc), kind=QMONO_KIND)
+    return x.apply(lambda comp: _fundamental(comp, n_trunc), kind=QMONO_KIND)
 
 
 def phi_morphism_check(alpha: Word, beta: Word, n_trunc: int | None = None) -> bool:
-    """phi(F_alpha F_beta) = phi(F_alpha) phi(F_beta) at a faithful truncation."""
+    """phi(F_alpha F_beta) = phi(F_alpha) phi(F_beta) at a faithful truncation.
+
+    The truncation must be at least the total degree: below it, the
+    fundamentals with more parts than letters vanish, so a dropped term
+    can go unseen.
+    """
     if n_trunc is None:
         n_trunc = len(alpha) + len(beta) + 1
+    if n_trunc < len(alpha) + len(beta):
+        raise ValueError("truncation too small to separate degree-(n+m) labels")
     lhs = phi_realized(phi_lincomb(product_F(alpha, beta)), n_trunc)
     rhs = qvar_mul(
         phi_realized(phi_map(alpha), n_trunc),

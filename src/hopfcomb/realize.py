@@ -8,10 +8,24 @@ Three rings, all exact and finite at truncation N:
   arrays;
 - a ring of q-commuting variables where out-of-order products reorder at
   the cost of one power of q per swap.
+
+Each realization generates its terms from its own definition rather than
+filtering a larger set: ``realize_phi`` builds a permutation's biword class
+cycle by cycle, and ``qvar_mul`` multiplies integer coefficient lists.  The
+brute-force filters they replaced survive only in the tests, as their
+oracles.
+
+A product check is faithful only when the truncation N is at least the
+total degree n + m: below it, labels of the product have no realization
+and a dropped term goes unseen.  ``oracle_product_check`` here,
+``phisym.biword_product_check`` and ``qdeform.phi_morphism_check`` raise
+``ValueError`` for such an N; the last two default to n + m and n + m + 1.
 """
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .coeffs import QPoly
@@ -20,7 +34,8 @@ from .words import (
     Cycle,
     Word,
     cycle_from_word,
-    cycle_supports,
+    cycles,
+    from_cycles,
     inverse,
     partition_of_word,
     standardize,
@@ -110,12 +125,13 @@ Biword = tuple[Word, Word]
 
 
 def biword_mul(x: LinComb, y: LinComb) -> LinComb:
+    right = list(y.terms.items())
     out: dict[Biword, int] = {}
     for (xa, aa), ca in x.terms.items():
-        for (xb, ab), cb in y.terms.items():
+        for (xb, ab), cb in right:
             key = (xa + xb, aa + ab)
             out[key] = out.get(key, 0) + ca * cb
-    return LinComb(BIWORD_KIND, out)
+    return LinComb._summed(BIWORD_KIND, out)
 
 
 def cycle_of_subword(a_sub: Sequence[int]) -> Cycle:
@@ -133,24 +149,51 @@ def classify_biword(top: Word, bottom: Word) -> Word:
         std_cycle = cycle_of_subword(sub)
         support = sorted(block)
         assembled.append(tuple(support[v - 1] for v in std_cycle))
-    from .words import from_cycles
-
     return from_cycles(assembled, len(top))
+
+
+@lru_cache(maxsize=None)
+def _cycle_subwords(std_cycle: Cycle, n_trunc: int) -> tuple[Word, ...]:
+    """Words over 1..N whose :func:`cycle_of_subword` is the given cycle on 1..k."""
+    return tuple(
+        w
+        for w in itertools.product(range(1, n_trunc + 1), repeat=len(std_cycle))
+        if cycle_of_subword(w) == std_cycle
+    )
 
 
 def realize_phi(sigma: Word, n_trunc: int) -> LinComb:
     """All truncated biwords classifying to sigma: top letters and bottom
-    letters bounded by the truncation."""
-    n = len(sigma)
-    support_partition = cycle_supports(sigma)
-    terms: dict[Biword, int] = {}
-    for top in itertools.product(range(1, n_trunc + 1), repeat=n):
-        if partition_of_word(top) != support_partition:
-            continue
-        for bottom in itertools.product(range(1, n_trunc + 1), repeat=n):
-            if classify_biword(top, bottom) == sigma:
-                terms[(top, bottom)] = 1
-    return LinComb(BIWORD_KIND, terms)
+    letters bounded by the truncation.
+
+    :func:`classify_biword` reads a biword block by block, so sigma's class
+    is a product over its cycles: the top word gives each cycle's support
+    its own letter, and the bottom subword on each support is any word whose
+    cycle is that cycle renumbered onto 1..k.
+    """
+    cyc = cycles(sigma)
+    supports = [sorted(c) for c in cyc]
+    subword_lists = []
+    for c, support in zip(cyc, supports):
+        rank = {a: i for i, a in enumerate(support, start=1)}
+        subword_lists.append(_cycle_subwords(tuple(rank[a] for a in c), n_trunc))
+    # a word is written cycle by cycle, each support in increasing order;
+    # slot[p] is where position p + 1 falls in that writing
+    written = [p for support in supports for p in support]
+    slot = [0] * len(sigma)
+    for k, p in enumerate(written):
+        slot[p - 1] = k
+
+    def word(per_cycle: Iterable[Sequence[int]]) -> Word:
+        flat = [a for part in per_cycle for a in part]
+        return tuple([flat[k] for k in slot])
+
+    tops = [
+        word([letter] * len(c) for letter, c in zip(letters, cyc))
+        for letters in itertools.permutations(range(1, n_trunc + 1), len(cyc))
+    ]
+    bottoms = [word(subwords) for subwords in itertools.product(*subword_lists)]
+    return LinComb._owned(BIWORD_KIND, dict.fromkeys(itertools.product(tops, bottoms), 1))
 
 
 def collect_biwords(x: LinComb) -> LinComb:
@@ -170,19 +213,29 @@ ExponentVector = tuple[int, ...]
 
 
 def qvar_mul(x: LinComb, y: LinComb) -> LinComb:
-    """Product with x_j x_i = q x_i x_j for j > i, results normal ordered."""
-    out: dict[ExponentVector, QPoly] = {}
+    """Product with x_j x_i = q x_i x_j for j > i, results normal ordered.
+
+    Moving x_i^b past x_j^a for j > i costs q^(a*b), so a pair of monomials
+    picks up q^swaps with swaps = sum_i vb[i] * sum(va[i+1:]).  Coefficients
+    accumulate as one integer list per exponent vector.
+    """
+    right = [(vb, QPoly.coerce(cb).coeffs) for vb, cb in y.terms.items()]
+    out: dict[ExponentVector, list[int]] = {}
     for va, ca in x.terms.items():
-        for vb, cb in y.terms.items():
-            swaps = 0
-            for i in range(len(vb)):
-                if vb[i]:
-                    swaps += vb[i] * sum(va[i + 1 :])
-            vec = tuple(a + b for a, b in zip(va, vb))
-            coeff = QPoly.coerce(ca) * QPoly.coerce(cb) * QPoly.monomial(swaps)
-            prev = out.get(vec)
-            out[vec] = coeff if prev is None else prev + coeff
-    return LinComb(QMONO_KIND, out)
+        ca = QPoly.coerce(ca).coeffs
+        suffix = list(itertools.accumulate(reversed(va[1:]), initial=0))[::-1]
+        for vb, cb in right:
+            swaps = sum(map(mul, vb, suffix))
+            vec = tuple(map(add, va, vb))
+            acc = out.setdefault(vec, [])
+            size = swaps + len(ca) + len(cb) - 1
+            if len(acc) < size:
+                acc.extend([0] * (size - len(acc)))
+            for i, a in enumerate(ca, start=swaps):
+                if a:
+                    for j, b in enumerate(cb, start=i):
+                        acc[j] += a * b
+    return LinComb(QMONO_KIND, {vec: QPoly(acc) for vec, acc in out.items()})
 
 
 def realize_fundamental(comp: Sequence[int], n_trunc: int) -> LinComb:

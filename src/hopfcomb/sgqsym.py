@@ -83,22 +83,30 @@ def product_M_splitting(alpha: Word, beta: Word) -> LinComb:
 
 
 def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
-    """Third route: count complementary cycle subsets standardizing to the pair."""
+    """Third route: count complementary cycle subsets standardizing to the pair.
+
+    The count runs over all of S_(n+m), but a split can only succeed when
+    gamma's cycle lengths are alpha's and beta's together and the chosen
+    cycles have alpha's lengths, so only those gammas and subsets are tried.
+    """
     n, m = len(alpha), len(beta)
+    alpha_type = cycle_type(alpha)
+    gamma_type = sort_composition(alpha_type + cycle_type(beta))
     terms: dict[Word, int] = {}
     for gamma in permutations(n + m):
         cyc = cycles(gamma)
+        if sort_composition([len(c) for c in cyc]) != gamma_type:
+            continue
         count = 0
-        for size in range(len(cyc) + 1):
-            for chosen in itertools.combinations(range(len(cyc)), size):
-                if sum(len(cyc[i]) for i in chosen) != n:
-                    continue
-                rest = tuple(i for i in range(len(cyc)) if i not in chosen)
-                if (
-                    standardized_cycles(cyc, chosen) == alpha
-                    and standardized_cycles(cyc, rest) == beta
-                ):
-                    count += 1
+        for chosen in itertools.combinations(range(len(cyc)), len(alpha_type)):
+            if sort_composition([len(cyc[i]) for i in chosen]) != alpha_type:
+                continue
+            rest = tuple(i for i in range(len(cyc)) if i not in chosen)
+            if (
+                standardized_cycles(cyc, chosen) == alpha
+                and standardized_cycles(cyc, rest) == beta
+            ):
+                count += 1
         if count:
             terms[gamma] = count
     return LinComb(M_KIND, terms)

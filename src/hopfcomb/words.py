@@ -226,14 +226,23 @@ def from_cycles(cycle_set: Iterable[Cycle], n: int | None = None) -> Word:
 def standardized_cycles(cycle_list: Sequence[Cycle], chosen: Sequence[int]) -> Word:
     """The permutation formed by the chosen cycles, renumbered onto 1..k.
 
+    The cycles of one permutation are disjoint, so the renumbered word is
+    written directly, each letter sent to the rank of its successor.
+
     >>> standardized_cycles(((1, 3), (2,), (4, 5)), (0, 2))
     (2, 1, 4, 3)
     """
     support = sorted(a for i in chosen for a in cycle_list[i])
-    rank = {a: i for i, a in enumerate(support, start=1)}
-    return from_cycles(
-        [tuple(rank[a] for a in cycle_list[i]) for i in chosen], len(support)
-    )
+    rank = {a: i for i, a in enumerate(support)}
+    word = [0] * len(support)
+    for i in chosen:
+        c = cycle_list[i]
+        prev = rank[c[-1]]
+        for a in c:
+            r = rank[a]
+            word[prev] = r + 1
+            prev = r
+    return tuple(word)
 
 
 def cycle_words(c: Cycle) -> list[Cycle]:

@@ -6,9 +6,11 @@ from conftest import lc, tensor_terms
 from hopfcomb import phisym, sgqsym
 from hopfcomb.axioms import hopf_check
 from hopfcomb.lincomb import LinComb, tensor_swap
+from hopfcomb.realize import classify_biword, realize_phi
 from hopfcomb.words import (
     cycle_from_word,
     cycle_words,
+    partition_of_word,
     permutations,
     shifted_concat,
     shuffle,
@@ -220,9 +222,59 @@ def test_biword_oracle_small():
                     assert phisym.biword_product_check(a, b), (a, b)
 
 
-def test_biword_classification_is_total_and_consistent():
-    from hopfcomb.realize import classify_biword, realize_phi
+def test_biword_oracle_rejects_a_truncation_below_the_degree():
+    # at N = 1 the product's two-cycle permutation (12) has no biword
+    with pytest.raises(ValueError):
+        phisym.biword_product_check(W("1"), W("1"), 1)
+    assert phisym.biword_product_check(W("1"), W("1"), 2)
 
+
+def _biword_classes_by_filter(n, n_trunc):
+    """The filter route for all of S_n at once: each of the N^n x N^n biwords
+    goes to the class classify_biword gives it.
+
+    classify_biword reads the top word only through its partition, so every
+    bottom is classified once per partition, against its first top word.
+    """
+    words = list(itertools.product(range(1, n_trunc + 1), repeat=n))
+    tops_by_partition = {}
+    for top in words:
+        tops_by_partition.setdefault(partition_of_word(top), []).append(top)
+    classes = {}
+    for tops in tops_by_partition.values():
+        bottoms_by_class = {}
+        for bottom in words:
+            sigma = classify_biword(tops[0], bottom)
+            bottoms_by_class.setdefault(sigma, []).append(bottom)
+        for sigma, bottoms in bottoms_by_class.items():
+            classes[sigma] = dict.fromkeys(itertools.product(tops, bottoms), 1)
+    return classes
+
+
+def test_realize_phi_matches_the_biword_filter():
+    for n in range(5):
+        for n_trunc in range(1, 6):
+            classes = _biword_classes_by_filter(n, n_trunc)
+            for sigma in permutations(n):
+                assert realize_phi(sigma, n_trunc).terms == classes.get(sigma, {}), (
+                    sigma, n_trunc)
+
+
+def test_cached_biword_realizations_are_not_mutated_by_the_checks():
+    labels = [s for n in range(4) for s in permutations(n)]
+    cached = {s: phisym._realized(s, 3) for s in labels}
+    before = {s: dict(r.terms) for s, r in cached.items()}
+    for i in range(1, 3):
+        for j in range(1, 4 - i):
+            for a in permutations(i):
+                for b in permutations(j):
+                    assert phisym.biword_product_check(a, b, 3)
+    for s, r in cached.items():
+        assert phisym._realized(s, 3) is r
+        assert r.terms == before[s] == realize_phi(s, 3).terms, s
+
+
+def test_biword_classification_is_total_and_consistent():
     n_trunc = 3
     for sigma in permutations(3):
         for (top, bottom) in realize_phi(sigma, n_trunc).terms:

@@ -6,7 +6,14 @@ from hopfcomb import qdeform
 from hopfcomb.coeffs import QPoly
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_kind, tensor_swap, twisted_tensor_mul
-from hopfcomb.words import inversions, permutations, standardize, word_from_text as W
+from hopfcomb.realize import qvar_mul, realize_fundamental
+from hopfcomb.words import (
+    descent_composition,
+    inversions,
+    permutations,
+    standardize,
+    word_from_text as W,
+)
 
 q = QPoly.gen()
 one = QPoly.const(1)
@@ -131,6 +138,60 @@ def test_phi_is_twisted_morphism_degree_4():
             for a in permutations(i):
                 for b in permutations(j):
                     assert qdeform.phi_morphism_check(a, b), (a, b)
+
+
+def test_phi_morphism_check_rejects_a_truncation_below_the_degree():
+    # at N = 1 the fundamental of (1, 1), the image of 21, vanishes
+    with pytest.raises(ValueError):
+        qdeform.phi_morphism_check(W("1"), W("1"), 1)
+    assert qdeform.phi_morphism_check(W("1"), W("1"), 2)
+
+
+def _qvar_mul_by_qpoly_loop(x, y):
+    """The QPoly-by-QPoly product: each pair of monomials times q^swaps."""
+    out = {}
+    for va, ca in x.terms.items():
+        for vb, cb in y.terms.items():
+            swaps = 0
+            for i in range(len(vb)):
+                if vb[i]:
+                    swaps += vb[i] * sum(va[i + 1 :])
+            vec = tuple(a + b for a, b in zip(va, vb))
+            coeff = QPoly.coerce(ca) * QPoly.coerce(cb) * QPoly.monomial(swaps)
+            prev = out.get(vec)
+            out[vec] = coeff if prev is None else prev + coeff
+    return {vec: c for vec, c in out.items() if c}
+
+
+def test_qvar_mul_matches_the_qpoly_loop_on_phi_realizations():
+    # the image of one F_sigma per descent composition (a q-monomial times a
+    # fundamental) and of the sum of all F_sigma of one degree (coefficients
+    # with several q powers)
+    images = []
+    for n in range(5):
+        perms = list(permutations(n))
+        for sigma in {descent_composition(s): s for s in perms}.values():
+            images.append((n, qdeform.phi_realized(qdeform.phi_map(sigma), 6)))
+        total = LinComb(qdeform.F_KIND, {sigma: one for sigma in perms})
+        images.append((n, qdeform.phi_realized(qdeform.phi_lincomb(total), 6)))
+    for n, x in images:
+        for m, y in images:
+            if n + m <= 5:
+                assert qvar_mul(x, y).terms == _qvar_mul_by_qpoly_loop(x, y), (x, y)
+
+
+def test_cached_fundamentals_are_not_mutated_by_the_checks():
+    comps = {descent_composition(s) for n in range(6) for s in permutations(n)}
+    cached = {c: qdeform._fundamental(c, 6) for c in comps}
+    before = {c: dict(r.terms) for c, r in cached.items()}
+    for i in range(1, 4):
+        for j in range(1, 5 - i):
+            for a in permutations(i):
+                for b in permutations(j):
+                    assert qdeform.phi_morphism_check(a, b, 6)
+    for c, r in cached.items():
+        assert qdeform._fundamental(c, 6) is r
+        assert r.terms == before[c] == realize_fundamental(c, 6).terms, c
 
 
 def test_q1_specialization_is_ordinary_coproduct():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,11 +8,13 @@ from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, bilinear, pairing, tensor
 from hopfcomb.words import (
     cycle_type,
+    cycles,
     is_involution,
     is_permutation,
     permutations,
     set_partition_from_text as SP,
     set_partitions,
+    standardized_cycles,
     word_from_text as W,
 )
 
@@ -51,15 +54,53 @@ def test_three_product_implementations_agree():
                     assert p1 == sgqsym.product_M_dual_count(a, b), (a, b)
 
 
-def test_product_routes_agree_on_seeded_degree_7_pairs():
+def _seeded_degree_7_pairs():
     rng = random.Random(7)
     for n in range(1, 7):
         a = tuple(rng.sample(range(1, n + 1), n))
         b = tuple(rng.sample(range(1, 8 - n), 7 - n))
+        yield a, b
+
+
+def test_product_routes_agree_on_seeded_degree_7_pairs():
+    for a, b in _seeded_degree_7_pairs():
         p1 = sgqsym.product_M(a, b)
         assert p1 == sgqsym.product_M_splitting(a, b), (a, b)
         assert p1 == sgqsym.product_M_dual_count(a, b), (a, b)
         assert p1.terms == eqsym.product_M_conjugation(a, b).terms, (a, b)
+
+
+def _dual_counts_by_scan(total):
+    """The unrestricted cycle-subset scan for every pair of total degree
+    ``total`` at once: each gamma of S_total, each subset of its cycles."""
+    table = {}
+    for gamma in permutations(total):
+        cyc = cycles(gamma)
+        for size in range(len(cyc) + 1):
+            for chosen in itertools.combinations(range(len(cyc)), size):
+                rest = tuple(i for i in range(len(cyc)) if i not in chosen)
+                key = (standardized_cycles(cyc, chosen), standardized_cycles(cyc, rest))
+                counts = table.setdefault(key, {})
+                counts[gamma] = counts.get(gamma, 0) + 1
+    return table
+
+
+def test_dual_count_matches_the_unrestricted_scan():
+    by_total = {
+        total: [
+            (a, b)
+            for n in range(total + 1)
+            for a in permutations(n)
+            for b in permutations(total - n)
+        ]
+        for total in range(6)
+    }
+    by_total[7] = list(_seeded_degree_7_pairs())
+    for total, pairs in by_total.items():
+        table = _dual_counts_by_scan(total)
+        for a, b in pairs:
+            expected = table.get((a, b), {})
+            assert sgqsym.product_M_dual_count(a, b).terms == expected, (a, b)
 
 
 def test_coproduct_from_connected_factorization():
