@@ -4,6 +4,14 @@ An algebra is described by a :class:`GradedBasis`: enumeration of basis
 labels per degree plus basis-level product and coproduct rules.  The checker
 verifies each axiom on all basis elements up to a degree bound and reports
 the first counterexample found.
+
+An identity lhs = rhs is checked as one signed sum: lhs is accumulated with
+sign +1 and rhs with sign -1 into one dict, by the accumulate-into forms of
+the ``lincomb`` loops, and the case passes when every coefficient is zero.
+The unit and counit laws compare plain term dicts with ``{a: 1}``.  The
+visiting order, and so every first counterexample, is that of comparing two
+built ``LinComb`` values, and so are the kind rules: a side whose pieces mix
+kinds raises ``ValueError``, and sides of different kinds fail the case.
 """
 from __future__ import annotations
 
@@ -11,7 +19,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
+from .lincomb import (
+    LinComb,
+    _sum_scaled_into,
+    _tensor_apply_into,
+    _twisted_tensor_mul_into,
+    tensor_kind,
+    tensor_swap,
+)
 
 
 @dataclass(frozen=True)
@@ -22,9 +37,6 @@ class GradedBasis:
     basis: Callable          # n -> iterable of labels
     product: Callable        # (label, label) -> LinComb
     coproduct: Callable      # label -> LinComb over pairs
-
-    def element(self, label) -> LinComb:
-        return LinComb.basis(self.kind, label)
 
     def labels_upto(self, bound: int, start: int = 1) -> dict[int, list]:
         return {n: list(self.basis(n)) for n in range(start, bound + 1)}
@@ -147,6 +159,12 @@ class _Sweep:
         return self.coproduct if degree < self.bound else self.alg.coproduct
 
 
+def _cancels(terms: dict, lhs_kind: str, rhs_kind: str) -> bool:
+    """Whether lhs - rhs, accumulated in ``terms``, is zero: both sides have
+    one kind, as ``LinComb`` equality asks, and every coefficient cancelled."""
+    return lhs_kind == rhs_kind and not any(terms.values())
+
+
 def _associativity_cases(sweep: _Sweep) -> Cases:
     """(ab)c = a(bc) for all label triples of total degree up to the bound."""
     bound = sweep.bound
@@ -159,44 +177,64 @@ def _associativity_cases(sweep: _Sweep) -> Cases:
                     for b in sweep.labels(j):
                         ab = product(a, b)
                         for c in sweep.labels(k):
-                            yield (a, b, c), {"associativity": lambda: (
-                                ab.apply(lambda l: outer(l, c))
-                                == product(b, c).apply(lambda l: outer(a, l))
-                            )}
+
+                            def associates() -> bool:
+                                terms: dict = {}
+                                lhs = _sum_scaled_into(
+                                    terms, ((outer(l, c), x) for l, x in ab.terms.items()),
+                                    ab.kind)
+                                bc = product(b, c)
+                                rhs = _sum_scaled_into(
+                                    terms, ((outer(a, l), -x) for l, x in bc.terms.items()),
+                                    bc.kind)
+                                return _cancels(terms, lhs, rhs)
+
+                            yield (a, b, c), {"associativity": associates}
 
 
 def _label_cases(sweep: _Sweep) -> Cases:
     """One coproduct per label serves coassociativity, counit and
     cocommutativity; the unit law calls the product rule directly."""
     alg = sweep.alg
+    kind = alg.kind
     unit = alg.unit_label
     for n in range(1, sweep.bound + 1):
         for a in sweep.labels(n):
-            e = alg.element(a)
             cop = sweep.coproduct_rule(n)(a)
 
             def coproduct(l):
                 return cop if l == a else sweep.coproduct(l)
 
+            def coassociates() -> bool:
+                terms: dict = {}
+                lhs = _tensor_apply_into(terms, cop, 0, coproduct)
+                rhs = _tensor_apply_into(terms, cop, 1, coproduct, -1)
+                return _cancels(terms, lhs, rhs)
+
             yield (a,), {
-                "unit": lambda: alg.product(unit, a) == e and alg.product(a, unit) == e,
-                "coassociativity": lambda: (
-                    tensor_apply(cop, 0, coproduct) == tensor_apply(cop, 1, coproduct)
-                ),
-                "counit": lambda: _counit_sides(alg, cop) == (e, e),
+                "unit": lambda: (_is_basis_element(alg.product(unit, a), kind, a)
+                                 and _is_basis_element(alg.product(a, unit), kind, a)),
+                "coassociativity": coassociates,
+                "counit": lambda: _counit_sides(unit, cop) == ({a: 1}, {a: 1}),
                 "cocommutativity": lambda: tensor_swap(cop) == cop,
             }
 
 
-def _counit_sides(alg: GradedBasis, cop: LinComb) -> tuple[LinComb, LinComb]:
+def _is_basis_element(x: LinComb, kind: str, label) -> bool:
+    return x.kind == kind and x.terms == {label: 1}
+
+
+def _counit_sides(unit, cop: LinComb) -> tuple[dict, dict]:
+    """The terms of (epsilon (x) id) cop and (id (x) epsilon) cop.  Each is a
+    plain copy: the pairs of ``cop`` are distinct and its coefficients nonzero."""
     left: dict = {}
     right: dict = {}
     for (u, v), c in cop.terms.items():
-        if u == alg.unit_label:
-            left[v] = left.get(v, 0) + c
-        if v == alg.unit_label:
-            right[u] = right.get(u, 0) + c
-    return LinComb._summed(alg.kind, left), LinComb._summed(alg.kind, right)
+        if u == unit:
+            left[v] = c
+        if v == unit:
+            right[u] = c
+    return left, right
 
 
 def _pair_cases(sweep: _Sweep) -> Cases:
@@ -220,10 +258,15 @@ def _pair_cases(sweep: _Sweep) -> Cases:
                     def factor_product(x, y):
                         return ab if x == a and y == b else sweep.product(x, y)
 
-                    checks = {"compatibility": lambda: (
-                        ab.apply(coproduct, kind=kind)
-                        == tensor_mul(da, sweep.coproduct(b), factor_product)
-                    )}
+                    def compatible() -> bool:
+                        terms: dict = {}
+                        lhs = _sum_scaled_into(
+                            terms, ((coproduct(l), x) for l, x in ab.terms.items()), kind)
+                        rhs = _twisted_tensor_mul_into(
+                            terms, da, sweep.coproduct(b), factor_product, None, -1)
+                        return _cancels(terms, lhs, rhs)
+
+                    checks = {"compatibility": compatible}
                     if i < j or (i == j and ia < ib):
                         checks["commutativity"] = lambda: ab == product(b, a)
                     yield (a, b), checks

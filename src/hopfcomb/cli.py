@@ -206,7 +206,7 @@ _COUNTS: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 # verification sweeps
 
-DUALITY_DEGREE = 4  # duality and q = 0 cocommutativity stop at this degree
+DUALITY_DEGREE = 5  # duality and q = 0 cocommutativity stop at this degree
 
 
 @dataclass(frozen=True)

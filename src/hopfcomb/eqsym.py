@@ -36,7 +36,8 @@ def _set_splits(n: int, m: int) -> tuple[tuple[Word, Callable], ...]:
     1-indexed), and ``place`` reorders values listed along A then B into
     positions 1..n+m.  Splits are ordered lexicographically by A, the order
     in which :func:`shuffle` places the letters of its first argument.
-    Needs n + m >= 2: an ``itemgetter`` of one index returns a bare item.
+    Needs n, m >= 1, so n + m >= 2: an ``itemgetter`` of one index returns
+    a bare item.
     The 64 cached entries hold every (n, m) with n + m <= 9; the entries are
     immutable, so callers share them.
     """
@@ -55,12 +56,18 @@ def _set_splits(n: int, m: int) -> tuple[tuple[Word, Callable], ...]:
 def product_M(f: Word, g: Word) -> LinComb:
     """M_f M_g: sum of M_h over set splits (A, B), h = f relabelled on A, g on B.
 
+    When either factor is empty there is one split and no relabelling:
+    M_() M_g = M_g and M_f M_() = M_f, returned without reading the split
+    table.  The unit law of a sweep asks for these at every label.
+
     >>> product_M((1,), (1,)).terms
     {(1, 2): 2}
+    >>> product_M((), (2, 2)).terms
+    {(2, 2): 1}
     """
     n = len(f)
-    if n + len(g) < 2:
-        return LinComb._owned(M_KIND, {shifted_concat(f, g): 1})
+    if not n or not g:
+        return LinComb._owned(M_KIND, {f + g: 1})
     values = itemgetter(*f, *(n + x for x in g))
     terms: dict[Word, int] = {}
     for ab, place in _set_splits(n, len(g)):
@@ -109,18 +116,37 @@ def product_S(f: Word, g: Word) -> LinComb:
 
 
 def stable_splits(h: Word):
-    """Complementary pairs of h-stable subsets with their standardized parts."""
+    """Complementary pairs of h-stable subsets, by size and then lexicographically.
+
+    A subset and its complement are both stable exactly when the subset is a
+    union of connected components of the graph i -> h(i), so only those
+    unions are formed: 2^k splits for k components, where filtering every
+    subset of [n] tests 2^n.
+    """
     n = len(h)
-    ground = range(1, n + 1)
-    for size in range(n + 1):
-        for subset in itertools.combinations(ground, size):
-            inside = set(subset)
-            if any(h[i - 1] not in inside for i in subset):
-                continue
-            complement = tuple(i for i in ground if i not in inside)
-            if any(h[i - 1] in inside for i in complement):
-                continue
-            yield subset, complement
+    root = list(range(n + 1))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i in range(1, n + 1):
+        root[find(i)] = find(h[i - 1])
+    parts: dict[int, list[int]] = {}
+    for i in range(1, n + 1):
+        parts.setdefault(find(i), []).append(i)
+    components = list(parts.values())
+    splits = []
+    for mask in range(1 << len(components)):
+        subset: list[int] = []
+        complement: list[int] = []
+        for k, part in enumerate(components):
+            (subset if mask >> k & 1 else complement).extend(part)
+        splits.append((tuple(sorted(subset)), tuple(sorted(complement))))
+    splits.sort(key=lambda split: (len(split[0]), split[0]))
+    return splits
 
 
 def restrict_std(h: Word, subset: tuple[int, ...]) -> Word:

@@ -52,8 +52,12 @@ def current_limits() -> Limits:
 
 
 def guard(kind: str, n: int, limits: Limits | None = None) -> None:
-    """Refuse an enumeration of family ``kind`` at size ``n`` beyond the bound."""
+    """Refuse an enumeration of family ``kind`` at size ``n`` beyond the bound.
+
+    The message names the knob that holds the bound, ``Limits.<kind>``.
+    """
     limits = limits or Limits()
     bound = getattr(limits, kind)
     if n > bound:
-        raise LimitExceeded(f"{kind} enumeration at n={n} exceeds configured bound {bound}")
+        raise LimitExceeded(
+            f"{kind} enumeration at n={n} exceeds configured bound {bound} (Limits.{kind})")

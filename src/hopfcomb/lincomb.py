@@ -130,8 +130,18 @@ def _sum_scaled(pieces: Iterable[tuple[LinComb, object]], empty_kind: str) -> Li
     pieces must have one kind, which the sum takes; an empty sum has
     ``empty_kind``.
     """
-    kind = None
     terms: dict = {}
+    kind = _sum_scaled_into(terms, pieces, empty_kind)
+    return LinComb._summed(kind, terms)
+
+
+def _sum_scaled_into(terms: dict, pieces: Iterable[tuple[LinComb, object]], empty_kind: str) -> str:
+    """Add each ``scalar * piece`` into ``terms`` and return the sum's kind.
+
+    The kind rules are those of :func:`_sum_scaled`.  ``terms`` keeps the
+    coefficients that cancel to zero; callers that wrap it drop them.
+    """
+    kind = None
     for piece, scalar in pieces:
         if kind is None:
             kind = piece.kind
@@ -139,7 +149,7 @@ def _sum_scaled(pieces: Iterable[tuple[LinComb, object]], empty_kind: str) -> Li
             raise ValueError(f"mixing label kinds {kind!r} and {piece.kind!r}")
         for label, c in piece.terms.items():
             terms[label] = terms.get(label, 0) + scalar * c
-    return LinComb._summed(empty_kind if kind is None else kind, terms)
+    return empty_kind if kind is None else kind
 
 
 def pairing(x: LinComb, y: LinComb):
@@ -190,9 +200,23 @@ def twisted_tensor_mul(
     bilinearly; ``chi=None`` means the untwisted componentwise product.
     ``product(label, label) -> LinComb`` is the component product rule.
     """
-    t1._check(t2)
     terms: dict = {}
+    kind = _twisted_tensor_mul_into(terms, t1, t2, product, chi)
+    return LinComb._summed(kind, terms)
+
+
+def _twisted_tensor_mul_into(
+    terms: dict,
+    t1: LinComb,
+    t2: LinComb,
+    product: Callable,
+    chi: Callable | None,
+    scalar=1,
+) -> str:
+    """Add ``scalar`` times :func:`twisted_tensor_mul` into ``terms``; return its kind."""
+    t1._check(t2)
     for (a, b), c1 in t1.terms.items():
+        c1 = scalar * c1
         for (a2, b2), c2 in t2.terms.items():
             coeff = c1 * c2
             if chi is not None:
@@ -203,7 +227,7 @@ def twisted_tensor_mul(
                 for lb, clb in right.terms.items():
                     key = (la, lb)
                     terms[key] = terms.get(key, 0) + coeff * cla * clb
-    return LinComb._summed(t1.kind, terms)
+    return t1.kind
 
 
 def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
@@ -213,12 +237,20 @@ def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
     values of ``rule`` are 2-tensors, and each result label ``(u, x, y)``
     (slot 1) or ``(x, y, v)`` (slot 0) is a 3-tensor label built directly.
     """
-    out_terms: dict = {}
+    terms: dict = {}
+    kind = _tensor_apply_into(terms, t, slot, rule)
+    return LinComb._summed(kind, terms)
+
+
+def _tensor_apply_into(terms: dict, t: LinComb, slot: int, rule: Callable, scalar=1) -> str:
+    """Add ``scalar`` times :func:`tensor_apply` into ``terms``; return its kind,
+    the 3-tensor kind of the last value of ``rule`` (of ``t`` when there is none)."""
     kind = t.kind
     for (u, v), c in t.terms.items():
         expanded = rule(v if slot else u)
         kind = expanded.kind
+        c = scalar * c
         for (x, y), ci in expanded.terms.items():
             key = (u, x, y) if slot else (x, y, v)
-            out_terms[key] = out_terms.get(key, 0) + c * ci
-    return LinComb._summed(tensor_kind(kind.split("(x)")[0], 3), out_terms)
+            terms[key] = terms.get(key, 0) + c * ci
+    return tensor_kind(kind.split("(x)")[0], 3)

@@ -12,8 +12,15 @@ from functools import lru_cache
 import pytest
 
 from hopfcomb import eqsym, parkfunc, phisym, sgqsym
-from hopfcomb.axioms import duality_check, graded_pairs, hopf_check
-from hopfcomb.lincomb import LinComb
+from hopfcomb.axioms import (
+    HopfReport,
+    _Sweep,
+    duality_check,
+    first_failure,
+    graded_pairs,
+    hopf_check,
+)
+from hopfcomb.lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
 from hopfcomb.words import set_partition_from_text, word_from_text
 
 W = word_from_text
@@ -160,17 +167,25 @@ HOPF_EXPECTED = {
 }
 
 
+def broken_algebra(name):
+    alg, breaks = HOPF_CASES[name]
+    return replace(alg, **{rule: corrupt(getattr(alg, rule), label, edit)
+                           for rule, (label, edit) in breaks.items()})
+
+
 @pytest.mark.parametrize("name", list(HOPF_CASES))
 def test_first_counterexample_of_every_axiom(name):
-    alg, breaks = HOPF_CASES[name]
-    rules = {rule: corrupt(getattr(alg, rule), label, edit)
-             for rule, (label, edit) in breaks.items()}
-    assert report_of(replace(alg, **rules), 4) == HOPF_EXPECTED[name]
+    assert report_of(broken_algebra(name), 4) == HOPF_EXPECTED[name]
 
 
 def drop_first(terms):
     terms.pop(min(terms, key=repr))
     return terms
+
+
+def lossy_algebra(name, edit):
+    alg = {"cpqsym": parkfunc.algebra, "wsym": sgqsym.wsym_algebra}[name]()
+    return replace(alg, product=lossy(alg.product, edit))
 
 
 def lossy(product, edit):
@@ -218,9 +233,7 @@ LOSSY_EXPECTED = {
     (name, edit) for name in ("cpqsym", "wsym") for edit in (drop_first, drop_last)
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_lossy_product_counterexamples_follow_label_order(name, edit):
-    alg = {"cpqsym": parkfunc.algebra, "wsym": sgqsym.wsym_algebra}[name]()
-    lossy_alg = replace(alg, product=lossy(alg.product, edit))
-    assert report_of(lossy_alg, 5) == LOSSY_EXPECTED[name, edit.__name__]
+    assert report_of(lossy_algebra(name, edit), 5) == LOSSY_EXPECTED[name, edit.__name__]
 
 
 def test_report_keeps_its_key_order():
@@ -302,3 +315,162 @@ def test_hopf_check_never_mutates_cached_rule_values(alg):
     assert handed_out
     for value, snapshot in handed_out:
         assert value.terms == snapshot
+
+
+# ---------------------------------------------------------------------------
+# the signed-sum checks against a reference that builds both sides
+
+def _reference_hopf_check(alg, degree_bound):
+    """:func:`hopf_check` as two-``LinComb`` comparisons: every identity builds
+    lhs and rhs in full and compares them with ``==``, over the same sweep."""
+    sweep = _Sweep(alg, degree_bound)
+
+    def associativity_cases():
+        bound, product = sweep.bound, sweep.product
+        for i in range(1, bound - 1):
+            for j in range(1, bound - i):
+                for k in range(1, bound - i - j + 1):
+                    outer = sweep.product_rule(i + j + k)
+                    for a in sweep.labels(i):
+                        for b in sweep.labels(j):
+                            ab = product(a, b)
+                            for c in sweep.labels(k):
+                                yield (a, b, c), {"associativity": lambda: (
+                                    ab.apply(lambda l: outer(l, c))
+                                    == product(b, c).apply(lambda l: outer(a, l)))}
+
+    def label_cases():
+        unit = alg.unit_label
+        for n in range(1, sweep.bound + 1):
+            for a in sweep.labels(n):
+                e = LinComb.basis(alg.kind, a)
+                cop = sweep.coproduct_rule(n)(a)
+
+                def coproduct(l):
+                    return cop if l == a else sweep.coproduct(l)
+
+                def counit_sides():
+                    left: dict = {}
+                    right: dict = {}
+                    for (u, v), c in cop.terms.items():
+                        if u == unit:
+                            left[v] = left.get(v, 0) + c
+                        if v == unit:
+                            right[u] = right.get(u, 0) + c
+                    return LinComb(alg.kind, left), LinComb(alg.kind, right)
+
+                yield (a,), {
+                    "unit": lambda: alg.product(unit, a) == e and alg.product(a, unit) == e,
+                    "coassociativity": lambda: (
+                        tensor_apply(cop, 0, coproduct) == tensor_apply(cop, 1, coproduct)),
+                    "counit": lambda: counit_sides() == (e, e),
+                    "cocommutativity": lambda: tensor_swap(cop) == cop,
+                }
+
+    def pair_cases():
+        kind = tensor_kind(alg.kind)
+        for i in range(1, sweep.bound):
+            for j in range(1, sweep.bound - i + 1):
+                product = sweep.product_rule(i + j)
+                coproduct = sweep.coproduct_rule(i + j)
+                for ia, a in enumerate(sweep.labels(i)):
+                    da = sweep.coproduct(a)
+                    for ib, b in enumerate(sweep.labels(j)):
+                        ab = product(a, b)
+
+                        def factor_product(x, y):
+                            return ab if x == a and y == b else sweep.product(x, y)
+
+                        checks = {"compatibility": lambda: (
+                            ab.apply(coproduct, kind=kind)
+                            == tensor_mul(da, sweep.coproduct(b), factor_product))}
+                        if i < j or (i == j and ia < ib):
+                            checks["commutativity"] = lambda: ab == product(b, a)
+                        yield (a, b), checks
+
+    results = first_failure(associativity_cases(), ("associativity",))
+    results.update(first_failure(
+        label_cases(), ("unit", "coassociativity", "counit", "cocommutativity")))
+    results.update(first_failure(pair_cases(), ("compatibility", "commutativity")))
+    order = ("associativity", "unit", "coassociativity", "counit",
+             "compatibility", "commutativity", "cocommutativity")
+    return HopfReport(alg.kind, degree_bound, {name: results[name] for name in order})
+
+
+def with_kind(rule, label, kind):
+    """``rule`` with its value at ``label`` moved, terms unchanged, to ``kind``."""
+
+    def broken(*args):
+        out = rule(*args)
+        return LinComb(kind, out.terms) if args == label else out
+
+    return broken
+
+
+EQ = eqsym.algebra()
+EQ_TENSOR_X = tensor_kind("eqsym:X")
+
+# one label's value in the wrong kind; every rule below keeps its terms
+WRONG_KIND_CASES = {
+    # Delta(M_12) as X (x) X: coassociativity at 12 sees sides of two kinds,
+    # and compatibility at (1, 1), whose product is 2 M_12, does too
+    "coproduct of 12": replace(EQ, coproduct=with_kind(EQ.coproduct, (W("12"),), EQ_TENSOR_X)),
+    # M_12 M_() as an X: only the unit law compares that value's kind
+    "unit product": replace(EQ, product=with_kind(EQ.product, (W("12"), ()), "eqsym:X")),
+    # M_1 M_11 as an X: commutativity compares it with M_11 M_1
+    "product of (1, 11)": replace(
+        EQ, product=with_kind(EQ.product, (W("1"), W("11")), "eqsym:X")),
+}
+
+WRONG_KIND_EXPECTED = {
+    "coproduct of 12": {
+        "associativity": OK, "unit": OK, "coassociativity": (W("12"),), "counit": OK,
+        "compatibility": (W("1"), W("1")), "commutativity": OK,
+        "cocommutativity": (W("113"),),
+    },
+    "unit product": {
+        "associativity": OK, "unit": (W("12"),), "coassociativity": OK, "counit": OK,
+        "compatibility": OK, "commutativity": OK, "cocommutativity": (W("113"),),
+    },
+    "product of (1, 11)": {
+        "associativity": OK, "unit": OK, "coassociativity": OK, "counit": OK,
+        "compatibility": OK, "commutativity": (W("1"), W("11")),
+        "cocommutativity": (W("113"),),
+    },
+}
+
+
+EDITS = {edit.__name__: edit for edit in (drop_first, drop_last)}
+
+REFERENCE_CASES = {
+    **{name: (broken_algebra(name), 4) for name in HOPF_CASES},
+    **{f"{name} {edit}": (lossy_algebra(name, EDITS[edit]), 5) for name, edit in LOSSY_EXPECTED},
+    **{f"wrong kind: {name}": (alg, 4) for name, alg in WRONG_KIND_CASES.items()},
+    "eqsym at 5": (eqsym.algebra(), 5),
+    "cpqsym at 5": (parkfunc.algebra(), 5),
+    "phisym at 5": (phisym.algebra(), 5),
+    "wsym at 5": (sgqsym.wsym_algebra(), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_signed_sums_report_what_the_two_sided_reference_reports(name):
+    alg, bound = REFERENCE_CASES[name]
+    report = hopf_check(alg, bound)
+    reference = _reference_hopf_check(alg, bound)
+    assert report == reference
+    assert list(report.checks) == list(reference.checks)
+
+
+@pytest.mark.parametrize("name", list(WRONG_KIND_CASES))
+def test_a_value_of_the_wrong_kind_fails_where_the_kinds_meet(name):
+    assert report_of(WRONG_KIND_CASES[name], 4) == WRONG_KIND_EXPECTED[name]
+
+
+def test_a_side_that_mixes_kinds_raises():
+    # M_1 M_11 has the term M_122, whose coproduct is now of another kind, so
+    # Delta(M_1 M_11) sums pieces of two kinds
+    alg = replace(EQ, coproduct=with_kind(EQ.coproduct, (W("122"),), EQ_TENSOR_X))
+    for check in (hopf_check, _reference_hopf_check):
+        with pytest.raises(ValueError, match="mixing label kinds"):
+            check(alg, 4)

@@ -150,6 +150,17 @@ def test_limit_guard_exit_two(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, knob", [
+    ("count --family parking 9", "Limits.parking"),
+    ("verify --algebra eqsym --max-degree 9", "Limits.endofunctions"),
+])
+def test_limit_messages_name_their_knob(argv, knob):
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
+    assert err.endswith(f"exceeds configured bound 8 ({knob})\n")
+
+
 # closed-form counts, which enumerate nothing that could refuse a negative size
 NEGATIVE_COUNTS = [
     "count --family parking-stalactic -1",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -156,11 +157,38 @@ def _seeded_pairs(seed, total, count):
 
 
 def test_set_split_product_matches_conjugation_up_to_degree_5():
+    # n = 0 or n = total puts an empty factor on one side, total = 0 on both;
+    # those products skip the set-split table and must be M_f or M_g
     for total in range(6):
         for n in range(total + 1):
             for f in endofunctions(n):
                 for g in endofunctions(total - n):
-                    assert eqsym.product_M(f, g) == eqsym.product_M_conjugation(f, g), (f, g)
+                    out = eqsym.product_M(f, g)
+                    assert out == eqsym.product_M_conjugation(f, g), (f, g)
+                    if not f or not g:
+                        assert out == LinComb.basis(M, f + g), (f, g)
+
+
+def _filtered_stable_splits(h):
+    """Oracle for ``stable_splits``: every subset of [n], kept when it and its
+    complement are both h-stable."""
+    ground = range(1, len(h) + 1)
+    for size in range(len(h) + 1):
+        for subset in itertools.combinations(ground, size):
+            inside = set(subset)
+            complement = tuple(i for i in ground if i not in inside)
+            if all(h[i - 1] in inside for i in subset) and all(
+                    h[i - 1] not in inside for i in complement):
+                yield subset, complement
+
+
+def test_stable_splits_match_the_subset_filter_up_to_degree_5():
+    for n in range(6):
+        for h in endofunctions(n):
+            assert list(eqsym.stable_splits(h)) == list(_filtered_stable_splits(h)), h
+    # two components: 1 -> 1 and 2 -> 4 -> 3 -> 3
+    assert [s for s, _ in eqsym.stable_splits(W("1433"))] == [
+        (), (1,), (2, 3, 4), (1, 2, 3, 4)]
 
 
 @pytest.mark.parametrize("total", [7, 8])
