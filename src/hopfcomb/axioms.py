@@ -1,9 +1,10 @@
 """Exhaustive Hopf-axiom verification for graded bases at desk-scale degrees.
 
-An algebra is described by a :class:`GradedBasis`: enumeration of basis
-labels per degree plus basis-level product and coproduct rules.  The checker
-verifies each axiom on all basis elements up to a degree bound and reports
-the first counterexample found.
+An algebra is described by a :class:`GradedBasis`: its label family plus
+basis-level product and coproduct rules.  The checker refuses a degree bound
+beyond the family's ``Limits`` bound before it calls any rule, verifies each
+axiom on all basis elements up to the bound and reports the first
+counterexample found.
 
 An identity lhs = rhs is checked as one signed sum: lhs is accumulated with
 sign +1 and rhs with sign -1 into one dict, by the accumulate-into forms of
@@ -19,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+from .limits import guard
 from .lincomb import (
     LinComb,
     _sum_scaled_into,
@@ -27,25 +29,30 @@ from .lincomb import (
     tensor_kind,
     tensor_swap,
 )
+from .words import Family, enumerate_family
 
 
 @dataclass(frozen=True)
 class GradedBasis:
+    """One basis of an algebra: ``kind`` is "algebra:basis", the labels are
+    those of ``family``, and the unit is the empty label ``()``.  Either rule
+    may be None where only the other is defined."""
     kind: str
-    unit_label: object
-    degree: Callable
-    basis: Callable          # n -> iterable of labels
-    product: Callable        # (label, label) -> LinComb
-    coproduct: Callable      # label -> LinComb over pairs
+    family: Family
+    product: Callable | None        # (label, label) -> LinComb
+    coproduct: Callable | None      # label -> LinComb over pairs
 
-    def labels_upto(self, bound: int, start: int = 1) -> dict[int, list]:
-        return {n: list(self.basis(n)) for n in range(start, bound + 1)}
+    def labels_upto(self, bound: int) -> dict[int, list]:
+        return {n: list(enumerate_family(self.family.name, n)) for n in range(1, bound + 1)}
 
 
 @dataclass
 class CheckResult:
     passed: bool
     counterexample: tuple | None = None
+
+    def line(self, name: str) -> str:
+        return f"{name}: {'ok' if self.passed else f'FAIL at {self.counterexample}'}"
 
 
 @dataclass
@@ -73,8 +80,7 @@ class HopfReport:
             if name in ("commutativity", "cocommutativity"):
                 out.append(f"{name}: {'yes' if result.passed else 'no'}")
             else:
-                status = "ok" if result.passed else f"FAIL at {result.counterexample}"
-                out.append(f"{name}: {status}")
+                out.append(result.line(name))
         return out
 
 
@@ -118,7 +124,7 @@ class _Sweep:
     Products of total degree below the bound and coproducts of labels below
     it are computed once and kept in plain dicts that die with the sweep.
     Top-degree values are not kept: they are most of the distinct arguments,
-    and the top degree's labels are streamed from ``alg.basis`` rather than
+    and the top degree's labels are streamed from the family rather than
     held.  Cached values are shared between the axioms, which is safe because
     no ``LinComb`` operation mutates its operands.
     """
@@ -126,20 +132,21 @@ class _Sweep:
     def __init__(self, alg: GradedBasis, bound: int):
         self.alg = alg
         self.bound = bound
+        self.degree = alg.family.degree
         self.below = alg.labels_upto(bound - 1)
         self.products: dict = {}
         self.coproducts: dict = {}
 
     def labels(self, n: int) -> Iterable:
         if n == self.bound:
-            return self.alg.basis(n)
+            return enumerate_family(self.alg.family.name, n)
         return self.below.get(n, ())
 
     def product(self, a, b) -> LinComb:
         value = self.products.get((a, b))
         if value is None:
             value = self.alg.product(a, b)
-            if self.alg.degree(a) + self.alg.degree(b) < self.bound:
+            if self.degree(a) + self.degree(b) < self.bound:
                 self.products[(a, b)] = value
         return value
 
@@ -147,7 +154,7 @@ class _Sweep:
         value = self.coproducts.get(a)
         if value is None:
             value = self.alg.coproduct(a)
-            if self.alg.degree(a) < self.bound:
+            if self.degree(a) < self.bound:
                 self.coproducts[a] = value
         return value
 
@@ -197,7 +204,7 @@ def _label_cases(sweep: _Sweep) -> Cases:
     cocommutativity; the unit law calls the product rule directly."""
     alg = sweep.alg
     kind = alg.kind
-    unit = alg.unit_label
+    unit = ()
     for n in range(1, sweep.bound + 1):
         for a in sweep.labels(n):
             cop = sweep.coproduct_rule(n)(a)
@@ -275,6 +282,7 @@ def _pair_cases(sweep: _Sweep) -> Cases:
 def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
     """Verify associativity, coassociativity, unit/counit, compatibility,
     and record (co)commutativity, exhaustively up to the degree bound."""
+    guard(alg.family.name, degree_bound)
     sweep = _Sweep(alg, degree_bound)
     results = first_failure(_associativity_cases(sweep), ("associativity",))
     results.update(first_failure(
@@ -295,8 +303,9 @@ def duality_check(
     """Check <x y, z> = <x (x) y, Delta* z> for all basis triples up to the bound.
 
     Labels of the dual are identified with primal labels (dual bases pair by
-    delta).  When ``dual_product`` is supplied, the transposed law
-    <Delta x, z (x) w> = <x, z w> is verified as well.
+    delta).  When ``dual_product`` and ``primal_coproduct`` are supplied, the
+    transposed law <Delta x, z (x) w> = <x, z w> is verified as well; one of
+    them alone raises ``ValueError``.
 
     Both laws are checked by rows: the coproducts of a degree's targets are
     transposed once into columns ``(x, y) -> {z: coeff}``, and each product
@@ -306,6 +315,9 @@ def duality_check(
     This is stricter than reading only the targets: a product term whose
     label is not a target of its degree also fails, and ranks after them.
     """
+    if (dual_product is None) != (primal_coproduct is None):
+        raise ValueError("the transposed law needs both dual_product and primal_coproduct")
+    guard(primal.family.name, degree_bound)
     by_degree = primal.labels_upto(degree_bound)
 
     def cases(product: Callable, coproduct: Callable) -> Cases:
@@ -329,6 +341,6 @@ def duality_check(
                         yield (a, b, z), {"duality": lambda: z is None}
 
     laws = [cases(primal.product, dual_coproduct)]
-    if dual_product is not None and primal_coproduct is not None:
+    if dual_product is not None:
         laws.append(cases(dual_product, primal_coproduct))
     return first_failure(itertools.chain(*laws), ("duality",))["duality"]

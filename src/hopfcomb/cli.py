@@ -10,31 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
-from .axioms import GradedBasis, duality_check, graded_pairs, hopf_check
+from .axioms import GradedBasis, duality_check, first_failure, graded_pairs, hopf_check
 from .limits import LimitExceeded, current_limits, guard
 from .lincomb import LinComb
-from .words import (
-    composition_from_text,
-    composition_to_text,
-    enumerate_family,
-    is_endofunction,
-    is_nondecreasing,
-    is_parking,
-    is_permutation,
-    permutations,
-    set_partition_from_text,
-    set_partition_to_text,
-    word_from_text,
-    word_to_text,
-)
-
-
-def _partition_from_text(text: str):
-    return tuple(sorted(composition_from_text(text), reverse=True))
+from .words import FAMILIES, enumerate_family, set_partition_to_text, word_from_text
 
 
 def _letters_from_text(text: str):
@@ -44,129 +26,79 @@ def _letters_from_text(text: str):
     return word_from_text(text)
 
 
-def _blocks_degree(label) -> int:
-    return sum(len(b) for b in label)
+# Keyed by kind, "algebra:basis"; an algebra's first basis is its default.
+# The records are direct values of a module-level dict, so that the
+# benchmark's tracer, which patches the fields of such records, reaches
+# every rule.
+_REGISTRY: dict[str, GradedBasis] = {basis.kind: basis for basis in (
+    eqsym.algebra(),
+    eqsym.dual_algebra(),
+    sgqsym.algebra(),
+    sgqsym.dual_algebra(),
+    sgqsym.piqsym_algebra(),
+    sgqsym.wsym_algebra(),
+    sgqsym.qsym_algebra(),
+    sgqsym.sym_algebra(),
+    GradedBasis(sgqsym.V_KIND, FAMILIES["compositions"], sgqsym.product_V, None),
+    phisym.algebra(),
+    GradedBasis(phisym.SPRIME_KIND, FAMILIES["permutations"],
+                phisym.product_sprime, phisym.coproduct_sprime),
+    GradedBasis(phisym.SSECOND_KIND, FAMILIES["permutations"],
+                phisym.product_ssecond, phisym.coproduct_ssecond),
+    GradedBasis(phisym.Y_KIND, FAMILIES["partitions"], phisym.product_Y, phisym.coproduct_Y),
+    parkfunc.algebra(),
+    parkfunc.cc_algebra(),
+    GradedBasis(parkfunc.CC_DUAL_KIND, FAMILIES["nondecreasing_parking"],
+                parkfunc.cc_dual_product, parkfunc.cc_dual_coproduct),
+    GradedBasis(parkfunc.FOREST_KIND, parkfunc.FORESTS, parkfunc.forest_product, None),
+    GradedBasis(parkfunc.GRAPH_KIND, parkfunc.PARKING_GRAPHS,
+                parkfunc.unlabelled_product, parkfunc.unlabelled_coproduct),
+    GradedBasis(qdeform.F_KIND, FAMILIES["permutations"],
+                qdeform.product_F, qdeform.coproduct_q_F),
+    GradedBasis(qdeform.QM_KIND, FAMILIES["compositions"], None, qdeform.coproduct_q_M),
+    GradedBasis(qdeform.NS_KIND, FAMILIES["compositions"],
+                qdeform.product_S_ncsf, qdeform.coproduct_q_S),
+)}
+
+ALGEBRAS = sorted({kind.split(":")[0] for kind in _REGISTRY})
 
 
-def _family(parse: Callable, valid: Callable, name: str, text: Callable,
-            degree: Callable) -> tuple[Callable, Callable, Callable]:
-    """A label family's (parse, text, degree); parsing refuses labels outside it."""
-    def checked(label_text: str):
-        label = parse(label_text)
-        if not valid(label):
-            raise ValueError(f"not {name}: {label_text!r}")
-        return label
-    return checked, text, degree
-
-
-def _positive(parts) -> bool:
-    return all(p > 0 for p in parts)
-
-
-def _covers(pi) -> bool:
-    return sorted(a for b in pi for a in b) == list(range(1, _blocks_degree(pi) + 1))
-
-
-_ENDOFUNCTIONS = _family(word_from_text, is_endofunction, "an endofunction",
-                         word_to_text, len)
-_PERMUTATIONS = _family(word_from_text, is_permutation, "a permutation", word_to_text, len)
-_PARKING = _family(word_from_text, is_parking, "a parking function", word_to_text, len)
-_ND_PARKING = _family(word_from_text, lambda w: is_nondecreasing(w) and is_parking(w),
-                      "a nondecreasing parking function", word_to_text, len)
-_SET_PARTITIONS = _family(set_partition_from_text, _covers, "a set partition of 1..n",
-                          set_partition_to_text, _blocks_degree)
-_COMPOSITIONS = _family(composition_from_text, _positive, "a composition",
-                        composition_to_text, sum)
-_PARTITIONS = _family(_partition_from_text, _positive, "a partition",
-                      composition_to_text, sum)
-# forest and unlabelled parking-graph labels are entered through a checked
-# representative and held as its certificate
-_FORESTS = (lambda text: parkfunc.forest_certificate(_ND_PARKING[0](text)),
-            parkfunc.forest_text, parkfunc.forest_size)
-_PARKING_GRAPHS = (lambda text: parkfunc.graph_certificate(_PARKING[0](text)),
-                   parkfunc.certificate_text, parkfunc.cert_size)
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    algebra: str
-    basis: str
-    parse: Callable
-    text: Callable
-    degree: Callable
-    product: Callable | None = None
-    coproduct: Callable | None = None
-
-
-# Flat, so that the benchmark's tracer, which patches fields of records held in
-# module-level dicts, reaches every rule.  An algebra's first basis is its default.
-_REGISTRY: dict[tuple[str, str], BasisSpec] = {}
-
-
-def _register(algebra: str, basis: str, family: tuple, product, coproduct) -> None:
-    _REGISTRY[(algebra, basis)] = BasisSpec(algebra, basis, *family, product, coproduct)
-
-
-_register("eqsym", "M", _ENDOFUNCTIONS, eqsym.product_M, eqsym.coproduct_M)
-_register("eqsym", "S", _ENDOFUNCTIONS, eqsym.product_S, eqsym.coproduct_S)
-_register("sgqsym", "M", _PERMUTATIONS, sgqsym.product_M, sgqsym.coproduct_M)
-_register("sgqsym", "S", _PERMUTATIONS, sgqsym.product_S, sgqsym.coproduct_S)
-_register("piqsym", "upi", _SET_PARTITIONS, sgqsym.product_upi, sgqsym.coproduct_upi)
-_register("wsym", "Mw", _SET_PARTITIONS, sgqsym.product_Mw, sgqsym.coproduct_Mw)
-_register("qsym-embed", "uq", _COMPOSITIONS, sgqsym.product_uq, sgqsym.coproduct_uq)
-_register("sym-embed", "ul", _PARTITIONS, sgqsym.product_ul, sgqsym.coproduct_ul)
-_register("ncsf", "V", _COMPOSITIONS, sgqsym.product_V, None)
-_register("phisym", "phi", _PERMUTATIONS, phisym.product_phi, phisym.coproduct_phi)
-_register("phisym", "Sp", _PERMUTATIONS, phisym.product_sprime, phisym.coproduct_sprime)
-_register("phisym", "Ss", _PERMUTATIONS, phisym.product_ssecond, phisym.coproduct_ssecond)
-_register("phisym", "Y", _PARTITIONS, phisym.product_Y, phisym.coproduct_Y)
-_register("cpqsym", "Mpa", _PARKING, parkfunc.product_Mpa, parkfunc.coproduct_Mpa)
-_register("ccqsym", "Mpa", _ND_PARKING, parkfunc.cc_product, parkfunc.cc_coproduct)
-_register("ccqsym", "S", _ND_PARKING, parkfunc.cc_dual_product, parkfunc.cc_dual_coproduct)
-_register("forest", "M", _FORESTS, parkfunc.forest_product, None)
-_register("parkgraph", "N", _PARKING_GRAPHS,
-          parkfunc.unlabelled_product, parkfunc.unlabelled_coproduct)
-_register("fqsym-q", "F", _PERMUTATIONS, qdeform.product_F, qdeform.coproduct_q_F)
-_register("qsym-q", "M", _COMPOSITIONS, None, qdeform.coproduct_q_M)
-_register("ncsf-q", "S", _COMPOSITIONS, qdeform.product_S_ncsf, qdeform.coproduct_q_S)
-
-ALGEBRAS = sorted({algebra for algebra, _ in _REGISTRY})
-
-
-def _lookup(algebra: str, basis: str | None) -> BasisSpec:
+def _lookup(algebra: str, basis: str | None) -> GradedBasis:
     """A registered basis; without a name, the algebra's first registered one."""
-    bases = {name: spec for (alg, name), spec in _REGISTRY.items() if alg == algebra}
-    if not bases:
+    kinds = [kind for kind in _REGISTRY if kind.startswith(f"{algebra}:")]
+    if not kinds:
         raise KeyError(f"unknown algebra {algebra!r}")
-    if basis is not None and basis not in bases:
+    kind = kinds[0] if basis is None else f"{algebra}:{basis}"
+    if kind not in _REGISTRY:
         raise KeyError(f"unknown basis {basis!r} for algebra {algebra!r}")
-    return bases[basis or next(iter(bases))]
+    return _REGISTRY[kind]
 
 
-def _terms(x: LinComb, spec: BasisSpec, tensor_terms: bool,
+def _terms(x: LinComb, spec: GradedBasis, tensor_terms: bool,
            part: Callable[[str], str], sep: str) -> list[tuple[str, object]]:
     """(label text, coefficient) in output order: graded, then by text.
     Each factor is written by ``part``; tensor factors are joined by ``sep``."""
     rows = []
     for label, c in x.terms.items():
         factors = label if tensor_terms else (label,)
-        text = sep.join(part(spec.text(f)) for f in factors)
-        rows.append((sum(spec.degree(f) for f in factors), text, c))
+        text = sep.join(part(spec.family.text(f)) for f in factors)
+        rows.append((sum(spec.family.degree(f) for f in factors), text, c))
     return [(text, c) for _, text, c in sorted(rows, key=lambda row: row[:2])]
 
 
-def _emit(x: LinComb, spec: BasisSpec, fmt: str, tensor_terms: bool = False) -> None:
+def _emit(x: LinComb, spec: GradedBasis, fmt: str, tensor_terms: bool = False) -> None:
+    algebra, basis = spec.kind.split(":")
     if fmt == "json":
         terms = _terms(x, spec, tensor_terms, str, "|")
         payload = {
-            "algebra": spec.algebra,
-            "basis": spec.basis,
+            "algebra": algebra,
+            "basis": basis,
             "terms": [{"label": text, "coeff": str(c)} for text, c in terms],
         }
         print(json.dumps(payload, sort_keys=True))
         return
     chunks = []
-    for body, c in _terms(x, spec, tensor_terms, lambda t: f"{spec.basis}[{t}]", "(x)"):
+    for body, c in _terms(x, spec, tensor_terms, lambda t: f"{basis}[{t}]", "(x)"):
         if c == 1:
             chunks.append(body)
         elif isinstance(c, int) and c >= 0:
@@ -209,42 +141,26 @@ _COUNTS: dict[str, Callable] = {
 DUALITY_DEGREE = 5  # duality and q = 0 cocommutativity stop at this degree
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """What ``verify`` runs: :func:`hopf_check` on ``factory()``, its
-    :func:`duality_check` with the registered basis ``dual``, and ``extra``,
-    which maps the degree bound to (passed, report lines).  ``family`` names
-    the :class:`~hopfcomb.limits.Limits` bound of the labels swept."""
-    factory: Callable[[], GradedBasis] | None
-    family: str
-    dual: str | None = None
-    extra: Callable[[int], tuple[bool, list[str]]] | None = None
-
-
-def _fqsym_q_checks(max_degree: int) -> tuple[bool, list[str]]:
-    lines = [f"twisted-morphism: FAIL at {(a, b)}"
-             for a, b in graded_pairs(permutations, max_degree)
-             if not qdeform.fqsym_twisted_morphism_check(a, b)]
-    ok = not lines
-    if ok:
-        lines.append("twisted-morphism: ok")
+def _fqsym_q_checks(max_degree: int) -> tuple[int, list[str]]:
+    """fqsym-q's sweep: the twisted morphism on every pair of F labels, then
+    cocommutativity at q = 0."""
+    family = _REGISTRY[qdeform.F_KIND].family
+    guard(family.name, max_degree)
+    cases = (((a, b), {"twisted-morphism": lambda: qdeform.fqsym_twisted_morphism_check(a, b)})
+             for a, b in graded_pairs(family.labels, max_degree))
+    res = first_failure(cases, ("twisted-morphism",))["twisted-morphism"]
     cocom = qdeform.cocommutativity_check(min(max_degree, DUALITY_DEGREE))
-    lines.append(f"q0-cocommutativity: {'yes' if cocom else 'no'}")
-    return ok and cocom, lines
+    lines = [res.line("twisted-morphism"), f"q0-cocommutativity: {'yes' if cocom else 'no'}"]
+    return (0 if res.passed and cocom else 1), lines
 
 
-# `perfbench/make_golden.py` records the sweep in this order.
-_VERIFY: dict[str, AlgebraSpec] = {
-    "eqsym": AlgebraSpec(eqsym.algebra, "endofunctions", dual="S"),
-    "sgqsym": AlgebraSpec(sgqsym.algebra, "permutations", dual="S"),
-    "piqsym": AlgebraSpec(sgqsym.piqsym_algebra, "set_partitions"),
-    "wsym": AlgebraSpec(sgqsym.wsym_algebra, "set_partitions"),
-    "qsym-embed": AlgebraSpec(sgqsym.qsym_algebra, "compositions"),
-    "sym-embed": AlgebraSpec(sgqsym.sym_algebra, "partitions"),
-    "phisym": AlgebraSpec(phisym.algebra, "permutations"),
-    "cpqsym": AlgebraSpec(parkfunc.algebra, "parking"),
-    "ccqsym": AlgebraSpec(parkfunc.cc_algebra, "nondecreasing_parking", dual="S"),
-    "fqsym-q": AlgebraSpec(None, "permutations", extra=_fqsym_q_checks),
+# What `verify` runs after `hopf_check` on an algebra's default basis: the
+# basis paired with it by `duality_check`, or None.  fqsym-q runs its twisted
+# checks instead.  `perfbench/make_golden.py` records the sweep in this order.
+_VERIFY: dict[str, str | Callable | None] = {
+    "eqsym": "S", "sgqsym": "S", "piqsym": None, "wsym": None, "qsym-embed": None,
+    "sym-embed": None, "phisym": None, "cpqsym": None, "ccqsym": "S",
+    "fqsym-q": _fqsym_q_checks,
 }
 
 VERIFIABLE = list(_VERIFY)
@@ -252,26 +168,20 @@ VERIFIABLE = list(_VERIFY)
 
 def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
     plan = _VERIFY[algebra]
-    guard(plan.family, max_degree)
-    lines: list[str] = []
-    passed = True
-    if plan.factory is not None:
-        alg = plan.factory()
-        report = hopf_check(alg, max_degree)
-        lines += report.lines()
-        passed = report.passed
-        if plan.dual is not None:
-            dual = _REGISTRY[(algebra, plan.dual)]
-            res = duality_check(
-                alg, dual.coproduct, min(max_degree, DUALITY_DEGREE),
-                dual_product=dual.product, primal_coproduct=alg.coproduct,
-            )
-            lines.append(f"duality-consistency: {'ok' if res.passed else f'FAIL at {res.counterexample}'}")
-            passed = passed and res.passed
-    if plan.extra is not None:
-        ok, extra_lines = plan.extra(max_degree)
-        lines += extra_lines
-        passed = passed and ok
+    if callable(plan):
+        return plan(max_degree)
+    alg = _lookup(algebra, None)
+    report = hopf_check(alg, max_degree)
+    lines = report.lines()
+    passed = report.passed
+    if plan is not None:
+        dual = _lookup(algebra, plan)
+        res = duality_check(
+            alg, dual.coproduct, min(max_degree, DUALITY_DEGREE),
+            dual_product=dual.product, primal_coproduct=alg.coproduct,
+        )
+        lines.append(res.line("duality-consistency"))
+        passed = passed and res.passed
     return (0 if passed else 1), lines
 
 
@@ -347,16 +257,16 @@ def _run(args) -> int:
         spec = _lookup(args.algebra, args.basis)
         rule = getattr(spec, args.command)
         if rule is None:
-            print(f"no {args.command} registered for {args.algebra}:{spec.basis}",
+            print(f"no {args.command} registered for {spec.kind}",
                   file=sys.stderr)
             return 2
-        labels = [spec.parse(e) for e in args.elements]
+        labels = [spec.family.parse(e) for e in args.elements]
         _emit(rule(*labels), spec, args.format, tensor_terms=args.command == "coproduct")
         return 0
 
     if args.command == "pair":
         spec = _lookup(args.algebra, args.basis)
-        labels = [spec.parse(e) for e in args.elements]
+        labels = [spec.family.parse(e) for e in args.elements]
         if len(labels) == 2:
             print(1 if labels[0] == labels[1] else 0)
             return 0
@@ -379,7 +289,7 @@ def _run(args) -> int:
                 print(f"unsupported conversion {args.src} -> {args.dst}",
                       file=sys.stderr)
                 return 2
-            label = _lookup("phisym", args.src).parse(args.element)
+            label = _lookup("phisym", args.src).family.parse(args.element)
             out = conversions[key](LinComb.basis("phisym:phi", label))
             _emit(out, _lookup("phisym", args.dst), args.format)
             return 0
@@ -388,8 +298,8 @@ def _run(args) -> int:
             print(f"unsupported basis name {args.src!r} or {args.dst!r}",
                   file=sys.stderr)
             return 2
-        spec = BasisSpec("sym-classical", args.dst, *_PARTITIONS)
-        out = symfunc.convert(symfunc.sym(args.src, spec.parse(args.element)), args.dst)
+        spec = GradedBasis(f"sym-classical:{args.dst}", FAMILIES["partitions"], None, None)
+        out = symfunc.convert(symfunc.sym(args.src, spec.family.parse(args.element)), args.dst)
         _emit(out, spec, args.format)
         return 0
 
@@ -401,7 +311,7 @@ def _run(args) -> int:
 
     if args.command == "insert":
         word = _letters_from_text(args.word)
-        if not _positive(word):
+        if not all(a > 0 for a in word):
             raise ValueError(f"not a word of positive letters: {args.word!r}")
         tableau, q_symbol = stalactic.insert(word)
 

@@ -20,7 +20,8 @@ from typing import Callable
 from .axioms import GradedBasis
 from .lincomb import LinComb, tensor_kind
 from .realize import oracle_product_check
-from .words import Word, cut_points, endofunctions, inverse, is_connected, shifted_concat, shuffle
+from .words import (FAMILIES, Word, cut_points, endofunctions, inverse, is_connected,
+                    shifted_concat, shuffle)
 
 M_KIND = "eqsym:M"
 S_KIND = "eqsym:S"
@@ -220,13 +221,19 @@ def lie_dims(n: int) -> int:
     return int(dims[n])
 
 
+def free_dimensions(generators: Callable[[int], int], bound: int) -> list[int]:
+    """Degree-0..bound dimensions of the free algebra on ``generators(k)``
+    generators of each degree k: dims[n] = sum over k of generators(k) dims[n - k]."""
+    dims = [1]
+    gens = [generators(k) for k in range(1, bound + 1)]
+    for n in range(1, bound + 1):
+        dims.append(sum(gens[k - 1] * dims[n - k] for k in range(1, n + 1)))
+    return dims
+
+
 def free_generation_check(bound: int) -> bool:
     """n^n = sum over compositions into connected degrees of the products."""
-    conn = {k: connected_count(k) for k in range(1, bound + 1)}
-    dims = [1] + [0] * bound
-    for n in range(1, bound + 1):
-        dims[n] = sum(conn[k] * dims[n - k] for k in range(1, n + 1))
-    return all(dims[n] == (n**n if n else 1) for n in range(bound + 1))
+    return free_dimensions(connected_count, bound) == [n**n for n in range(bound + 1)]
 
 
 def brute_connected_count(n: int) -> int:
@@ -243,22 +250,8 @@ def oracle_check(f: Word, g: Word, n_trunc: int | None = None) -> bool:
 
 
 def algebra() -> GradedBasis:
-    return GradedBasis(
-        kind=M_KIND,
-        unit_label=(),
-        degree=len,
-        basis=endofunctions,
-        product=product_M,
-        coproduct=coproduct_M,
-    )
+    return GradedBasis(M_KIND, FAMILIES["endofunctions"], product_M, coproduct_M)
 
 
 def dual_algebra() -> GradedBasis:
-    return GradedBasis(
-        kind=S_KIND,
-        unit_label=(),
-        degree=len,
-        basis=endofunctions,
-        product=product_S,
-        coproduct=coproduct_S,
-    )
+    return GradedBasis(S_KIND, FAMILIES["endofunctions"], product_S, coproduct_S)

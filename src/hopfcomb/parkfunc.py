@@ -16,6 +16,8 @@ from . import eqsym
 from .axioms import GradedBasis, graded_pairs
 from .lincomb import LinComb, bilinear, tensor_kind
 from .words import (
+    FAMILIES,
+    Family,
     Word,
     cut_points,
     enumerate_family,
@@ -53,7 +55,7 @@ def parking_closure_check(degree_bound: int) -> bool:
 
 
 def algebra() -> GradedBasis:
-    return GradedBasis(MPA_KIND, (), len, parking_functions, product_Mpa, coproduct_Mpa)
+    return GradedBasis(MPA_KIND, FAMILIES["parking"], product_Mpa, coproduct_Mpa)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +298,12 @@ def catalan(n: int) -> int:
 
 def cc_freeness_check(bound: int) -> bool:
     """Catalan dimensions match words in connected nondecreasing generators."""
-    conn = [connected_nondecreasing_count(k) for k in range(1, bound + 1)]
-    dims = [1] + [0] * bound
-    for n in range(1, bound + 1):
-        dims[n] = sum(conn[k - 1] * dims[n - k] for k in range(1, n + 1))
-    return all(dims[n] == catalan(n) for n in range(bound + 1))
+    dims = eqsym.free_dimensions(connected_nondecreasing_count, bound)
+    return dims == [catalan(n) for n in range(bound + 1)]
 
 
 def cc_algebra() -> GradedBasis:
-    return GradedBasis(
-        CC_KIND, (), len, nondecreasing_parking_functions, cc_product, cc_coproduct
-    )
+    return GradedBasis(CC_KIND, FAMILIES["nondecreasing_parking"], cc_product, cc_coproduct)
 
 
 def reordering_not_subalgebra_example(degree_bound: int = 4):
@@ -364,6 +361,17 @@ def forest_text(cert: tuple) -> str:
 
 def forest_size(cert: tuple) -> int:
     return sum(tree_size(t) for t in cert)
+
+
+# Forest and unlabelled parking-graph labels have no enumerator: they are
+# entered through a checked representative and held as its certificate.
+FORESTS = Family(
+    "forests", None,
+    lambda text: forest_certificate(FAMILIES["nondecreasing_parking"].parse(text)),
+    forest_text, forest_size)
+PARKING_GRAPHS = Family(
+    "parking_graphs", None, lambda text: graph_certificate(FAMILIES["parking"].parse(text)),
+    certificate_text, cert_size)
 
 
 def forest_members(cert: tuple) -> list[Word]:

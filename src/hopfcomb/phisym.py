@@ -17,12 +17,14 @@ from .axioms import GradedBasis, graded_pairs
 from .lincomb import LinComb, bilinear, tensor, tensor_kind
 from .realize import BIWORD_KIND, biword_mul, realize_phi
 from .words import (
+    FAMILIES,
     Cycle,
     CycleSet,
     IntegerPartition,
     Word,
     canonical_cycle,
     connected_factorization,
+    consecutive_blocks,
     cycle_type,
     cycle_words,
     cycles,
@@ -197,12 +199,7 @@ def _convert_tensor(t: LinComb, convert, target_kind: str) -> LinComb:
 
 def type_representative(lam: IntegerPartition) -> Word:
     """Consecutive-cycle permutation of the given cycle type."""
-    out_cycles = []
-    start = 1
-    for part in lam:
-        out_cycles.append(tuple(range(start, start + part)))
-        start += part
-    return from_cycles(out_cycles, sum(lam))
+    return from_cycles(consecutive_blocks(lam), sum(lam))
 
 
 def project_Y(x: LinComb) -> LinComb:
@@ -278,4 +275,4 @@ def biword_product_check(sigma: Word, tau: Word, n_trunc: int | None = None) -> 
 
 
 def algebra() -> GradedBasis:
-    return GradedBasis(PHI_KIND, (), len, permutations, product_phi, coproduct_phi)
+    return GradedBasis(PHI_KIND, FAMILIES["permutations"], product_phi, coproduct_phi)

@@ -23,12 +23,14 @@ from .realize import (
     trace_power,
 )
 from .words import (
+    FAMILIES,
     Composition,
     IntegerPartition,
     SetPartition,
     Word,
     block_composition,
     canonical_set_partition,
+    consecutive_blocks,
     cycle_supports,
     cycle_type,
     cycles,
@@ -51,8 +53,8 @@ M_KIND = "sgqsym:M"
 S_KIND = "sgqsym:S"
 UPI_KIND = "piqsym:upi"
 MW_KIND = "wsym:Mw"
-UQ_KIND = "qsym:uq"
-UL_KIND = "sym:ul"
+UQ_KIND = "qsym-embed:uq"
+UL_KIND = "sym-embed:ul"
 V_KIND = "ncsf:V"
 
 
@@ -396,42 +398,24 @@ def subalgebra_closure_check(predicate: Callable, degree_bound: int) -> bool:
 # ---------------------------------------------------------------------------
 # the quotient of WSym and Bell polynomials
 
-def composition_class(pi: SetPartition) -> Composition:
-    return block_composition(pi)
-
-
-def canonical_partition_of_composition(comp: Composition) -> SetPartition:
-    blocks = []
-    start = 1
-    for part in comp:
-        blocks.append(tuple(range(start, start + part)))
-        start += part
-    return canonical_set_partition(blocks)
-
-
 def project_V(x: LinComb) -> LinComb:
     """Push a WSym element into the quotient basis indexed by compositions."""
     terms: dict[Composition, int] = {}
     for pi, c in x.terms.items():
-        comp = composition_class(pi)
+        comp = block_composition(pi)
         terms[comp] = terms.get(comp, 0) + c
     return LinComb(V_KIND, terms)
 
 
 def product_V(comp1: Composition, comp2: Composition) -> LinComb:
-    return project_V(
-        product_Mw(
-            canonical_partition_of_composition(comp1),
-            canonical_partition_of_composition(comp2),
-        )
-    )
+    return project_V(product_Mw(consecutive_blocks(comp1), consecutive_blocks(comp2)))
 
 
 def quotient_well_defined(degree_bound: int) -> bool:
     """Class products are independent of the representative set partitions."""
     return all(
         project_V(product_Mw(pi1, pi2))
-        == product_V(composition_class(pi1), composition_class(pi2))
+        == product_V(block_composition(pi1), block_composition(pi2))
         for pi1, pi2 in graded_pairs(set_partitions, degree_bound)
     )
 
@@ -505,47 +489,24 @@ def full_cycle_S_primitive(n: int) -> bool:
 # algebra adapters
 
 def algebra() -> GradedBasis:
-    return GradedBasis(M_KIND, (), len, permutations, product_M, coproduct_M)
+    return GradedBasis(M_KIND, FAMILIES["permutations"], product_M, coproduct_M)
 
 
 def dual_algebra() -> GradedBasis:
-    return GradedBasis(S_KIND, (), len, permutations, product_S, coproduct_S)
+    return GradedBasis(S_KIND, FAMILIES["permutations"], product_S, coproduct_S)
 
 
 def piqsym_algebra() -> GradedBasis:
-    return GradedBasis(
-        UPI_KIND,
-        (),
-        lambda pi: sum(len(b) for b in pi),
-        set_partitions,
-        product_upi,
-        coproduct_upi,
-    )
+    return GradedBasis(UPI_KIND, FAMILIES["set_partitions"], product_upi, coproduct_upi)
 
 
 def wsym_algebra() -> GradedBasis:
-    return GradedBasis(
-        MW_KIND,
-        (),
-        lambda pi: sum(len(b) for b in pi),
-        set_partitions,
-        product_Mw,
-        coproduct_Mw,
-    )
-
-
-def compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
+    return GradedBasis(MW_KIND, FAMILIES["set_partitions"], product_Mw, coproduct_Mw)
 
 
 def qsym_algebra() -> GradedBasis:
-    return GradedBasis(UQ_KIND, (), sum, compositions, product_uq, coproduct_uq)
+    return GradedBasis(UQ_KIND, FAMILIES["compositions"], product_uq, coproduct_uq)
 
 
 def sym_algebra() -> GradedBasis:
-    return GradedBasis(UL_KIND, (), sum, symfunc.partitions, product_ul, coproduct_ul)
+    return GradedBasis(UL_KIND, FAMILIES["partitions"], product_ul, coproduct_ul)

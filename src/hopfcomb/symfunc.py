@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .limits import guard
 from .lincomb import LinComb
-from .words import IntegerPartition, partition_multiplicities
+from .words import IntegerPartition, partition_multiplicities, partitions
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -30,18 +30,6 @@ def kind(basis: str) -> str:
 def sym(basis: str, lam: IntegerPartition, coeff=1) -> LinComb:
     lam = tuple(sorted(lam, reverse=True))
     return LinComb.basis(kind(basis), lam, coeff)
-
-
-def partitions(n: int, max_part: int | None = None) -> Iterator[IntegerPartition]:
-    """Partitions of n with parts bounded by max_part, in reverse lex order."""
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
 
 
 def weight(x: LinComb) -> int:

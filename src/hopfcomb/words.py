@@ -14,7 +14,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .limits import Limits, guard
 
@@ -303,6 +304,16 @@ def relabel_partition(pi: SetPartition, positions: Sequence[int]) -> SetPartitio
     return canonical_set_partition(tuple(target[a - 1] for a in b) for b in pi)
 
 
+def consecutive_blocks(parts: Sequence[int]) -> SetPartition:
+    """The blocks of consecutive integers with the given sizes, in order.
+
+    >>> consecutive_blocks((2, 1, 3))
+    ((1, 2), (3,), (4, 5, 6))
+    """
+    ends = list(itertools.accumulate(parts, initial=0))
+    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
+
+
 def block_composition(pi: SetPartition) -> Composition:
     """Sizes of the blocks in canonical block order."""
     return tuple(len(b) for b in pi)
@@ -513,25 +524,36 @@ def involutions(n: int) -> Iterator[Word]:
     return rec(0)
 
 
-_FAMILIES = {
-    "endofunctions": endofunctions,
-    "permutations": permutations,
-    "parking": parking_functions,
-    "nondecreasing_parking": nondecreasing_parking_functions,
-    "set_partitions": set_partitions,
-    "initial_words": initial_words,
-    "involutions": involutions,
-}
+def compositions(n: int) -> Iterator[Composition]:
+    """Compositions of n, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def partitions(n: int, max_part: int | None = None) -> Iterator[IntegerPartition]:
+    """Partitions of n with parts bounded by max_part, in reverse lex order."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
 
 
 def enumerate_family(kind: str, n: int, limits: Limits | None = None) -> Iterator:
     """Stream every object of the family exactly once, guarded by size limits."""
-    if kind not in _FAMILIES:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown family {kind!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     guard(kind, n, limits)
-    return _FAMILIES[kind](n)
+    return FAMILIES[kind].labels(n)
 
 
 # ---------------------------------------------------------------------------
@@ -596,3 +618,67 @@ def composition_from_text(text: str) -> Composition:
     if not inner:
         return ()
     return tuple(int(a) for a in inner.split(","))
+
+
+# ---------------------------------------------------------------------------
+# label families
+
+@dataclass(frozen=True)
+class Family:
+    """One kind of basis label: ``labels(n)`` streams those of size n, and
+    ``parse`` reads one from text, refusing a label outside the family with a
+    one-line ``ValueError``; ``text`` prints it and ``degree`` is its size.
+    In :data:`FAMILIES` the key is ``name``, which is also the name of the
+    family's :class:`~hopfcomb.limits.Limits` bound."""
+    name: str
+    labels: Callable[[int], Iterator] | None
+    parse: Callable[[str], object]
+    text: Callable[[object], str]
+    degree: Callable[[object], int]
+
+
+def _checked(from_text: Callable, valid: Callable, noun: str) -> Callable[[str], object]:
+    """A parser that refuses labels failing ``valid``: ``not <noun>: '<text>'``."""
+    def parse(text: str):
+        label = from_text(text)
+        if not valid(label):
+            raise ValueError(f"not {noun}: {text!r}")
+        return label
+    return parse
+
+
+def _positive(parts) -> bool:
+    return all(p > 0 for p in parts)
+
+
+def _blocks_degree(pi: SetPartition) -> int:
+    return sum(len(b) for b in pi)
+
+
+def _word_family(name: str, labels: Callable, valid: Callable, noun: str) -> Family:
+    return Family(name, labels, _checked(word_from_text, valid, noun), word_to_text, len)
+
+
+FAMILIES: dict[str, Family] = {family.name: family for family in (
+    _word_family("endofunctions", endofunctions, is_endofunction, "an endofunction"),
+    _word_family("permutations", permutations, is_permutation, "a permutation"),
+    _word_family("parking", parking_functions, is_parking, "a parking function"),
+    _word_family("nondecreasing_parking", nondecreasing_parking_functions,
+                 lambda w: is_nondecreasing(w) and is_parking(w),
+                 "a nondecreasing parking function"),
+    Family("set_partitions", set_partitions,
+           _checked(set_partition_from_text,
+                   lambda pi: sorted(a for b in pi for a in b)
+                   == list(range(1, _blocks_degree(pi) + 1)),
+                   "a set partition of 1..n"),
+           set_partition_to_text, _blocks_degree),
+    _word_family("initial_words", initial_words, is_initial, "an initial word"),
+    _word_family("involutions", involutions, is_involution, "an involution"),
+    Family("compositions", compositions,
+           _checked(composition_from_text, _positive, "a composition"),
+           composition_to_text, sum),
+    Family("partitions", partitions,
+           _checked(lambda text: sort_composition(composition_from_text(text)), _positive,
+                   "a partition"),
+           composition_to_text, sum),
+)}

@@ -8,11 +8,12 @@ import itertools
 import math
 
 from conftest import lc, tensor_terms
-from hopfcomb import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
+from hopfcomb import cli, eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.coeffs import QPoly
 from hopfcomb.lincomb import LinComb, tensor_kind, tensor_swap, twisted_tensor_mul
 from hopfcomb.words import (
+    compositions,
     endofunctions,
     inverse,
     permutations,
@@ -252,29 +253,18 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_hopf_axiom_suites():
+    # every algebra `verify` sweeps with `hopf_check`, on its default basis
     reports = {}
-    for name, adapter in [
-        ("eqsym", eqsym.algebra()),
-        ("sgqsym", sgqsym.algebra()),
-        ("piqsym", sgqsym.piqsym_algebra()),
-        ("phisym", phisym.algebra()),
-        ("cpqsym", parkfunc.algebra()),
-        ("ccqsym", parkfunc.cc_algebra()),
-    ]:
-        report = hopf_check(adapter, 5)
-        assert report.passed, (name, report.lines())
-        reports[name] = report
-    for name in ("eqsym", "sgqsym", "piqsym", "cpqsym", "ccqsym"):
+    for name, plan in cli._VERIFY.items():
+        if not callable(plan):
+            reports[name] = hopf_check(cli._lookup(name, None), 5)
+            assert reports[name].passed, (name, reports[name].lines())
+    assert len(reports) == 9
+    for name in ("eqsym", "sgqsym", "piqsym", "cpqsym", "ccqsym", "qsym-embed", "sym-embed"):
         assert reports[name].commutative, name
     assert not reports["eqsym"].cocommutative
     assert reports["phisym"].cocommutative
-
-    for adapter in (sgqsym.qsym_algebra(), sgqsym.sym_algebra()):
-        report = hopf_check(adapter, 5)
-        assert report.passed and report.commutative
-
-    wsym_report = hopf_check(sgqsym.wsym_algebra(), 5)
-    assert wsym_report.passed and wsym_report.cocommutative
+    assert reports["wsym"].cocommutative
     assert qdeform.cocommutativity_check(4)
 
     _ok("4 hopf axiom suites", "9 bases at degree 5; Q-side commutative; "
@@ -357,18 +347,10 @@ def test_criterion_9_q_structure():
                 for b in permutations(j):
                     assert qdeform.fqsym_twisted_morphism_check(a, b), (a, b)
 
-    def comps(n):
-        if n == 0:
-            yield ()
-            return
-        for first in range(1, n + 1):
-            for rest in comps(n - first):
-                yield (first,) + rest
-
     for i in range(1, 4):
         for j in range(1, 5 - i):
-            for c1 in comps(i):
-                for c2 in comps(j):
+            for c1 in compositions(i):
+                for c2 in compositions(j):
                     assert qdeform.ncsf_twisted_morphism_check(c1, c2), (c1, c2)
 
     verdicts = _phi_morphism_verdicts()

@@ -20,6 +20,7 @@ from hopfcomb.axioms import (
     graded_pairs,
     hopf_check,
 )
+from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
 from hopfcomb.words import set_partition_from_text, word_from_text
 
@@ -291,6 +292,28 @@ def test_duality_first_counterexamples():
     assert (res.passed, res.counterexample) == (False, (W("112"), W("1"), W("1123")))
 
 
+def _no_rule_call(*args):
+    raise AssertionError(f"rule called with {args}")
+
+
+def test_checks_refuse_bounds_beyond_the_family_bound_before_any_rule_call():
+    alg = replace(sgqsym.qsym_algebra(), product=_no_rule_call, coproduct=_no_rule_call)
+    with pytest.raises(LimitExceeded, match=r"\(Limits\.compositions\)$"):
+        hopf_check(alg, 11)
+    with pytest.raises(LimitExceeded, match=r"\(Limits\.compositions\)$"):
+        duality_check(alg, _no_rule_call, 11,
+                      dual_product=_no_rule_call, primal_coproduct=_no_rule_call)
+
+
+@pytest.mark.parametrize("one_sided", [
+    {"dual_product": eqsym.product_S}, {"primal_coproduct": eqsym.coproduct_M},
+], ids=["dual_product", "primal_coproduct"])
+def test_duality_check_refuses_half_of_the_transposed_law(one_sided):
+    alg = replace(eqsym.algebra(), product=_no_rule_call, coproduct=_no_rule_call)
+    with pytest.raises(ValueError, match="both dual_product and primal_coproduct"):
+        duality_check(alg, _no_rule_call, 3, **one_sided)
+
+
 # ---------------------------------------------------------------------------
 # rules that hand out shared LinComb objects from a cache
 
@@ -340,7 +363,7 @@ def _reference_hopf_check(alg, degree_bound):
                                     == product(b, c).apply(lambda l: outer(a, l)))}
 
     def label_cases():
-        unit = alg.unit_label
+        unit = ()
         for n in range(1, sweep.bound + 1):
             for a in sweep.labels(n):
                 e = LinComb.basis(alg.kind, a)

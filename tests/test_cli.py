@@ -255,10 +255,12 @@ def test_malformed_max_degree_variable_only_reaches_verify(monkeypatch):
 
 
 def test_verify_failure_output_eqsym(monkeypatch):
-    from hopfcomb import eqsym
+    from dataclasses import replace
+
     from hopfcomb.lincomb import LinComb
 
-    product_M = eqsym.product_M
+    record = cli._REGISTRY["eqsym:M"]
+    product_M = record.product
 
     def drop_one_term(f, g):
         x = product_M(f, g)
@@ -268,7 +270,8 @@ def test_verify_failure_output_eqsym(monkeypatch):
         del terms[max(terms)]
         return LinComb(x.kind, terms)
 
-    monkeypatch.setattr(eqsym, "product_M", drop_one_term)
+    # the registry's records are built at import: swap the record, not the module's rule
+    monkeypatch.setitem(cli._REGISTRY, "eqsym:M", replace(record, product=drop_one_term))
     code, out, err = run_cli("verify", "--algebra", "eqsym", "--max-degree", "3")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
@@ -289,6 +292,21 @@ def test_verify_failure_output_fqsym_q(monkeypatch):
     check = qdeform.fqsym_twisted_morphism_check
     monkeypatch.setattr(qdeform, "fqsym_twisted_morphism_check",
                         lambda a, b: (a, b) != ((1,), (2, 1)) and check(a, b))
+    code, out, err = run_cli("verify", "--algebra", "fqsym-q", "--max-degree", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "twisted-morphism: FAIL at ((1,), (2, 1))",
+        "q0-cocommutativity: yes",
+    ]
+
+
+def test_verify_fqsym_q_reports_only_the_first_twisted_failure(monkeypatch):
+    from hopfcomb import qdeform
+
+    check = qdeform.fqsym_twisted_morphism_check
+    broken = {((2, 1), (1,)), ((1,), (2, 1))}
+    monkeypatch.setattr(qdeform, "fqsym_twisted_morphism_check",
+                        lambda a, b: (a, b) not in broken and check(a, b))
     code, out, err = run_cli("verify", "--algebra", "fqsym-q", "--max-degree", "3")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
@@ -325,31 +343,31 @@ def test_wrong_family_labels_exit_two(argv):
     assert "Traceback" not in err
 
 
-# (algebra, basis) -> (a degree-2 label, its printed text, a label outside the
+# kind -> (a degree-2 label, its printed text, a label outside the
 # family).  Forest and parking-graph labels are entered through a
 # parking function and print as their certificates.
 LABELS = {
-    ("eqsym", "M"): ("21", "21", "13"),
-    ("eqsym", "S"): ("11", "11", "03"),
-    ("sgqsym", "M"): ("21", "21", "11"),
-    ("sgqsym", "S"): ("12", "12", "22"),
-    ("piqsym", "upi"): ("{1|2}", "{1|2}", "{1|1}"),
-    ("wsym", "Mw"): ("{1,2}", "{1,2}", "{1,3}"),
-    ("qsym-embed", "uq"): ("(1,1)", "(1,1)", "(0,2)"),
-    ("sym-embed", "ul"): ("(2)", "(2)", "(2,0)"),
-    ("ncsf", "V"): ("(2)", "(2)", "(0)"),
-    ("phisym", "phi"): ("21", "21", "11"),
-    ("phisym", "Sp"): ("12", "12", "11"),
-    ("phisym", "Ss"): ("21", "21", "22"),
-    ("phisym", "Y"): ("(1,1)", "(1,1)", "(0,2)"),
-    ("cpqsym", "Mpa"): ("21", "21", "22"),
-    ("ccqsym", "Mpa"): ("11", "11", "21"),
-    ("ccqsym", "S"): ("12", "12", "22"),
-    ("forest", "M"): ("12", "()()", "21"),
-    ("parkgraph", "N"): ("21", "<(),()>", "33"),
-    ("fqsym-q", "F"): ("21", "21", "11"),
-    ("qsym-q", "M"): ("(2)", "(2)", "(2,0)"),
-    ("ncsf-q", "S"): ("(1,1)", "(1,1)", "(1,-1)"),
+    "eqsym:M": ("21", "21", "13"),
+    "eqsym:S": ("11", "11", "03"),
+    "sgqsym:M": ("21", "21", "11"),
+    "sgqsym:S": ("12", "12", "22"),
+    "piqsym:upi": ("{1|2}", "{1|2}", "{1|1}"),
+    "wsym:Mw": ("{1,2}", "{1,2}", "{1,3}"),
+    "qsym-embed:uq": ("(1,1)", "(1,1)", "(0,2)"),
+    "sym-embed:ul": ("(2)", "(2)", "(2,0)"),
+    "ncsf:V": ("(2)", "(2)", "(0)"),
+    "phisym:phi": ("21", "21", "11"),
+    "phisym:Sp": ("12", "12", "11"),
+    "phisym:Ss": ("21", "21", "22"),
+    "phisym:Y": ("(1,1)", "(1,1)", "(0,2)"),
+    "cpqsym:Mpa": ("21", "21", "22"),
+    "ccqsym:Mpa": ("11", "11", "21"),
+    "ccqsym:S": ("12", "12", "22"),
+    "forest:M": ("12", "()()", "21"),
+    "parkgraph:N": ("21", "<(),()>", "33"),
+    "fqsym-q:F": ("21", "21", "11"),
+    "qsym-q:M": ("(2)", "(2)", "(2,0)"),
+    "ncsf-q:S": ("(1,1)", "(1,1)", "(1,-1)"),
 }
 
 
@@ -357,21 +375,31 @@ def test_labels_cover_the_registry():
     assert set(LABELS) == set(cli._REGISTRY)
 
 
-@pytest.mark.parametrize("key", sorted(LABELS), ids=":".join)
+def test_registry_keys_are_the_kinds_of_their_records():
+    for kind, spec in cli._REGISTRY.items():
+        assert spec.kind == kind
+        assert cli._lookup(*kind.split(":")) is spec
+
+
+@pytest.mark.parametrize("key", sorted(LABELS))
 def test_registered_labels_round_trip_and_reject_other_families(key):
-    spec = cli._REGISTRY[key]
+    family = cli._REGISTRY[key].family
     text, printed, wrong = LABELS[key]
-    label = spec.parse(text)
-    assert spec.degree(label) == 2
-    assert spec.text(label) == printed
+    label = family.parse(text)
+    assert family.degree(label) == 2
+    assert family.text(label) == printed
     if printed == text:
-        assert spec.parse(printed) == label
+        assert family.parse(printed) == label
     with pytest.raises(ValueError):
-        spec.parse(wrong)
+        family.parse(wrong)
+
+
+def _basis(algebra):
+    return cli._lookup(algebra, None).kind.split(":")[1]
 
 
 def test_default_bases():
-    assert {algebra: cli._lookup(algebra, None).basis for algebra in cli.ALGEBRAS} == {
+    assert {algebra: _basis(algebra) for algebra in cli.ALGEBRAS} == {
         "eqsym": "M", "sgqsym": "M", "phisym": "phi", "cpqsym": "Mpa", "ccqsym": "Mpa",
         "fqsym-q": "F", "piqsym": "upi", "wsym": "Mw", "qsym-embed": "uq",
         "sym-embed": "ul", "ncsf": "V", "forest": "M", "parkgraph": "N",
@@ -382,8 +410,8 @@ def test_default_bases():
 @pytest.mark.parametrize("algebra", cli.ALGEBRAS)
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_default_basis_prints_as_named_basis(algebra, fmt):
-    basis = cli._lookup(algebra, None).basis
-    text = LABELS[(algebra, basis)][0]
+    basis = _basis(algebra)
+    text = LABELS[f"{algebra}:{basis}"][0]
     for command, labels in (("product", [text, text]), ("coproduct", [text])):
         argv = [command, "--algebra", algebra, "--format", fmt, *labels]
         assert run_cli(*argv) == run_cli(*argv, "--basis", basis)

@@ -7,6 +7,7 @@ from hopfcomb import eqsym, sgqsym, symfunc
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, bilinear, pairing, tensor
 from hopfcomb.words import (
+    compositions,
     cycle_type,
     cycles,
     is_involution,
@@ -176,8 +177,8 @@ def test_uq_one_part_compositions():
 def test_uq_expansion_consistency():
     for i in range(1, 3):
         for j in range(1, 4 - i):
-            for c1 in sgqsym.compositions(i):
-                for c2 in sgqsym.compositions(j):
+            for c1 in compositions(i):
+                for c2 in compositions(j):
                     lhs = bilinear(
                         sgqsym.uq_expand(c1), sgqsym.uq_expand(c2), sgqsym.product_M
                     )
@@ -222,7 +223,7 @@ def test_image_coproducts_match_lifted_expansions():
                     for b, cb in right.terms.items():
                         expanded = expanded + LinComb.basis(tensor_m, (a, b), c * ca * cb)
             assert lifted == expanded, lam
-        for comp in sgqsym.compositions(n):
+        for comp in compositions(n):
             lifted = sgqsym.uq_expand(comp).apply(sgqsym.coproduct_M, kind=tensor_m)
             expanded = LinComb.zero(tensor_m)
             for (h, k), c in sgqsym.coproduct_uq(comp).terms.items():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hopfcomb.limits import LimitExceeded, Limits
 from hopfcomb.words import (
+    FAMILIES,
     canonical_set_partition,
     composition_from_text,
     composition_to_text,
@@ -158,7 +159,10 @@ def test_enumeration_counts():
         "set_partitions": lambda n: [1, 1, 2, 5, 15, 52][n],
         "initial_words": lambda n: [1, 1, 3, 13, 75, 541][n],
         "involutions": lambda n: [1, 1, 2, 4, 10, 26][n],
+        "compositions": lambda n: 2 ** (n - 1),
+        "partitions": lambda n: [1, 1, 2, 3, 5, 7][n],
     }
+    assert set(counts) == set(FAMILIES)
     for family, formula in counts.items():
         for n in range(1, 6):
             items = list(enumerate_family(family, n))
@@ -170,7 +174,8 @@ def test_enumeration_guard():
     with pytest.raises(LimitExceeded):
         list(enumerate_family("endofunctions", 9))
     # refused when called, before the first item is drawn
-    for family, n in (("parking", 9), ("initial_words", 9), ("involutions", 11)):
+    for family, n in (("parking", 9), ("initial_words", 9), ("involutions", 11),
+                      ("compositions", 11), ("partitions", 15)):
         with pytest.raises(LimitExceeded):
             enumerate_family(family, n)
     limits = Limits(endofunctions=2)
@@ -178,6 +183,16 @@ def test_enumeration_guard():
         list(enumerate_family("endofunctions", 3, limits))
     with pytest.raises(ValueError):
         enumerate_family("no-such-family", 2)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_labels_print_parse_back_and_have_their_size(name):
+    family = FAMILIES[name]
+    assert family.name == name
+    for n in range(5):
+        for label in enumerate_family(name, n):
+            assert family.degree(label) == n
+            assert family.parse(family.text(label)) == label
 
 
 # The filters the generators replaced, kept as oracles: each generator must
