@@ -8,6 +8,7 @@ including labels outside their basis's family.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable
@@ -16,7 +17,7 @@ from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
 from .axioms import GradedBasis, duality_check, first_failure, graded_pairs, hopf_check
 from .limits import LimitExceeded, current_limits, guard
 from .lincomb import LinComb
-from .words import FAMILIES, enumerate_family, set_partition_to_text, word_from_text
+from .words import FAMILIES, family_size, set_partition_to_text, word_from_text
 
 
 def _letters_from_text(text: str):
@@ -115,15 +116,13 @@ def _stalactic_count(family: str):
     return lambda n: stalactic.class_count(family, n)
 
 
-def _enumerated_count(family: str):
-    return lambda n: sum(1 for _ in enumerate_family(family, n))
-
-
-_ENUMERATED = ("endofunctions", "permutations", "parking", "nondecreasing_parking",
-               "set_partitions", "initial_words", "involutions")
+# counted by closed form or recurrence, and refused where their enumerators are
+_LABEL_FAMILIES = ("endofunctions", "permutations", "parking", "nondecreasing_parking",
+                   "set_partitions", "initial_words", "involutions")
 
 _COUNTS: dict[str, Callable] = {
-    **{family.replace("_", "-"): _enumerated_count(family) for family in _ENUMERATED},
+    **{family.replace("_", "-"): functools.partial(family_size, family)
+       for family in _LABEL_FAMILIES},
     "connected-endofunctions": eqsym.connected_count,
     "free-lie-dims": eqsym.lie_dims,
     "parking-stalactic": _stalactic_count("parking"),
@@ -188,7 +187,10 @@ def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first call and shared by every
+    later one: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="hopfcomb",
         description="Exact computations in combinatorial Hopf algebras of "

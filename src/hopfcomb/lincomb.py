@@ -7,6 +7,7 @@ and cubes reuse the same container with tuple labels and a derived kind.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 
@@ -169,6 +170,13 @@ def tensor_kind(kind: str, factors: int = 2) -> str:
     return "(x)".join([kind] * factors)
 
 
+@cache
+def _cube_kind(square_kind: str) -> str:
+    """The 3-tensor kind over the first factor of a 2-tensor kind; cached,
+    since every :func:`tensor_apply` asks for it and there are few kinds."""
+    return tensor_kind(square_kind.split("(x)")[0], 3)
+
+
 def tensor(x: LinComb, y: LinComb) -> LinComb:
     """Plain tensor product x (x) y as a LinComb over pairs."""
     kind = tensor_kind(x.kind)
@@ -253,4 +261,4 @@ def _tensor_apply_into(terms: dict, t: LinComb, slot: int, rule: Callable, scala
         for (x, y), ci in expanded.terms.items():
             key = (u, x, y) if slot else (x, y, v)
             terms[key] = terms.get(key, 0) + c * ci
-    return tensor_kind(kind.split("(x)")[0], 3)
+    return _cube_kind(kind)

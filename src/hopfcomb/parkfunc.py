@@ -10,20 +10,23 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
+from math import gcd
 
 from . import eqsym
 from .axioms import GradedBasis, graded_pairs
+from .limits import guard
 from .lincomb import LinComb, bilinear, tensor_kind
 from .words import (
     FAMILIES,
     Family,
     Word,
+    catalan,
     cut_points,
     enumerate_family,
     is_nondecreasing,
     is_parking,
     multiset_splits,
+    multisets,
     nondecreasing_parking_functions,
     parking_functions,
 )
@@ -148,10 +151,66 @@ def endofunction_certificates(n: int) -> dict[tuple, int]:
     return census
 
 
+def _exact_quotient(total: int, divisor: int, series: str) -> int:
+    quotient, remainder = divmod(total, divisor)
+    if remainder:
+        raise AssertionError(f"{series} series is not integral")
+    return quotient
+
+
+def _rooted_tree_counts(bound: int) -> list[int]:
+    """r[1..bound], rooted unlabelled trees (OEIS A000081), r[0] = 0:
+    m r(m + 1) = sum over k of (sum over d | k of d r(d)) r(m - k + 1)."""
+    r = [0, 1] + [0] * bound
+    weighted = [0] * (bound + 1)    # weighted[k] = sum over d | k of d r(d)
+    for m in range(1, bound):
+        weighted[m] = sum(d * r[d] for d in range(1, m + 1) if m % d == 0)
+        total = sum(weighted[k] * r[m - k + 1] for k in range(1, m + 1))
+        r[m + 1] = _exact_quotient(total, m, "rooted-tree")
+    return r[:bound + 1]
+
+
+def _connected_graph_series(bound: int) -> list[int]:
+    """Connected functional graphs of sizes 1..bound up to relabelling: the
+    cycles of rooted trees, by the necklace sum
+    (1/k) sum over d | k of phi(d) R(x^d)^(k/d), k the length of the cycle."""
+    r = _rooted_tree_counts(bound)
+    connected = [0] * (bound + 1)
+    for k in range(1, bound + 1):
+        necklaces = [0] * (bound + 1)
+        for d in range(1, k + 1):
+            if k % d:
+                continue
+            phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
+            spread = [0] * (bound + 1)          # R(x^d)
+            for size in range(1, bound // d + 1):
+                spread[size * d] = r[size]
+            power = [1] + [0] * bound           # R(x^d)^(k/d)
+            for _ in range(k // d):
+                power = [sum(power[i] * spread[m - i] for i in range(m + 1))
+                         for m in range(bound + 1)]
+            for m in range(bound + 1):
+                necklaces[m] += phi * power[m]
+        for m in range(bound + 1):
+            connected[m] += _exact_quotient(necklaces[m], k, "necklace")
+    return connected[1:]
+
+
 def unlabelled_count(n: int) -> int:
-    if n == 0:
-        return 1
-    return len(unlabelled_certificates(n))
+    """Functional graphs on n unlabelled nodes (OEIS A001372), by Polya's
+    method: rooted trees, cycles of them, then multisets of those.
+
+    The parking bound still applies: every functional graph is realized by
+    a parking function, and the tests compare the series with the number
+    of certificates of the parking functions of size n.
+
+    >>> [unlabelled_count(n) for n in range(9)]
+    [1, 1, 3, 7, 19, 47, 130, 343, 951]
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    guard("parking", n)
+    return multisets(_connected_graph_series(n))[n]
 
 
 def graph_representative(cert: tuple, n: int) -> Word:
@@ -229,15 +288,10 @@ def connected_graph_counts(bound: int) -> list[int]:
 
 
 def free_polynomial_check(bound: int) -> bool:
-    """Unlabelled dimensions match multisets of connected generators."""
-    conn = connected_graph_counts(bound)
-    dims = [1] + [0] * bound
-    for k, count in enumerate(conn, start=1):
-        # multiply by 1/(1 - t^k)^count
-        for _ in range(count):
-            for d in range(k, bound + 1):
-                dims[d] += dims[d - k]
-    return all(dims[n] == unlabelled_count(n) for n in range(bound + 1))
+    """Unlabelled dimensions match multisets of connected generators, both
+    read off the certificates of the parking functions."""
+    dims = multisets(connected_graph_counts(bound))
+    return dims == [len(unlabelled_certificates(n)) for n in range(bound + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +344,6 @@ def connected_nondecreasing_count(n: int) -> int:
         for p in nondecreasing_parking_functions(n)
         if cut_points(p) == [0, n]
     )
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 def cc_freeness_check(bound: int) -> bool:
@@ -366,11 +416,11 @@ def forest_size(cert: tuple) -> int:
 # Forest and unlabelled parking-graph labels have no enumerator: they are
 # entered through a checked representative and held as its certificate.
 FORESTS = Family(
-    "forests", None,
+    "forests", None, None,
     lambda text: forest_certificate(FAMILIES["nondecreasing_parking"].parse(text)),
     forest_text, forest_size)
 PARKING_GRAPHS = Family(
-    "parking_graphs", None, lambda text: graph_certificate(FAMILIES["parking"].parse(text)),
+    "parking_graphs", None, None, lambda text: graph_certificate(FAMILIES["parking"].parse(text)),
     certificate_text, cert_size)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .limits import Limits, guard
@@ -546,14 +547,84 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[IntegerPartition
             yield (first,) + rest
 
 
-def enumerate_family(kind: str, n: int, limits: Limits | None = None) -> Iterator:
-    """Stream every object of the family exactly once, guarded by size limits."""
+# ---------------------------------------------------------------------------
+# family sizes: what the enumerators above stream, counted without them
+
+def catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+def _bell(n: int) -> int:
+    """Set partitions of [n], read off the Bell triangle: each row starts
+    with the last entry of the row before, and each entry adds the one
+    above it to the one on its left."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for above in row:
+            nxt.append(nxt[-1] + above)
+        row = nxt
+    return row[0]
+
+
+def _fubini(n: int) -> int:
+    """Ordered set partitions of [n], which are the initial words of length n:
+    a(n) = sum over k >= 1 of C(n, k) a(n - k), k the positions of letter 1."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+def _involution_count(n: int) -> int:
+    """a(n) = a(n - 1) + (n - 1) a(n - 2): n is fixed, or swapped with one
+    of the n - 1 others."""
+    before, current = 1, 1
+    for m in range(2, n + 1):
+        before, current = current, current + (m - 1) * before
+    return current
+
+
+def multisets(counts: Sequence[int]) -> list[int]:
+    """Euler transform: entry d counts the multisets of total degree d drawn
+    from ``counts[k - 1]`` kinds of degree k, for d up to ``len(counts)``.
+
+    >>> multisets([1, 1, 1, 1])    # integer partitions
+    [1, 1, 2, 3, 5]
+    """
+    bound = len(counts)
+    dims = [1] + [0] * bound
+    for k, count in enumerate(counts, start=1):
+        # multiply by 1/(1 - t^k)^count
+        for _ in range(count):
+            for d in range(k, bound + 1):
+                dims[d] += dims[d - k]
+    return dims
+
+
+def _guarded(kind: str, n: int, limits: Limits | None) -> "Family":
+    """The family ``kind``, once ``n`` is a size it may be asked for."""
     if kind not in FAMILIES:
         raise ValueError(f"unknown family {kind!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     guard(kind, n, limits)
-    return FAMILIES[kind].labels(n)
+    return FAMILIES[kind]
+
+
+def enumerate_family(kind: str, n: int, limits: Limits | None = None) -> Iterator:
+    """Stream every object of the family exactly once, guarded by size limits."""
+    return _guarded(kind, n, limits).labels(n)
+
+
+def family_size(kind: str, n: int, limits: Limits | None = None) -> int:
+    """How many objects ``enumerate_family(kind, n)`` streams, by closed form
+    or recurrence; refused with the same error wherever the enumeration is.
+
+    >>> [family_size("parking", n) for n in range(5)]
+    [1, 1, 3, 16, 125]
+    """
+    return _guarded(kind, n, limits).size(n)
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +696,15 @@ def composition_from_text(text: str) -> Composition:
 
 @dataclass(frozen=True)
 class Family:
-    """One kind of basis label: ``labels(n)`` streams those of size n, and
-    ``parse`` reads one from text, refusing a label outside the family with a
-    one-line ``ValueError``; ``text`` prints it and ``degree`` is its size.
-    In :data:`FAMILIES` the key is ``name``, which is also the name of the
-    family's :class:`~hopfcomb.limits.Limits` bound."""
+    """One kind of basis label: ``labels(n)`` streams those of size n and
+    ``size(n)`` counts them, and ``parse`` reads one from text, refusing a
+    label outside the family with a one-line ``ValueError``; ``text`` prints
+    it and ``degree`` is its size.  In :data:`FAMILIES` the key is ``name``,
+    which is also the name of the family's :class:`~hopfcomb.limits.Limits`
+    bound."""
     name: str
     labels: Callable[[int], Iterator] | None
+    size: Callable[[int], int] | None
     parse: Callable[[str], object]
     text: Callable[[object], str]
     degree: Callable[[object], int]
@@ -655,29 +728,34 @@ def _blocks_degree(pi: SetPartition) -> int:
     return sum(len(b) for b in pi)
 
 
-def _word_family(name: str, labels: Callable, valid: Callable, noun: str) -> Family:
-    return Family(name, labels, _checked(word_from_text, valid, noun), word_to_text, len)
+def _word_family(name: str, labels: Callable, size: Callable, valid: Callable,
+                 noun: str) -> Family:
+    return Family(name, labels, size, _checked(word_from_text, valid, noun), word_to_text, len)
 
 
 FAMILIES: dict[str, Family] = {family.name: family for family in (
-    _word_family("endofunctions", endofunctions, is_endofunction, "an endofunction"),
-    _word_family("permutations", permutations, is_permutation, "a permutation"),
-    _word_family("parking", parking_functions, is_parking, "a parking function"),
-    _word_family("nondecreasing_parking", nondecreasing_parking_functions,
+    _word_family("endofunctions", endofunctions, lambda n: n**n, is_endofunction,
+                 "an endofunction"),
+    _word_family("permutations", permutations, factorial, is_permutation, "a permutation"),
+    # (n + 1) ** (n - 1) is the float 1.0 at n = 0
+    _word_family("parking", parking_functions, lambda n: (n + 1) ** (n - 1) if n else 1,
+                 is_parking, "a parking function"),
+    _word_family("nondecreasing_parking", nondecreasing_parking_functions, catalan,
                  lambda w: is_nondecreasing(w) and is_parking(w),
                  "a nondecreasing parking function"),
-    Family("set_partitions", set_partitions,
+    Family("set_partitions", set_partitions, _bell,
            _checked(set_partition_from_text,
                    lambda pi: sorted(a for b in pi for a in b)
                    == list(range(1, _blocks_degree(pi) + 1)),
                    "a set partition of 1..n"),
            set_partition_to_text, _blocks_degree),
-    _word_family("initial_words", initial_words, is_initial, "an initial word"),
-    _word_family("involutions", involutions, is_involution, "an involution"),
-    Family("compositions", compositions,
+    _word_family("initial_words", initial_words, _fubini, is_initial, "an initial word"),
+    _word_family("involutions", involutions, _involution_count, is_involution,
+                 "an involution"),
+    Family("compositions", compositions, lambda n: 2 ** (n - 1) if n else 1,
            _checked(composition_from_text, _positive, "a composition"),
            composition_to_text, sum),
-    Family("partitions", partitions,
+    Family("partitions", partitions, lambda n: multisets([1] * n)[n],
            _checked(lambda text: sort_composition(composition_from_text(text)), _positive,
                    "a partition"),
            composition_to_text, sum),

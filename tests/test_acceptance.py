@@ -166,6 +166,9 @@ def test_criterion_2_sequence_regressions():
     assert [stalactic.class_count("initial_words", n) for n in range(1, 7)] == [
         1, 3, 11, 49, 261, 1631]
     assert [parkfunc.unlabelled_count(n) for n in range(7)] == [1, 1, 3, 7, 19, 47, 130]
+    # the same sequence from the certificate scan, not only from the series
+    assert [len(parkfunc.unlabelled_certificates(n)) for n in range(7)] == [
+        1, 1, 3, 7, 19, 47, 130]
     assert stalactic.c_coefficients(6) == [1, 1, 3, 11, 53, 309]
 
     figures = {

@@ -150,6 +150,48 @@ def test_limit_guard_exit_two(monkeypatch):
     assert code == 0
 
 
+# each enumerated family's count, its bound and the count at the bound
+BOUNDED_COUNTS = [
+    ("endofunctions", "endofunctions", 8, 16777216),
+    ("permutations", "permutations", 9, 362880),
+    ("parking", "parking", 8, 4782969),
+    ("nondecreasing-parking", "nondecreasing_parking", 14, 2674440),
+    ("set-partitions", "set_partitions", 11, 678570),
+    ("initial-words", "initial_words", 8, 545835),
+    ("involutions", "involutions", 10, 9496),
+    ("unlabelled-parking-graphs", "parking", 8, 951),
+]
+
+
+@pytest.mark.parametrize("family, knob, bound, count", BOUNDED_COUNTS)
+def test_counts_at_the_bound_are_quick_and_refuse_one_more(family, knob, bound, count):
+    start = time.perf_counter()
+    assert run_cli("count", "--family", family, str(bound)) == (0, f"{count}\n", "")
+    assert time.perf_counter() - start < 1
+    assert run_cli("count", "--family", family, str(bound + 1)) == (2, "", (
+        f"limit exceeded: {knob} enumeration at n={bound + 1} exceeds configured bound "
+        f"{bound} (Limits.{knob})\n"))
+    assert run_cli("count", "--family", family, "0") == (0, "1\n", "")
+
+
+def test_in_process_calls_share_one_parser_and_answer_as_a_fresh_one(monkeypatch):
+    requests = [
+        ["product", "--algebra", "eqsym", "--basis", "M", "1", "22"],
+        ["count", "--family", "parking", "4"],
+        ["count", "--family", "no-such-family", "4"],
+        ["coproduct", "--algebra", "eqsym", "--format", "json", "4232277"],
+        ["verify"],
+        ["product", "--algebra", "sgqsym", "--basis", "M", "12", "321"],
+        ["count", "--family", "involutions", "6"],
+    ]
+    shared = [run_cli(*argv) for argv in requests]
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert [run_cli(*argv) for argv in requests] == shared
+
+
 @pytest.mark.parametrize("argv, knob", [
     ("count --family parking 9", "Limits.parking"),
     ("verify --algebra eqsym --max-degree 9", "Limits.endofunctions"),

@@ -5,6 +5,7 @@ import pytest
 from conftest import lc, tensor_terms
 from hopfcomb import eqsym, parkfunc
 from hopfcomb.axioms import duality_check, hopf_check
+from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb
 from hopfcomb.words import (
     endofunctions,
@@ -43,6 +44,21 @@ def test_parking_functions_closed_under_product():
 
 def test_unlabelled_counts():
     assert [parkfunc.unlabelled_count(n) for n in range(7)] == [1, 1, 3, 7, 19, 47, 130]
+    assert (parkfunc.unlabelled_count(7), parkfunc.unlabelled_count(8)) == (343, 951)
+    assert type(parkfunc.unlabelled_count(0)) is int
+
+
+def test_polya_series_counts_the_certificates():
+    assert [parkfunc.unlabelled_count(n) for n in range(7)] == [
+        len(parkfunc.unlabelled_certificates(n)) for n in range(7)]
+    assert parkfunc._connected_graph_series(6) == parkfunc.connected_graph_counts(6)
+
+
+def test_unlabelled_count_keeps_the_parking_guard():
+    with pytest.raises(LimitExceeded, match=r"\(Limits\.parking\)$"):
+        parkfunc.unlabelled_count(9)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        parkfunc.unlabelled_count(-1)
 
 
 def test_parking_and_endofunction_certificates_coincide():

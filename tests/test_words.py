@@ -17,6 +17,7 @@ from hopfcomb.words import (
     cycles,
     descent_composition,
     enumerate_family,
+    family_size,
     from_cycles,
     initial_words,
     inverse,
@@ -183,6 +184,41 @@ def test_enumeration_guard():
         list(enumerate_family("endofunctions", 3, limits))
     with pytest.raises(ValueError):
         enumerate_family("no-such-family", 2)
+
+
+# the largest size of each family that enumerates in about 0.2 s
+ENUMERATED_UP_TO = {
+    "endofunctions": 7, "permutations": 9, "parking": 7, "nondecreasing_parking": 12,
+    "set_partitions": 10, "initial_words": 7, "involutions": 10, "compositions": 10,
+    "partitions": 14,
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_size_counts_the_enumeration(name):
+    assert set(ENUMERATED_UP_TO) == set(FAMILIES)
+    for n in range(ENUMERATED_UP_TO[name] + 1):
+        assert family_size(name, n) == sum(1 for _ in enumerate_family(name, n)), n
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_size_is_the_int_one_at_size_zero(name):
+    # (n + 1) ** (n - 1) and 2 ** (n - 1) are floats at n = 0
+    assert type(family_size(name, 0)) is int and family_size(name, 0) == 1
+
+
+@pytest.mark.parametrize("kind, n, limits", [
+    ("no-such-family", 2, None), ("parking", -1, None), ("involutions", -3, None),
+    ("parking", 9, None), ("endofunctions", 9, None), ("partitions", 15, None),
+    ("endofunctions", 3, Limits(endofunctions=2)),
+])
+def test_family_size_refuses_what_the_enumeration_refuses(kind, n, limits):
+    with pytest.raises(ValueError) as enumerated:
+        enumerate_family(kind, n, limits)
+    with pytest.raises(ValueError) as counted:
+        family_size(kind, n, limits)
+    assert type(counted.value) is type(enumerated.value)
+    assert str(counted.value) == str(enumerated.value)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
