@@ -4,6 +4,11 @@ A :class:`LinComb` maps hashable canonical labels to nonzero coefficients
 (ints, :class:`~hopfcomb.coeffs.QPoly`, or Fractions) and carries a ``kind``
 tag naming the basis it lives in; mixing kinds is rejected.  Tensor squares
 and cubes reuse the same container with tuple labels and a derived kind.
+
+There is one constructor, ``LinComb(kind, terms)``: it takes ownership of
+``terms`` without copying and drops zero coefficients in place, so no value
+ever holds a zero coefficient.  Values are never mutated, so rules may hand
+out shared values and re-wrap another value's ``terms`` under a new kind.
 """
 from __future__ import annotations
 
@@ -15,41 +20,27 @@ class LinComb:
     __slots__ = ("kind", "terms")
 
     def __init__(self, kind: str, terms: dict | None = None):
-        self.kind = kind
-        self.terms = {label: c for label, c in (terms or {}).items() if c}
+        """Adopt ``terms`` as is, deleting its zero coefficients in place.
 
-    @classmethod
-    def _owned(cls, kind: str, terms: dict) -> "LinComb":
-        """Wrap ``terms`` as is: no copy, no zero filter.
+        ``terms`` is not copied: the caller hands over a dict that nothing
+        else holds or will mutate, and copies one it does not own.
 
-        Only for a dict the caller has just built, whose coefficients are
-        all nonzero, and which nothing else holds or will mutate.
+        >>> d = {(1,): 2, (2,): 0}
+        >>> x = LinComb("t", d)
+        >>> x.terms is d, d
+        (True, {(1,): 2})
         """
-        out = object.__new__(cls)
-        out.kind = kind
-        out.terms = terms
-        return out
-
-    @classmethod
-    def _summed(cls, kind: str, terms: dict) -> "LinComb":
-        """Wrap a dict of sums as :meth:`_owned` does, first deleting in place
-        the coefficients that cancelled to zero.
-
-        Only for a dict the caller has just built and that nothing else
-        holds or will mutate.
-        """
-        if not all(terms.values()):
+        if terms is None:
+            terms = {}
+        elif not all(terms.values()):
             for label in [label for label, c in terms.items() if not c]:
                 del terms[label]
-        return cls._owned(kind, terms)
+        self.kind = kind
+        self.terms = terms
 
     @staticmethod
     def basis(kind: str, label, coeff=1) -> "LinComb":
-        return LinComb._owned(kind, {label: coeff}) if coeff else LinComb(kind)
-
-    @staticmethod
-    def zero(kind: str) -> "LinComb":
-        return LinComb(kind)
+        return LinComb(kind, {label: coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -81,12 +72,8 @@ class LinComb:
         self._check(other)
         terms = dict(self.terms)
         for label, c in other.terms.items():
-            new = terms.get(label, 0) + c
-            if new:
-                terms[label] = new
-            else:
-                terms.pop(label, None)
-        return LinComb._owned(self.kind, terms)
+            terms[label] = terms.get(label, 0) + c
+        return LinComb(self.kind, terms)
 
     def __neg__(self) -> "LinComb":
         return LinComb(self.kind, {label: -c for label, c in self.terms.items()})
@@ -95,8 +82,6 @@ class LinComb:
         return self + (-other)
 
     def scale(self, scalar) -> "LinComb":
-        if not scalar:
-            return LinComb.zero(self.kind)
         return LinComb(self.kind, {label: scalar * c for label, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "LinComb":
@@ -133,14 +118,14 @@ def _sum_scaled(pieces: Iterable[tuple[LinComb, object]], empty_kind: str) -> Li
     """
     terms: dict = {}
     kind = _sum_scaled_into(terms, pieces, empty_kind)
-    return LinComb._summed(kind, terms)
+    return LinComb(kind, terms)
 
 
 def _sum_scaled_into(terms: dict, pieces: Iterable[tuple[LinComb, object]], empty_kind: str) -> str:
     """Add each ``scalar * piece`` into ``terms`` and return the sum's kind.
 
     The kind rules are those of :func:`_sum_scaled`.  ``terms`` keeps the
-    coefficients that cancel to zero; callers that wrap it drop them.
+    coefficients that cancel to zero; the ``LinComb`` wrapping it drops them.
     """
     kind = None
     for piece, scalar in pieces:
@@ -184,11 +169,11 @@ def tensor(x: LinComb, y: LinComb) -> LinComb:
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
             terms[(a, b)] = terms.get((a, b), 0) + ca * cb
-    return LinComb._summed(kind, terms)
+    return LinComb(kind, terms)
 
 
 def tensor_swap(t: LinComb) -> LinComb:
-    return LinComb._owned(t.kind, {(b, a): c for (a, b), c in t.terms.items()})
+    return LinComb(t.kind, {(b, a): c for (a, b), c in t.terms.items()})
 
 
 def tensor_mul(t1: LinComb, t2: LinComb, product: Callable) -> LinComb:
@@ -210,7 +195,7 @@ def twisted_tensor_mul(
     """
     terms: dict = {}
     kind = _twisted_tensor_mul_into(terms, t1, t2, product, chi)
-    return LinComb._summed(kind, terms)
+    return LinComb(kind, terms)
 
 
 def _twisted_tensor_mul_into(
@@ -247,7 +232,7 @@ def tensor_apply(t: LinComb, slot: int, rule: Callable) -> LinComb:
     """
     terms: dict = {}
     kind = _tensor_apply_into(terms, t, slot, rule)
-    return LinComb._summed(kind, terms)
+    return LinComb(kind, terms)
 
 
 def _tensor_apply_into(terms: dict, t: LinComb, slot: int, rule: Callable, scalar=1) -> str:

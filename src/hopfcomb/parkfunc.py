@@ -42,11 +42,11 @@ FOREST_KIND = "forest:M"
 # cpqsym: restriction of the endofunction structure
 
 def product_Mpa(p: Word, q: Word) -> LinComb:
-    return LinComb._owned(MPA_KIND, eqsym.product_M(p, q).terms)
+    return LinComb(MPA_KIND, eqsym.product_M(p, q).terms)
 
 
 def coproduct_Mpa(p: Word) -> LinComb:
-    return LinComb._owned(tensor_kind(MPA_KIND), eqsym.coproduct_M(p).terms)
+    return LinComb(tensor_kind(MPA_KIND), eqsym.coproduct_M(p).terms)
 
 
 def parking_closure_check(degree_bound: int) -> bool:
@@ -305,11 +305,11 @@ def cc_product(p: Word, q: Word) -> LinComb:
     for h, c in product_Mpa(p, q).terms.items():
         if is_nondecreasing(h):
             out[h] = out.get(h, 0) + c
-    return LinComb._owned(CC_KIND, out)
+    return LinComb(CC_KIND, out)
 
 
 def cc_coproduct(p: Word) -> LinComb:
-    return LinComb._owned(tensor_kind(CC_KIND), eqsym.coproduct_M(p).terms)
+    return LinComb(tensor_kind(CC_KIND), eqsym.coproduct_M(p).terms)
 
 
 def cc_ideal_check(degree_bound: int) -> bool:
@@ -335,7 +335,7 @@ def cc_dual_coproduct(p: Word) -> LinComb:
     for (a, b) in cop.terms:
         if not (is_nondecreasing(a) and is_nondecreasing(b)):
             raise AssertionError("stable split left the nondecreasing labels")
-    return LinComb._owned(tensor_kind(CC_DUAL_KIND), cop.terms)
+    return LinComb(tensor_kind(CC_DUAL_KIND), cop.terms)
 
 
 def connected_nondecreasing_count(n: int) -> int:

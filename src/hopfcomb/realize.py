@@ -131,7 +131,7 @@ def biword_mul(x: LinComb, y: LinComb) -> LinComb:
         for (xb, ab), cb in right:
             key = (xa + xb, aa + ab)
             out[key] = out.get(key, 0) + ca * cb
-    return LinComb._summed(BIWORD_KIND, out)
+    return LinComb(BIWORD_KIND, out)
 
 
 def cycle_of_subword(a_sub: Sequence[int]) -> Cycle:
@@ -193,7 +193,7 @@ def realize_phi(sigma: Word, n_trunc: int) -> LinComb:
         for letters in itertools.permutations(range(1, n_trunc + 1), len(cyc))
     ]
     bottoms = [word(subwords) for subwords in itertools.product(*subword_lists)]
-    return LinComb._owned(BIWORD_KIND, dict.fromkeys(itertools.product(tops, bottoms), 1))
+    return LinComb(BIWORD_KIND, dict.fromkeys(itertools.product(tops, bottoms), 1))
 
 
 def collect_biwords(x: LinComb) -> LinComb:

@@ -67,7 +67,7 @@ def product_M(alpha: Word, beta: Word) -> LinComb:
     Calls :func:`eqsym.product_M`; :func:`eqsym.product_M_conjugation` is the
     shuffle-conjugation oracle for all three routes.
     """
-    return LinComb._owned(M_KIND, eqsym.product_M(alpha, beta).terms)
+    return LinComb(M_KIND, eqsym.product_M(alpha, beta).terms)
 
 
 def product_M_splitting(alpha: Word, beta: Word) -> LinComb:
@@ -115,15 +115,15 @@ def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
 
 
 def coproduct_M(sigma: Word) -> LinComb:
-    return LinComb._owned(tensor_kind(M_KIND), eqsym.coproduct_M(sigma).terms)
+    return LinComb(tensor_kind(M_KIND), eqsym.coproduct_M(sigma).terms)
 
 
 def product_S(alpha: Word, beta: Word) -> LinComb:
-    return LinComb._owned(S_KIND, eqsym.product_S(alpha, beta).terms)
+    return LinComb(S_KIND, eqsym.product_S(alpha, beta).terms)
 
 
 def coproduct_S(sigma: Word) -> LinComb:
-    return LinComb._owned(tensor_kind(S_KIND), eqsym.coproduct_S(sigma).terms)
+    return LinComb(tensor_kind(S_KIND), eqsym.coproduct_S(sigma).terms)
 
 
 # ---------------------------------------------------------------------------

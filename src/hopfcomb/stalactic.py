@@ -114,22 +114,6 @@ def insert(w: Word) -> tuple[StalacticTableau, SetPartition]:
 # ---------------------------------------------------------------------------
 # class counting
 
-def class_count(family: str, n: int) -> int:
-    """Closed-form number of stalactic classes in the family at size n."""
-    if family == "parking":
-        total = sum(
-            symfunc.m_eval_at_n(mu, n + 1) * factorial(len(mu))
-            for mu in symfunc.partitions(n)
-        )
-        assert total % (n + 1) == 0
-        return total // (n + 1)
-    if family == "endofunctions":
-        return sum(comb(n - 1, k - 1) * comb(n, k) * factorial(k) for k in range(1, n + 1))
-    if family == "initial_words":
-        return sum(comb(n - 1, k - 1) * factorial(k) for k in range(1, n + 1))
-    raise ValueError(f"unknown family {family!r}")
-
-
 def class_count_brute(family: str, n: int) -> int:
     return len({canonical_form(w) for w in enumerate_family(family, n)})
 
@@ -161,6 +145,16 @@ def triangle(name: str, n: int) -> list[int]:
 
 
 TRIANGLE_FAMILIES = {"lah": "parking", "endt": "endofunctions", "arr": "initial_words"}
+
+
+def class_count(family: str, n: int) -> int:
+    """Number of stalactic classes in the family at size n: the row sum of
+    its triangle, which counts the classes by distinct letters.  The empty
+    word is the one class at n = 0."""
+    for name, triangle_family in TRIANGLE_FAMILIES.items():
+        if triangle_family == family:
+            return sum(triangle(name, n)) if n else 1
+    raise ValueError(f"unknown family {family!r}")
 
 
 def triangle_brute(name: str, n: int) -> list[int]:
@@ -297,7 +291,7 @@ def c_coefficients(n: int) -> list[int]:
 
 def derangement_route(n: int) -> LinComb:
     """Independent route: sum_k d_k e_k h_{n-k}, expanded into Schur functions."""
-    total = LinComb.zero(symfunc.kind("m"))
+    total = LinComb(symfunc.kind("m"))
     for k in range(n + 1):
         piece = symfunc.m_mul(symfunc.e_in_m(k), symfunc.h_in_m(n - k))
         total = total + piece.scale(symfunc.derangements(k))

@@ -259,7 +259,7 @@ def hook_schur_sum(k: int, n: int) -> LinComb:
     """The two-term Schur expansion of e_k h_{n-k}, invalid shapes dropped."""
     if n == 0:
         return sym("s", ())
-    out = LinComb.zero(kind("s"))
+    out = LinComb(kind("s"))
     if n - k >= 1:
         out = out + sym("s", (n - k,) + (1,) * k)
     if k >= 1:

@@ -4,7 +4,7 @@ from hopfcomb.words import word_from_text
 
 def lc(kind, *pairs):
     """LinComb from (label, coeff) pairs; labels given as text words."""
-    out = LinComb.zero(kind)
+    out = LinComb(kind)
     for label, coeff in pairs:
         if isinstance(label, str):
             label = word_from_text(label)

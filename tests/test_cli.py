@@ -63,6 +63,15 @@ def test_count_families():
     assert run_cli("count", "--family", "sylvester-q-classes", "5")[1].strip() == "42"
 
 
+def test_stalactic_counts_at_zero_and_at_large_sizes():
+    for family in ("parking", "endofunctions", "initial-words"):
+        assert run_cli("count", "--family", f"{family}-stalactic", "0") == (0, "1\n", "")
+    start = time.perf_counter()
+    code, out, _ = run_cli("count", "--family", "parking-stalactic", "200")
+    assert code == 0 and int(out) > 0
+    assert time.perf_counter() - start < 1.0
+
+
 def test_triangle_output():
     code, out, _ = run_cli("triangle", "--name", "lah", "4")
     assert code == 0

@@ -1,11 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from hopfcomb import coeffs, eqsym, phisym, stalactic, symfunc, words
+import hopfcomb
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(hopfcomb.__path__, "hopfcomb."))
 
 
-@pytest.mark.parametrize("module", [words, coeffs, stalactic, phisym, symfunc, eqsym])
-def test_doctests(module):
-    failures, _ = doctest.testmod(module)
+@pytest.mark.parametrize("name", MODULES)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0

@@ -104,7 +104,7 @@ def test_connected_series_matches_brute_force():
 
 
 def test_freeness_dimension_identity():
-    assert eqsym.free_generation_check(8)
+    assert eqsym.free_generation_check(6)
 
 
 def test_oracle_examples():

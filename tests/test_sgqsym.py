@@ -151,7 +151,7 @@ def test_upi_expansion_commutes_with_products():
                     lhs = bilinear(
                         sgqsym.upi_expand(p1), sgqsym.upi_expand(p2), sgqsym.product_M
                     )
-                    rhs = LinComb.zero(M)
+                    rhs = LinComb(M)
                     for pi, c in sgqsym.product_upi(p1, p2).terms.items():
                         rhs = rhs + sgqsym.upi_expand(pi).scale(c)
                     assert lhs == rhs, (p1, p2)
@@ -182,7 +182,7 @@ def test_uq_expansion_consistency():
                     lhs = bilinear(
                         sgqsym.uq_expand(c1), sgqsym.uq_expand(c2), sgqsym.product_M
                     )
-                    rhs = LinComb.zero(M)
+                    rhs = LinComb(M)
                     for comp, c in sgqsym.product_uq(c1, c2).terms.items():
                         rhs = rhs + sgqsym.uq_expand(comp).scale(c)
                     assert lhs == rhs, (c1, c2)
@@ -201,7 +201,7 @@ def test_ul_expansion_consistency():
                     lhs = bilinear(
                         sgqsym.ul_expand(l1), sgqsym.ul_expand(l2), sgqsym.product_M
                     )
-                    rhs = LinComb.zero(M)
+                    rhs = LinComb(M)
                     for lam, c in sgqsym.product_ul(l1, l2).terms.items():
                         rhs = rhs + sgqsym.ul_expand(lam).scale(c)
                     assert lhs == rhs, (l1, l2)
@@ -215,7 +215,7 @@ def test_image_coproducts_match_lifted_expansions():
     for n in range(1, 5):
         for lam in symfunc.partitions(n):
             lifted = sgqsym.ul_expand(lam).apply(sgqsym.coproduct_M, kind=tensor_m)
-            expanded = LinComb.zero(tensor_m)
+            expanded = LinComb(tensor_m)
             for (mu, nu), c in sgqsym.coproduct_ul(lam).terms.items():
                 left = sgqsym.ul_expand(mu)
                 right = sgqsym.ul_expand(nu)
@@ -225,7 +225,7 @@ def test_image_coproducts_match_lifted_expansions():
             assert lifted == expanded, lam
         for comp in compositions(n):
             lifted = sgqsym.uq_expand(comp).apply(sgqsym.coproduct_M, kind=tensor_m)
-            expanded = LinComb.zero(tensor_m)
+            expanded = LinComb(tensor_m)
             for (h, k), c in sgqsym.coproduct_uq(comp).terms.items():
                 left = sgqsym.uq_expand(h)
                 right = sgqsym.uq_expand(k)
