@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .limits import guard
@@ -48,10 +49,20 @@ class GradedBasis:
 
 @dataclass
 class CheckResult:
+    """Whether a check passed, and else its first counterexample.  It has no
+    truth value: ``assert result`` would pass on a failed check, so ask for
+    ``result.passed``."""
     passed: bool
     counterexample: tuple | None = None
 
+    def __bool__(self):
+        raise TypeError("a CheckResult has no truth value; read .passed")
+
     def line(self, name: str) -> str:
+        """The report line: a property named "...commutativity" is recorded
+        as yes/no, an axiom or claim as ok or its counterexample."""
+        if name.endswith("commutativity"):
+            return f"{name}: {'yes' if self.passed else 'no'}"
         return f"{name}: {'ok' if self.passed else f'FAIL at {self.counterexample}'}"
 
 
@@ -75,13 +86,7 @@ class HopfReport:
         return self.checks["cocommutativity"].passed
 
     def lines(self) -> list[str]:
-        out = []
-        for name, result in self.checks.items():
-            if name in ("commutativity", "cocommutativity"):
-                out.append(f"{name}: {'yes' if result.passed else 'no'}")
-            else:
-                out.append(result.line(name))
-        return out
+        return [result.line(name) for name, result in self.checks.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +111,20 @@ def first_failure(cases: Cases, names: tuple[str, ...]) -> dict[str, CheckResult
         if len(found) == len(names):
             break
     return {name: CheckResult(name not in found, found.get(name)) for name in names}
+
+
+def check_each(cases: Iterable[tuple], holds: Callable[..., bool]) -> CheckResult:
+    """Whether ``holds(*case)`` is true for every case, through
+    :func:`first_failure`: the counterexample is the first case where it is not."""
+    checks = ((case, {"holds": partial(holds, *case)}) for case in cases)
+    return first_failure(checks, ("holds",))["holds"]
+
+
+def graded_labels(labels: Callable[[int], Iterable], bound: int) -> Iterator[tuple]:
+    """One case ``(x,)`` per label of degrees 1..bound, degree by degree."""
+    for n in range(1, bound + 1):
+        for x in labels(n):
+            yield (x,)
 
 
 def graded_pairs(labels: Callable[[int], Iterable], bound: int) -> Iterator[tuple]:

@@ -14,7 +14,7 @@ import sys
 from typing import Callable
 
 from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
-from .axioms import GradedBasis, duality_check, first_failure, graded_pairs, hopf_check
+from .axioms import GradedBasis, check_each, duality_check, graded_pairs, hopf_check
 from .limits import LimitExceeded, current_limits, guard
 from .lincomb import LinComb
 from .words import FAMILIES, family_size, set_partition_to_text, word_from_text
@@ -145,12 +145,10 @@ def _fqsym_q_checks(max_degree: int) -> tuple[int, list[str]]:
     cocommutativity at q = 0."""
     family = _REGISTRY[qdeform.F_KIND].family
     guard(family.name, max_degree)
-    cases = (((a, b), {"twisted-morphism": lambda: qdeform.fqsym_twisted_morphism_check(a, b)})
-             for a, b in graded_pairs(family.labels, max_degree))
-    res = first_failure(cases, ("twisted-morphism",))["twisted-morphism"]
+    res = check_each(graded_pairs(family.labels, max_degree), qdeform.fqsym_twisted_morphism_check)
     cocom = qdeform.cocommutativity_check(min(max_degree, DUALITY_DEGREE))
-    lines = [res.line("twisted-morphism"), f"q0-cocommutativity: {'yes' if cocom else 'no'}"]
-    return (0 if res.passed and cocom else 1), lines
+    lines = [res.line("twisted-morphism"), cocom.line("q0-cocommutativity")]
+    return (0 if res.passed and cocom.passed else 1), lines
 
 
 # What `verify` runs after `hopf_check` on an algebra's default basis: the

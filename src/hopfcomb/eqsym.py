@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
-from .axioms import GradedBasis
+from .axioms import CheckResult, GradedBasis, check_each
 from .lincomb import LinComb, tensor_kind
 from .realize import oracle_product_check
 from .words import (FAMILIES, Word, cut_points, endofunctions, inverse, is_connected,
@@ -222,10 +222,11 @@ def free_dimensions(generators: Callable[[int], int], bound: int) -> list[int]:
     return dims
 
 
-def free_generation_check(bound: int) -> bool:
+def free_generation_check(bound: int) -> CheckResult:
     """The free algebra on the enumerated connected endofunctions has
-    dimension n^n in each degree n <= bound."""
-    return free_dimensions(brute_connected_count, bound) == [n**n for n in range(bound + 1)]
+    dimension n^n in each degree n <= bound; one case per degree."""
+    dims = free_dimensions(brute_connected_count, bound)
+    return check_each(((n,) for n in range(bound + 1)), lambda n: dims[n] == n**n)
 
 
 def brute_connected_count(n: int) -> int:

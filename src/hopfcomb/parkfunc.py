@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import eqsym
-from .axioms import GradedBasis, graded_pairs
+from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
 from .limits import guard
 from .lincomb import LinComb, bilinear, tensor_kind
 from .words import (
@@ -22,6 +22,7 @@ from .words import (
     Word,
     catalan,
     cut_points,
+    endofunctions,
     enumerate_family,
     is_nondecreasing,
     is_parking,
@@ -29,6 +30,7 @@ from .words import (
     multisets,
     nondecreasing_parking_functions,
     parking_functions,
+    shifted_concat,
 )
 
 MPA_KIND = "cpqsym:Mpa"
@@ -49,12 +51,10 @@ def coproduct_Mpa(p: Word) -> LinComb:
     return LinComb(tensor_kind(MPA_KIND), eqsym.coproduct_M(p).terms)
 
 
-def parking_closure_check(degree_bound: int) -> bool:
+def parking_closure_check(degree_bound: int) -> CheckResult:
     """Every term of a product of parking labels is again a parking label."""
-    return all(
-        all(map(is_parking, product_Mpa(p, q).terms))
-        for p, q in graded_pairs(parking_functions, degree_bound)
-    )
+    return check_each(graded_pairs(parking_functions, degree_bound),
+                      lambda p, q: all(map(is_parking, product_Mpa(p, q).terms)))
 
 
 def algebra() -> GradedBasis:
@@ -231,8 +231,6 @@ def unlabelled_product(cert1: tuple, cert2: tuple) -> LinComb:
     whose standardized halves realize the two factors.
     """
     n, m = cert_size(cert1), cert_size(cert2)
-    from .words import shifted_concat
-
     h = shifted_concat(graph_representative(cert1, n), graph_representative(cert2, m))
     target = tuple(sorted(cert1 + cert2))
     kappa = 0
@@ -250,8 +248,6 @@ def unlabelled_product_brute(cert1: tuple, cert2: tuple) -> LinComb:
     """Full expansion over both endofunction labelling classes, regrouped."""
     n, m = cert_size(cert1), cert_size(cert2)
     by_cert: dict[tuple, int] = {}
-    from .words import endofunctions
-
     for p in endofunctions(n):
         if graph_certificate(p) != cert1:
             continue
@@ -287,11 +283,12 @@ def connected_graph_counts(bound: int) -> list[int]:
     ]
 
 
-def free_polynomial_check(bound: int) -> bool:
+def free_polynomial_check(bound: int) -> CheckResult:
     """Unlabelled dimensions match multisets of connected generators, both
-    read off the certificates of the parking functions."""
+    read off the certificates of the parking functions; one case per degree."""
     dims = multisets(connected_graph_counts(bound))
-    return dims == [len(unlabelled_certificates(n)) for n in range(bound + 1)]
+    return check_each(((n,) for n in range(bound + 1)),
+                      lambda n: dims[n] == len(unlabelled_certificates(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +309,19 @@ def cc_coproduct(p: Word) -> LinComb:
     return LinComb(tensor_kind(CC_KIND), eqsym.coproduct_M(p).terms)
 
 
-def cc_ideal_check(degree_bound: int) -> bool:
-    """Products against a non-nondecreasing label stay in the ideal."""
-    return not any(
-        is_nondecreasing(h)
-        for p, q in graded_pairs(parking_functions, degree_bound)
-        if not is_nondecreasing(p)
-        for h in itertools.chain(product_Mpa(p, q).terms, product_Mpa(q, p).terms)
-    )
+def cc_ideal_check(degree_bound: int) -> CheckResult:
+    """Products against a non-nondecreasing label stay in the ideal: at each
+    pair (p, q) with p outside the quotient's labels, no term of pq or qp is
+    nondecreasing."""
+    def stays(p: Word, q: Word) -> bool:
+        terms = itertools.chain(product_Mpa(p, q).terms, product_Mpa(q, p).terms)
+        return is_nondecreasing(p) or not any(map(is_nondecreasing, terms))
+
+    return check_each(graded_pairs(parking_functions, degree_bound), stays)
 
 
 def cc_dual_product(p: Word, q: Word) -> LinComb:
     """Dual-side class product: shifted concatenation of nondecreasing labels."""
-    from .words import shifted_concat
-
     return LinComb.basis(CC_DUAL_KIND, shifted_concat(p, q))
 
 
@@ -346,41 +342,34 @@ def connected_nondecreasing_count(n: int) -> int:
     )
 
 
-def cc_freeness_check(bound: int) -> bool:
-    """Catalan dimensions match words in connected nondecreasing generators."""
+def cc_freeness_check(bound: int) -> CheckResult:
+    """Catalan dimensions match words in connected nondecreasing generators;
+    one case per degree."""
     dims = eqsym.free_dimensions(connected_nondecreasing_count, bound)
-    return dims == [catalan(n) for n in range(bound + 1)]
+    return check_each(((n,) for n in range(bound + 1)), lambda n: dims[n] == catalan(n))
 
 
 def cc_algebra() -> GradedBasis:
     return GradedBasis(CC_KIND, FAMILIES["nondecreasing_parking"], cc_product, cc_coproduct)
 
 
-def reordering_not_subalgebra_example(degree_bound: int = 4):
-    """Search for sums over rearrangement classes whose product leaves the span.
+def reordering_not_subalgebra_example(degree_bound: int = 4) -> CheckResult:
+    """Whether sums over rearrangement classes close under the product, at
+    each pair of nondecreasing labels: a failed result's counterexample is a
+    pair whose product leaves their span.
 
-    Returns a witness pair of nondecreasing labels, or None if the sums close
-    at these degrees.
+    The product is constant on a class when each rearrangement of each of its
+    terms has one coefficient; a rearrangement of a parking word parks.
     """
-    def rearrangements(p: Word) -> LinComb:
-        return LinComb(MPA_KIND, {w: 1 for w in set(itertools.permutations(p))})
+    def rearrangements(p: Word) -> set[Word]:
+        return set(itertools.permutations(p))
 
-    for p, q in graded_pairs(nondecreasing_parking_functions, degree_bound):
-        total = bilinear(rearrangements(p), rearrangements(q), product_Mpa)
-        by_class: dict[Word, dict[Word, int]] = {}
-        for h, c in total.terms.items():
-            key = tuple(sorted(h))
-            by_class.setdefault(key, {})[h] = c
-        for key, coeffs in by_class.items():
-            class_words = {
-                w
-                for w in set(itertools.permutations(key))
-                if is_parking(w)
-            }
-            values = {coeffs.get(w, 0) for w in class_words}
-            if len(values) > 1:
-                return (p, q)
-    return None
+    def closes(p: Word, q: Word) -> bool:
+        total = bilinear(LinComb(MPA_KIND, dict.fromkeys(rearrangements(p), 1)),
+                         LinComb(MPA_KIND, dict.fromkeys(rearrangements(q), 1)), product_Mpa)
+        return all(len({total[w] for w in rearrangements(h)}) == 1 for h in total.terms)
+
+    return check_each(graded_pairs(nondecreasing_parking_functions, degree_bound), closes)
 
 
 # ---------------------------------------------------------------------------

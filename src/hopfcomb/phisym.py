@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import symfunc
-from .axioms import GradedBasis, graded_pairs
+from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
 from .lincomb import LinComb, bilinear, tensor, tensor_kind
 from .realize import BIWORD_KIND, biword_mul, realize_phi
 from .words import (
@@ -70,7 +70,7 @@ def matching_product(c_set1, c_set2) -> set[CycleSet]:
         for left in itertools.combinations(range(len(c1)), k):
             rest1 = [c1[i] for i in range(len(c1)) if i not in left]
             for right in itertools.permutations(range(len(c2)), k):
-                rest2 = [c2[j] for j in range(len(c2)) if j not in set(right)]
+                rest2 = [c2[j] for j in range(len(c2)) if j not in right]
                 merge_options = [
                     sorted(cyclic_shuffle(c1[i], c2[j])) for i, j in zip(left, right)
                 ]
@@ -223,11 +223,12 @@ def coproduct_Y(lam: IntegerPartition) -> LinComb:
     return LinComb(tensor_kind(Y_KIND), terms)
 
 
-def y_representative_independent(degree_bound: int) -> bool:
-    return all(
-        project_Y(product_phi(sigma, tau)) == product_Y(cycle_type(sigma), cycle_type(tau))
-        for sigma, tau in graded_pairs(permutations, degree_bound)
-    )
+def y_representative_independent(degree_bound: int) -> CheckResult:
+    """Cycle-type class products do not depend on the representatives."""
+    return check_each(
+        graded_pairs(permutations, degree_bound),
+        lambda sigma, tau: project_Y(product_phi(sigma, tau))
+        == product_Y(cycle_type(sigma), cycle_type(tau)))
 
 
 def y_to_sym(lam: IntegerPartition) -> LinComb:
@@ -241,13 +242,12 @@ def y_to_sym(lam: IntegerPartition) -> LinComb:
     return symfunc.sym("m", lam, Fraction(numerator, denominator))
 
 
-def y_iso_check(degree_bound: int) -> bool:
+def y_iso_check(degree_bound: int) -> CheckResult:
     """The cycle-type quotient maps to Sym as an algebra morphism."""
-    return all(
-        product_Y(l1, l2).apply(y_to_sym, kind=symfunc.kind("m"))
-        == symfunc.m_mul(y_to_sym(l1), y_to_sym(l2))
-        for l1, l2 in graded_pairs(symfunc.partitions, degree_bound)
-    )
+    return check_each(
+        graded_pairs(symfunc.partitions, degree_bound),
+        lambda l1, l2: product_Y(l1, l2).apply(y_to_sym, kind=symfunc.kind("m"))
+        == symfunc.m_mul(y_to_sym(l1), y_to_sym(l2)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ import itertools
 from functools import lru_cache, partial
 from typing import Iterator
 
+from .axioms import CheckResult, check_each, graded_labels
 from .coeffs import QPoly
 from .lincomb import LinComb, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
 from .limits import guard
-from .parkfunc import catalan  # noqa: F401  (re-exported: counts the q-classes)
 from .realize import QMONO_KIND, qvar_mul, realize_fundamental
 from .words import (
     Composition,
@@ -234,9 +234,10 @@ def q_rewrite(w: Word, system: str) -> tuple[Word, int]:
     return current, exponent
 
 
-def confluence_check(system: str, length: int, n_letters: int) -> tuple[bool, Word | None]:
-    """All rewriting orders reach one normal form, on all words of the size."""
-    for w in itertools.product(range(1, n_letters + 1), repeat=length):
+def confluence_check(system: str, length: int, n_letters: int) -> CheckResult:
+    """All rewriting orders reach one normal form, on all words of the size;
+    one case ``(w,)`` per word."""
+    def confluent(w: Word) -> bool:
         seen = {w}
         frontier = [w]
         normal_forms = set()
@@ -245,14 +246,14 @@ def confluence_check(system: str, length: int, n_letters: int) -> tuple[bool, Wo
             steps = rewrite_steps(current, system)
             if not steps:
                 normal_forms.add(current)
-                continue
             for nxt in steps:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        if len(normal_forms) != 1:
-            return False, w
-    return True, None
+        return len(normal_forms) == 1
+
+    words = itertools.product(range(1, n_letters + 1), repeat=length)
+    return check_each(((w,) for w in words), confluent)
 
 
 def class_census(system: str, n: int) -> int:
@@ -296,10 +297,10 @@ def q0_coproduct(sigma: Word) -> LinComb:
     return out
 
 
-def cocommutativity_check(degree_bound: int) -> bool:
-    for n in range(1, degree_bound + 1):
-        for sigma in permutations(n):
-            cop = q0_coproduct(sigma)
-            if tensor_swap(cop) != cop:
-                return False
-    return True
+def cocommutativity_check(degree_bound: int) -> CheckResult:
+    """The q = 0 coproduct is cocommutative on every permutation up to the bound."""
+    def symmetric(sigma: Word) -> bool:
+        cop = q0_coproduct(sigma)
+        return tensor_swap(cop) == cop
+
+    return check_each(graded_labels(permutations, degree_bound), symmetric)

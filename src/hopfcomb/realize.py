@@ -33,7 +33,7 @@ from .lincomb import LinComb
 from .words import (
     Cycle,
     Word,
-    cycle_from_word,
+    canonical_cycle,
     cycles,
     from_cycles,
     inverse,
@@ -137,7 +137,7 @@ def biword_mul(x: LinComb, y: LinComb) -> LinComb:
 def cycle_of_subword(a_sub: Sequence[int]) -> Cycle:
     """The cycle read off a bottom-row subword: its standardized word inverted,
     interpreted as a cycle word."""
-    return cycle_from_word(inverse(standardize(a_sub)))
+    return canonical_cycle(inverse(standardize(a_sub)))
 
 
 def classify_biword(top: Word, bottom: Word) -> Word:

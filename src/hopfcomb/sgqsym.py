@@ -15,7 +15,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import eqsym, symfunc
-from .axioms import GradedBasis, graded_pairs
+from .axioms import CheckResult, GradedBasis, check_each, graded_labels, graded_pairs
 from .lincomb import LinComb, tensor_kind
 from .realize import (
     diagonal_weighted_sum,
@@ -76,7 +76,7 @@ def product_M_splitting(alpha: Word, beta: Word) -> LinComb:
     terms: dict[Word, int] = {}
     ground = range(1, n + m + 1)
     for chosen in itertools.combinations(ground, n):
-        complement = tuple(i for i in ground if i not in set(chosen))
+        complement = tuple(i for i in ground if i not in chosen)
         relabeled = [tuple(chosen[a - 1] for a in c) for c in cycles(alpha)]
         relabeled += [tuple(complement[a - 1] for a in c) for c in cycles(beta)]
         gamma = from_cycles(relabeled, n + m)
@@ -170,7 +170,7 @@ def product_upi(pi1: SetPartition, pi2: SetPartition) -> LinComb:
     terms: dict[SetPartition, int] = {}
     ground = range(1, n + m + 1)
     for chosen in itertools.combinations(ground, n):
-        complement = tuple(i for i in ground if i not in set(chosen))
+        complement = tuple(i for i in ground if i not in chosen)
         merged = canonical_set_partition(
             relabel_partition(pi1, chosen) + relabel_partition(pi2, complement)
         )
@@ -211,7 +211,7 @@ def product_Mw(pi1: SetPartition, pi2: SetPartition) -> LinComb:
             for right in itertools.permutations(range(len(shifted)), k):
                 merged = [tuple(sorted(b1[i] + shifted[j])) for i, j in zip(left, right)]
                 rest_right = [
-                    shifted[j] for j in range(len(shifted)) if j not in set(right)
+                    shifted[j] for j in range(len(shifted)) if j not in right
                 ]
                 pi = canonical_set_partition(merged + rest_left + rest_right)
                 terms[pi] = terms.get(pi, 0) + 1
@@ -378,21 +378,24 @@ def j_schur_check(lam: IntegerPartition, n_trunc: int) -> bool:
 # ---------------------------------------------------------------------------
 # subalgebra closure
 
-def subalgebra_closure_check(predicate: Callable, degree_bound: int) -> bool:
+def subalgebra_closure_check(predicate: Callable, degree_bound: int) -> CheckResult:
     """Whether products and coproducts of predicate-satisfying permutations
-    expand only over predicate-satisfying labels, up to the degree bound."""
-    for n in range(1, degree_bound + 1):
-        for sigma in permutations(n):
-            if not predicate(sigma):
-                continue
-            for (a, b), _ in coproduct_M(sigma).terms.items():
-                if (a and not predicate(a)) or (b and not predicate(b)):
-                    return False
-    return all(
-        all(map(predicate, product_M(alpha, beta).terms))
-        for alpha, beta in graded_pairs(permutations, degree_bound)
-        if predicate(alpha) and predicate(beta)
-    )
+    expand only over predicate-satisfying labels, up to the degree bound.
+
+    The cases are every label ``(sigma,)``, read through its coproduct's
+    nonempty factors, then every pair ``(alpha, beta)``, read through its
+    product's terms.
+    """
+    def closed(*labels: Word) -> bool:
+        if len(labels) == 1:
+            images = (x for pair in coproduct_M(*labels).terms for x in pair if x)
+        else:
+            images = product_M(*labels).terms
+        return not all(map(predicate, labels)) or all(map(predicate, images))
+
+    cases = itertools.chain(graded_labels(permutations, degree_bound),
+                            graded_pairs(permutations, degree_bound))
+    return check_each(cases, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +414,12 @@ def product_V(comp1: Composition, comp2: Composition) -> LinComb:
     return project_V(product_Mw(consecutive_blocks(comp1), consecutive_blocks(comp2)))
 
 
-def quotient_well_defined(degree_bound: int) -> bool:
+def quotient_well_defined(degree_bound: int) -> CheckResult:
     """Class products are independent of the representative set partitions."""
-    return all(
-        project_V(product_Mw(pi1, pi2))
-        == product_V(block_composition(pi1), block_composition(pi2))
-        for pi1, pi2 in graded_pairs(set_partitions, degree_bound)
-    )
+    return check_each(
+        graded_pairs(set_partitions, degree_bound),
+        lambda pi1, pi2: project_V(product_Mw(pi1, pi2))
+        == product_V(block_composition(pi1), block_composition(pi2)))
 
 
 def bell_polynomial(n: int) -> dict[IntegerPartition, int]:
@@ -474,15 +476,13 @@ def commutative_image_coeff(lam: IntegerPartition) -> int:
     return out
 
 
-def full_cycle_S_primitive(n: int) -> bool:
-    """Dual-side primitivity of the classes of full cycles."""
-    for sigma in permutations(n):
-        if len(cycles(sigma)) == 1:
-            cop = coproduct_S(sigma)
-            expected = {(sigma, ()): 1, ((), sigma): 1}
-            if cop.terms != expected:
-                return False
-    return True
+def full_cycle_S_primitive(n: int) -> CheckResult:
+    """Dual-side primitivity of the classes of full cycles: one case per
+    permutation of size n."""
+    return check_each(
+        ((sigma,) for sigma in permutations(n)),
+        lambda sigma: len(cycles(sigma)) != 1
+        or coproduct_S(sigma).terms == {(sigma, ()): 1, ((), sigma): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ column position sets in a set partition.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
 from . import symfunc
+from .axioms import CheckResult, check_each
 from .lincomb import LinComb
 from .words import (
     SetPartition,
@@ -241,26 +243,14 @@ def class_product(family: str, u: Word, v: Word) -> LinComb:
     return LinComb(kind, dict(terms))
 
 
-def class_product_well_defined(family: str, n: int, m: int) -> bool:
-    """Whether lifted products agree for congruent representative pairs."""
-    reps: dict[Word, list[Word]] = {}
-    for w in enumerate_family(family, n):
-        reps.setdefault(canonical_form(w), []).append(w)
-    reps2: dict[Word, list[Word]] = {}
-    for w in enumerate_family(family, m):
-        reps2.setdefault(canonical_form(w), []).append(w)
-
-    for us in reps.values():
-        for vs in reps2.values():
-            expected = None
-            for u in us:
-                for v in vs:
-                    got = class_product(family, u, v)
-                    if expected is None:
-                        expected = got
-                    elif got != expected:
-                        return False
-    return True
+def class_product_well_defined(family: str, n: int, m: int) -> CheckResult:
+    """Whether lifted products agree for congruent representative pairs: at
+    each pair (u, v) of the family's words of sizes n and m, the product
+    equals the one at the canonical forms, which are words of the family."""
+    return check_each(
+        itertools.product(enumerate_family(family, n), enumerate_family(family, m)),
+        lambda u, v: class_product(family, u, v)
+        == class_product(family, canonical_form(u), canonical_form(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from math import factorial
 from typing import Iterator
 
 from .limits import guard
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear
 from .words import IntegerPartition, partition_multiplicities, partitions
 
 BASES = ("m", "e", "h", "p", "s")
@@ -91,8 +91,6 @@ def m_mul_basis(lam: IntegerPartition, mu: IntegerPartition) -> LinComb:
 
 
 def m_mul(x: LinComb, y: LinComb) -> LinComb:
-    from .lincomb import bilinear
-
     return bilinear(x, y, m_mul_basis, kind("m"))
 
 

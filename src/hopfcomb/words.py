@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -173,15 +174,14 @@ def is_connected(h: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # cycles
 
-def canonical_cycle(orbit: Iterable[int], successor: dict[int, int] | None = None) -> Cycle:
-    """Rotate a cycle word so its minimal element comes first."""
-    word = tuple(orbit)
-    if successor is not None:
-        start = min(word)
-        out = [start]
-        while successor[out[-1]] != start:
-            out.append(successor[out[-1]])
-        return tuple(out)
+def canonical_cycle(w: Iterable[int]) -> Cycle:
+    """The cycle of a word of distinct letters, each sent to the next,
+    cyclically: the word rotated so its minimal letter comes first.
+
+    >>> canonical_cycle((3, 1, 2))
+    (1, 2, 3)
+    """
+    word = tuple(w)
     k = word.index(min(word))
     return word[k:] + word[:k]
 
@@ -250,11 +250,6 @@ def standardized_cycles(cycle_list: Sequence[Cycle], chosen: Sequence[int]) -> W
 def cycle_words(c: Cycle) -> list[Cycle]:
     """All rotations of a cycle word."""
     return [c[k:] + c[:k] for k in range(len(c))]
-
-
-def cycle_from_word(w: Sequence[int]) -> Cycle:
-    """Read a word as a cycle sending each letter to the next, cyclically."""
-    return canonical_cycle(w, {w[i]: w[(i + 1) % len(w)] for i in range(len(w))})
 
 
 def cycle_supports(sigma: Sequence[int]) -> SetPartition:
@@ -630,6 +625,9 @@ def family_size(kind: str, n: int, limits: Limits | None = None) -> int:
 # ---------------------------------------------------------------------------
 # text encodings (parsers and printers round-trip)
 
+_CYCLE_CHUNK = re.compile(r"\(([1-9]*|[1-9][0-9]*(,[1-9][0-9]*)+)\)")
+
+
 def word_to_text(w: Sequence[int]) -> str:
     if not w:
         return "()"
@@ -650,15 +648,17 @@ def word_from_text(text: str) -> Word:
 
 
 def _cycles_from_text(text: str) -> list[Cycle]:
+    """Cycles written ``(1352)(4)`` or ``(1,10)(2)``.  Each chunk is "(", a
+    word of nonzero digits or comma-separated positive numbers, ")"; an empty
+    chunk ``()`` adds no cycle.  Any other chunk is refused with a one-line
+    ``ValueError``."""
     out = []
     for chunk in text.replace(")(", ")|(").split("|"):
-        inner = chunk.strip()[1:-1]
-        if not inner:
-            continue
-        if "," in inner:
-            out.append(tuple(int(a) for a in inner.split(",")))
-        else:
-            out.append(tuple(int(ch) for ch in inner))
+        if not _CYCLE_CHUNK.fullmatch(chunk):
+            raise ValueError(f"not cycle notation: {text!r}")
+        inner = chunk[1:-1]
+        if inner:
+            out.append(tuple(map(int, inner.split(",") if "," in inner else inner)))
     return out
 
 

@@ -8,11 +8,12 @@ import itertools
 import math
 
 from conftest import lc, tensor_terms
-from hopfcomb import cli, eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
+from hopfcomb import cli, eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.coeffs import QPoly
-from hopfcomb.lincomb import LinComb, tensor_kind, tensor_swap, twisted_tensor_mul
+from hopfcomb.lincomb import LinComb, tensor_kind, twisted_tensor_mul
 from hopfcomb.words import (
+    catalan,
     compositions,
     endofunctions,
     inverse,
@@ -268,7 +269,8 @@ def test_criterion_4_hopf_axiom_suites():
     assert not reports["eqsym"].cocommutative
     assert reports["phisym"].cocommutative
     assert reports["wsym"].cocommutative
-    assert qdeform.cocommutativity_check(4)
+    res = qdeform.cocommutativity_check(4)
+    assert res.passed, res.counterexample
 
     _ok("4 hopf axiom suites", "9 bases at degree 5; Q-side commutative; "
         "cycle basis, orbit words and q=0 coproduct cocommutative")
@@ -317,7 +319,8 @@ def test_criterion_6_cross_basis_consistency():
                 == sgqsym.coproduct_S(sigma).terms
             )
 
-    assert phisym.y_iso_check(6)
+    res = phisym.y_iso_check(6)
+    assert res.passed, res.counterexample
     _ok("6 cross-basis consistency",
         "round trips at degree 5; multiplicative bases match the dual basis at "
         "degree 4; cycle-type quotient maps to Sym multiplicatively to degree 6")
@@ -331,7 +334,8 @@ def test_criterion_7_stalactic_well_definedness():
                 assert stalactic.insert(v)[0].word() == form, (w, v)
     for family in ("parking", "endofunctions", "initial_words"):
         for n, m in [(1, 2), (2, 2), (1, 3), (3, 2), (3, 3)]:
-            assert stalactic.class_product_well_defined(family, n, m), (family, n, m)
+            res = stalactic.class_product_well_defined(family, n, m)
+            assert res.passed, (family, n, m, res.counterexample)
     _ok("7 stalactic well-definedness",
         "insertion constant on classes (length 5, alphabet 3); class products "
         "representative-independent through degree 3+3")
@@ -362,12 +366,13 @@ def test_criterion_9_q_structure():
         assert holds, pair
 
     assert [qdeform.class_census("qS", n) for n in range(1, 7)] == [
-        qdeform.catalan(n) for n in range(1, 7)]
+        catalan(n) for n in range(1, 7)]
 
     for n in range(1, 6):
         for sigma in permutations(n):
             assert qdeform.coproduct_q1_F(sigma) == qdeform.ordinary_coproduct_F(sigma)
-    assert qdeform.cocommutativity_check(4)
+    res = qdeform.cocommutativity_check(4)
+    assert res.passed, res.counterexample
     from hopfcomb.words import is_connected
 
     for n in range(1, 5):

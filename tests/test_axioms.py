@@ -11,10 +11,12 @@ from functools import lru_cache
 
 import pytest
 
-from hopfcomb import eqsym, parkfunc, phisym, sgqsym
+from hopfcomb import eqsym, parkfunc, phisym, qdeform, sgqsym
 from hopfcomb.axioms import (
+    CheckResult,
     HopfReport,
     _Sweep,
+    check_each,
     duality_check,
     first_failure,
     graded_pairs,
@@ -22,7 +24,7 @@ from hopfcomb.axioms import (
 )
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
-from hopfcomb.words import set_partition_from_text, word_from_text
+from hopfcomb.words import is_involution, set_partition_from_text, word_from_text
 
 W = word_from_text
 
@@ -497,3 +499,63 @@ def test_a_side_that_mixes_kinds_raises():
     for check in (hopf_check, _reference_hopf_check):
         with pytest.raises(ValueError, match="mixing label kinds"):
             check(alg, 4)
+
+
+# ---------------------------------------------------------------------------
+# the paper's claims: one CheckResult each, through first_failure
+
+def test_a_check_result_has_no_truth_value():
+    for result in (CheckResult(True), CheckResult(False, ((1,),))):
+        with pytest.raises(TypeError, match="read .passed"):
+            bool(result)
+        with pytest.raises(TypeError):
+            assert result
+
+
+def test_check_each_reports_the_first_failing_case():
+    cases = [(n,) for n in range(10)]
+    assert check_each(cases, lambda n: n * n < 20) == CheckResult(False, (5,))
+    assert check_each(cases, lambda n: n >= 0) == CheckResult(True, None)
+    assert check_each([], lambda: False) == CheckResult(True, None)
+
+
+def test_check_result_lines():
+    assert CheckResult(True).line("associativity") == "associativity: ok"
+    assert CheckResult(False, ((1,),)).line("unit") == "unit: FAIL at ((1,),)"
+    assert CheckResult(True).line("q0-cocommutativity") == "q0-cocommutativity: yes"
+    assert CheckResult(False, ((1,),)).line("commutativity") == "commutativity: no"
+
+
+def _sorted_terms(rule, kind):
+    """``rule`` with each term's word sorted: a term moves into the
+    nondecreasing labels."""
+    return lambda p, q: LinComb(kind, {tuple(sorted(h)): c for h, c in rule(p, q).terms.items()})
+
+
+def _rotated_terms(rule, kind):
+    """``rule`` with each term's word rotated one place to the left."""
+    return lambda a, b: LinComb(kind, {h[1:] + h[:1]: c for h, c in rule(a, b).terms.items()})
+
+
+# (module, rule name, broken rule, claim, its first counterexample)
+BROKEN_CLAIMS = {
+    # (1), (1, 1), (1, 2) are nondecreasing: 21 is the first label of the ideal
+    "ideal": (parkfunc, "product_Mpa", _sorted_terms(parkfunc.product_Mpa, parkfunc.MPA_KIND),
+              lambda: parkfunc.cc_ideal_check(4), ((2, 1), (1,))),
+    # M_1 M_1 = 2 M_12 rotates to the involution 21; M_1 M_12 holds M_123 -> 231
+    "involutions": (sgqsym, "product_M", _rotated_terms(sgqsym.product_M, sgqsym.M_KIND),
+                    lambda: sgqsym.subalgebra_closure_check(is_involution, 4),
+                    ((1,), (1, 2))),
+    # deconcatenation is symmetric on every permutation of size 1 and 2, and on
+    # 123; 132 cuts into (1, 21) with no (21, 1)
+    "q0-cocommutativity": (qdeform, "q0_coproduct", qdeform.ordinary_coproduct_F,
+                           lambda: qdeform.cocommutativity_check(4), ((1, 3, 2),)),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_CLAIMS))
+def test_a_broken_rule_fails_its_claim_at_the_first_counterexample(name, monkeypatch):
+    module, rule, broken, claim, counterexample = BROKEN_CLAIMS[name]
+    assert claim().passed
+    monkeypatch.setattr(module, rule, broken)
+    assert claim() == CheckResult(False, counterexample)

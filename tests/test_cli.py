@@ -394,6 +394,16 @@ def test_wrong_family_labels_exit_two(argv):
     assert "Traceback" not in err
 
 
+# Cycle text with an unclosed or stray chunk, or a letter 0, is refused, not
+# cut short ("(12" is not the permutation 1, nor "(12)(34" 213, nor "(10)" 1).
+@pytest.mark.parametrize("text", [
+    "(12", "(12)(34", "(1)(1", "(1,)", "(12)x(3)", "(0)", "(10)", "(1,0)", "(2,01)"])
+def test_malformed_cycle_text_exits_two(text):
+    code, out, err = run_cli("coproduct", "--algebra", "phisym", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: not cycle notation: {text!r}\n"
+
+
 # kind -> (a degree-2 label, its printed text, a label outside the
 # family).  Forest and parking-graph labels are entered through a
 # parking function and print as their certificates.

@@ -104,7 +104,8 @@ def test_connected_series_matches_brute_force():
 
 
 def test_freeness_dimension_identity():
-    assert eqsym.free_generation_check(6)
+    res = eqsym.free_generation_check(6)
+    assert res.passed, res.counterexample
 
 
 def test_oracle_examples():

@@ -39,7 +39,8 @@ def test_coproduct_golden_examples():
 
 
 def test_parking_functions_closed_under_product():
-    assert parkfunc.parking_closure_check(5)
+    res = parkfunc.parking_closure_check(5)
+    assert res.passed, res.counterexample
 
 
 def test_unlabelled_counts():
@@ -182,7 +183,8 @@ def test_unlabelled_coproduct_matches_brute_expansion():
 
 
 def test_unlabelled_graphs_form_polynomial_algebra():
-    assert parkfunc.free_polynomial_check(6)
+    res = parkfunc.free_polynomial_check(6)
+    assert res.passed, res.counterexample
 
 
 def test_ccqsym_product_kills_the_ideal():
@@ -193,7 +195,8 @@ def test_ccqsym_product_kills_the_ideal():
 
 
 def test_ideal_is_stable():
-    assert parkfunc.cc_ideal_check(4)
+    res = parkfunc.cc_ideal_check(4)
+    assert res.passed, res.counterexample
 
 
 def test_catalan_dimensions():
@@ -203,7 +206,8 @@ def test_catalan_dimensions():
 
 
 def test_ccqsym_dual_freeness():
-    assert parkfunc.cc_freeness_check(7)
+    res = parkfunc.cc_freeness_check(7)
+    assert res.passed, res.counterexample
     assert [parkfunc.connected_nondecreasing_count(n) for n in range(1, 5)] == [1, 1, 2, 5]
 
 
@@ -219,7 +223,8 @@ def test_ccqsym_duality():
 
 
 def test_reordering_sums_do_not_close():
-    assert parkfunc.reordering_not_subalgebra_example(3) == ((1,), (1,))
+    res = parkfunc.reordering_not_subalgebra_example(3)
+    assert (res.passed, res.counterexample) == (False, ((1,), (1,)))
 
 
 def test_forest_product_single_node_squared():

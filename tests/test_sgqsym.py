@@ -288,29 +288,34 @@ def test_immanant_out_of_scope_shapes_rejected():
 
 
 def test_involutions_span_a_subalgebra():
-    assert sgqsym.subalgebra_closure_check(is_involution, 4)
+    res = sgqsym.subalgebra_closure_check(is_involution, 4)
+    assert res.passed, res.counterexample
 
 
 def test_order_three_closure_recorded():
     def order_divides_3(sigma):
         return all(part in (1, 3) for part in cycle_type(sigma))
 
-    assert sgqsym.subalgebra_closure_check(order_divides_3, 4)
+    res = sgqsym.subalgebra_closure_check(order_divides_3, 4)
+    assert res.passed, res.counterexample
 
 
 def test_derangement_closure_recorded():
     def derangement(sigma):
         return all(sigma[i] != i + 1 for i in range(len(sigma)))
 
-    assert sgqsym.subalgebra_closure_check(derangement, 4)
+    res = sgqsym.subalgebra_closure_check(derangement, 4)
+    assert res.passed, res.counterexample
 
 
 def test_all_permutations_closed():
-    assert sgqsym.subalgebra_closure_check(is_permutation, 4)
+    res = sgqsym.subalgebra_closure_check(is_permutation, 4)
+    assert res.passed, res.counterexample
 
 
 def test_quotient_well_defined():
-    assert sgqsym.quotient_well_defined(4)
+    res = sgqsym.quotient_well_defined(4)
+    assert res.passed, res.counterexample
 
 
 def test_bell_polynomials():
@@ -328,7 +333,8 @@ def test_commutative_image_multiplier():
 
 def test_full_cycle_duals_primitive():
     for n in range(1, 6):
-        assert sgqsym.full_cycle_S_primitive(n)
+        res = sgqsym.full_cycle_S_primitive(n)
+        assert res.passed, (n, res.counterexample)
 
 
 def test_hopf_axioms_all_adapters_degree_4():

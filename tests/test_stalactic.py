@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from hopfcomb import stalactic, symfunc
 from hopfcomb.lincomb import LinComb
-from hopfcomb.words import enumerate_family, is_parking
+from hopfcomb.words import is_parking
 
 
 def letters(s: str) -> tuple[int, ...]:
@@ -192,7 +192,8 @@ def test_class_product_examples():
 def test_class_products_well_defined():
     for family in ("parking", "endofunctions", "initial_words"):
         for n, m in [(1, 2), (2, 2), (2, 3), (3, 3)]:
-            assert stalactic.class_product_well_defined(family, n, m), (family, n, m)
+            res = stalactic.class_product_well_defined(family, n, m)
+            assert res.passed, (family, n, m, res.counterexample)
 
 
 def test_generic_character_coefficients():

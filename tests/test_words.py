@@ -319,6 +319,8 @@ def test_word_text_round_trip(w):
 
 def test_cycle_notation_round_trip():
     assert word_from_text("(1352)(4)") == (3, 1, 5, 4, 2)
+    assert word_from_text("(12)()") == (2, 1)
+    assert word_from_text("(1,10)(2)(3)(4)(5)(6)(7)(8)(9)") == (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)
     assert word_from_text("2,6,7,9,10,1,3,5,4,8") == (2, 6, 7, 9, 10, 1, 3, 5, 4, 8)
 
 
