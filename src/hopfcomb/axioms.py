@@ -316,15 +316,14 @@ def duality_check(
     primal: GradedBasis,
     dual_coproduct: Callable,
     degree_bound: int,
-    dual_product: Callable | None = None,
-    primal_coproduct: Callable | None = None,
+    dual_product: Callable,
+    primal_coproduct: Callable,
 ) -> CheckResult:
-    """Check <x y, z> = <x (x) y, Delta* z> for all basis triples up to the bound.
+    """Check <x y, z> = <x (x) y, Delta* z> and the transposed law
+    <Delta x, z (x) w> = <x, z w> for all basis triples up to the bound.
 
     Labels of the dual are identified with primal labels (dual bases pair by
-    delta).  When ``dual_product`` and ``primal_coproduct`` are supplied, the
-    transposed law <Delta x, z (x) w> = <x, z w> is verified as well; one of
-    them alone raises ``ValueError``.
+    delta).
 
     Both laws are checked by rows: the coproducts of a degree's targets are
     transposed once into columns ``(x, y) -> {z: coeff}``, and each product
@@ -334,8 +333,6 @@ def duality_check(
     This is stricter than reading only the targets: a product term whose
     label is not a target of its degree also fails, and ranks after them.
     """
-    if (dual_product is None) != (primal_coproduct is None):
-        raise ValueError("the transposed law needs both dual_product and primal_coproduct")
     guard(primal.family.name, degree_bound)
     by_degree = primal.labels_upto(degree_bound)
 
@@ -359,7 +356,6 @@ def duality_check(
                             z = min(diff, key=lambda w: rank.get(w, len(targets)))
                         yield (a, b, z), {"duality": lambda: z is None}
 
-    laws = [cases(primal.product, dual_coproduct)]
-    if dual_product is not None:
-        laws.append(cases(dual_product, primal_coproduct))
-    return first_failure(itertools.chain(*laws), ("duality",))["duality"]
+    laws = itertools.chain(cases(primal.product, dual_coproduct),
+                           cases(dual_product, primal_coproduct))
+    return first_failure(laws, ("duality",))["duality"]

@@ -17,7 +17,8 @@ from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
 from .axioms import GradedBasis, check_each, duality_check, graded_pairs, hopf_check
 from .limits import LimitExceeded, current_limits, guard
 from .lincomb import LinComb
-from .words import FAMILIES, family_size, set_partition_to_text, word_from_text
+from .words import (FAMILIES, family_size, set_partition_to_text, word_from_text,
+                    word_to_text)
 
 
 def _letters_from_text(text: str):
@@ -326,7 +327,10 @@ def _run(args) -> int:
                 "Q": [list(b) for b in q_symbol],
             }))
         else:
-            print("P:", "".join(letter(a) for a in tableau.word()))
+            p_word = tableau.word()
+            # word_to_text writes the empty word "()"; here it prints as nothing
+            print("P:", word_to_text(p_word) if p_word and not alphabetic
+                  else "".join(letter(a) for a in p_word))
             for row in tableau.rows():
                 print("  " + " ".join("." if v is None else letter(v) for v in row))
             print("Q:", set_partition_to_text(q_symbol))

@@ -50,9 +50,6 @@ class QPoly:
     def coerce(value: "QPoly | int") -> "QPoly":
         return value if isinstance(value, QPoly) else QPoly.const(value)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -12,7 +12,6 @@ into two complementary stable subsets.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
@@ -20,8 +19,8 @@ from typing import Callable
 from .axioms import CheckResult, GradedBasis, check_each
 from .lincomb import LinComb, tensor_kind
 from .realize import oracle_product_check
-from .words import (FAMILIES, Word, cut_points, endofunctions, inverse, is_connected,
-                    shifted_concat, shuffle)
+from .words import (FAMILIES, Word, cut_points, endofunctions, exact_quotient, inverse,
+                    is_connected, shifted_concat, shuffle)
 
 M_KIND = "eqsym:M"
 S_KIND = "eqsym:S"
@@ -167,11 +166,6 @@ def coproduct_S(h: Word) -> LinComb:
 # ---------------------------------------------------------------------------
 # generating series
 
-@lru_cache(maxsize=None)
-def _endofunction_series(bound: int) -> tuple[int, ...]:
-    return tuple(n**n if n else 1 for n in range(bound + 1))
-
-
 def connected_count(n: int) -> int:
     """Number of connected endofunctions of degree n, from C(t) = 1 - 1/E(t):
     1/E is the free algebra on -k^k generators of each degree k."""
@@ -181,35 +175,24 @@ def connected_count(n: int) -> int:
 
 
 def lie_dims(n: int) -> int:
-    """Dimensions of the free Lie algebra graded by connected endofunctions."""
+    """Dimension in degree n of the free Lie algebra whose enveloping algebra
+    is EQSym.  By PBW, sum of m^m t^m = prod over k of (1 - t^k)^(-L_k); its
+    logarithmic derivative gives, with c_m = sum over d | m of d L_d,
+    c_m = m m^m - sum over k < m of c_k (m - k)^(m - k), and then
+    L_m = (c_m - sum over d | m, d < m, of d L_d) / m, an exact division.
+
+    >>> [lie_dims(n) for n in range(1, 7)]
+    [1, 3, 23, 223, 2800, 42576]
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    series = _endofunction_series(n)
-    # log E(t), truncated
-    log = [Fraction(0)] * (n + 1)
-    power = [Fraction(0)] + [Fraction(c) for c in series[1:]]  # E - 1
-    term = power[:]
-    sign = 1
-    for j in range(1, n + 1):
-        for d in range(n + 1):
-            log[d] += Fraction(sign, j) * term[d]
-        nxt = [Fraction(0)] * (n + 1)
-        for a in range(1, n + 1):
-            if term[a]:
-                for b in range(1, n + 1 - a):
-                    nxt[a + b] += term[a] * power[b]
-        term = nxt
-        sign = -sign
-    dims: dict[int, Fraction] = {}
-    for d in range(1, n + 1):
-        acc = log[d]
-        for k in range(1, d):
-            if d % k == 0 and k in dims:
-                acc -= dims[k] / (d // k)
-        dims[d] = acc
-    if dims[n].denominator != 1:
-        raise AssertionError("free-Lie dimension series is not integral")
-    return int(dims[n])
+    c = [0] * (n + 1)
+    lie = [0] * (n + 1)
+    for m in range(1, n + 1):
+        c[m] = m * m**m - sum(c[k] * (m - k) ** (m - k) for k in range(1, m))
+        lower = sum(d * lie[d] for d in range(1, m) if m % d == 0)
+        lie[m] = exact_quotient(c[m] - lower, m, "free-Lie")
+    return lie[n]
 
 
 def free_dimensions(generators: Callable[[int], int], bound: int) -> list[int]:

@@ -13,7 +13,7 @@ out shared values and re-wrap another value's ``terms`` under a new kind.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 class LinComb:
@@ -45,11 +45,9 @@ class LinComb:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.terms.items())
+    # Not iterable: read ``terms``.  Without this, ``__getitem__`` would make
+    # ``iter()`` ask for labels 0, 1, 2, ... and never stop.
+    __iter__ = None
 
     def __getitem__(self, label):
         return self.terms.get(label, 0)

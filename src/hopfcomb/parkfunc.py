@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
 
 from . import eqsym
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
@@ -24,6 +23,7 @@ from .words import (
     cut_points,
     endofunctions,
     enumerate_family,
+    exact_quotient,
     is_nondecreasing,
     is_parking,
     multiset_splits,
@@ -151,13 +151,6 @@ def endofunction_certificates(n: int) -> dict[tuple, int]:
     return census
 
 
-def _exact_quotient(total: int, divisor: int, series: str) -> int:
-    quotient, remainder = divmod(total, divisor)
-    if remainder:
-        raise AssertionError(f"{series} series is not integral")
-    return quotient
-
-
 def _rooted_tree_counts(bound: int) -> list[int]:
     """r[1..bound], rooted unlabelled trees (OEIS A000081), r[0] = 0:
     m r(m + 1) = sum over k of (sum over d | k of d r(d)) r(m - k + 1)."""
@@ -166,39 +159,15 @@ def _rooted_tree_counts(bound: int) -> list[int]:
     for m in range(1, bound):
         weighted[m] = sum(d * r[d] for d in range(1, m + 1) if m % d == 0)
         total = sum(weighted[k] * r[m - k + 1] for k in range(1, m + 1))
-        r[m + 1] = _exact_quotient(total, m, "rooted-tree")
+        r[m + 1] = exact_quotient(total, m, "rooted-tree")
     return r[:bound + 1]
 
 
-def _connected_graph_series(bound: int) -> list[int]:
-    """Connected functional graphs of sizes 1..bound up to relabelling: the
-    cycles of rooted trees, by the necklace sum
-    (1/k) sum over d | k of phi(d) R(x^d)^(k/d), k the length of the cycle."""
-    r = _rooted_tree_counts(bound)
-    connected = [0] * (bound + 1)
-    for k in range(1, bound + 1):
-        necklaces = [0] * (bound + 1)
-        for d in range(1, k + 1):
-            if k % d:
-                continue
-            phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
-            spread = [0] * (bound + 1)          # R(x^d)
-            for size in range(1, bound // d + 1):
-                spread[size * d] = r[size]
-            power = [1] + [0] * bound           # R(x^d)^(k/d)
-            for _ in range(k // d):
-                power = [sum(power[i] * spread[m - i] for i in range(m + 1))
-                         for m in range(bound + 1)]
-            for m in range(bound + 1):
-                necklaces[m] += phi * power[m]
-        for m in range(bound + 1):
-            connected[m] += _exact_quotient(necklaces[m], k, "necklace")
-    return connected[1:]
-
-
 def unlabelled_count(n: int) -> int:
-    """Functional graphs on n unlabelled nodes (OEIS A001372), by Polya's
-    method: rooted trees, cycles of them, then multisets of those.
+    """Functional graphs on n unlabelled nodes (OEIS A001372): multisets of
+    cycles of rooted trees, so [x^n] of prod over k = 1..n of 1/(1 - R(x^k)),
+    R the rooted-tree series.  Dividing by each factor in place,
+    a[m] += sum over j of r[j] a[m - k j], for increasing m.
 
     The parking bound still applies: every functional graph is realized by
     a parking function, and the tests compare the series with the number
@@ -210,7 +179,12 @@ def unlabelled_count(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     guard("parking", n)
-    return multisets(_connected_graph_series(n))[n]
+    r = _rooted_tree_counts(n)
+    a = [1] + [0] * n
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            a[m] += sum(r[j] * a[m - k * j] for j in range(1, m // k + 1))
+    return a[n]
 
 
 def graph_representative(cert: tuple, n: int) -> Word:

@@ -32,13 +32,6 @@ def sym(basis: str, lam: IntegerPartition, coeff=1) -> LinComb:
     return LinComb.basis(kind(basis), lam, coeff)
 
 
-def weight(x: LinComb) -> int:
-    degrees = {sum(lam) for lam in x.terms}
-    if len(degrees) > 1:
-        raise ValueError("inhomogeneous symmetric function")
-    return degrees.pop() if degrees else 0
-
-
 # ---------------------------------------------------------------------------
 # monomial-basis arithmetic on exponent vectors
 
@@ -227,11 +220,6 @@ def convert(x: LinComb, target: str) -> LinComb:
     if target == "m":
         return in_m
     return in_m.apply(lambda mu: _m_to_basis_matrix(target, sum(mu))[mu], kind=kind(target))
-
-
-def product(x: LinComb, y: LinComb) -> LinComb:
-    """Product of two symmetric functions, result in the monomial basis."""
-    return m_mul(expand_to_monomial(x), expand_to_monomial(y))
 
 
 # ---------------------------------------------------------------------------

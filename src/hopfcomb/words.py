@@ -580,6 +580,15 @@ def _involution_count(n: int) -> int:
     return current
 
 
+def exact_quotient(total: int, divisor: int, series: str) -> int:
+    """``total / divisor``, which must be exact: a count series that divides
+    unevenly is wrong, and is refused rather than rounded."""
+    quotient, remainder = divmod(total, divisor)
+    if remainder:
+        raise AssertionError(f"{series} series is not integral")
+    return quotient
+
+
 def multisets(counts: Sequence[int]) -> list[int]:
     """Euler transform: entry d counts the multisets of total degree d drawn
     from ``counts[k - 1]`` kinds of degree k, for d up to ``len(counts)``.

@@ -307,15 +307,6 @@ def test_checks_refuse_bounds_beyond_the_family_bound_before_any_rule_call():
                       dual_product=_no_rule_call, primal_coproduct=_no_rule_call)
 
 
-@pytest.mark.parametrize("one_sided", [
-    {"dual_product": eqsym.product_S}, {"primal_coproduct": eqsym.coproduct_M},
-], ids=["dual_product", "primal_coproduct"])
-def test_duality_check_refuses_half_of_the_transposed_law(one_sided):
-    alg = replace(eqsym.algebra(), product=_no_rule_call, coproduct=_no_rule_call)
-    with pytest.raises(ValueError, match="both dual_product and primal_coproduct"):
-        duality_check(alg, _no_rule_call, 3, **one_sided)
-
-
 # ---------------------------------------------------------------------------
 # rules that hand out shared LinComb objects from a cache
 

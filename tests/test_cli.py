@@ -109,6 +109,21 @@ def test_insert_output():
     assert lines[-1] == "Q: {1,4,5|2|3,7|6,8,9}"
 
 
+def test_insert_writes_a_numeric_p_word_as_words_are_written():
+    assert run_cli("insert", "12,3") == (0, "P: 12,3\n  12 3\nQ: {1|2}\n", "")
+    assert run_cli("insert", "123")[1].splitlines()[0] == "P: 123"
+    assert run_cli("insert", "10,2,10")[1].splitlines()[0] == "P: 10,10,2"
+    assert run_cli("insert", "cba")[1].splitlines()[0] == "P: cba"
+    assert run_cli("insert", "") == (0, "P: \nQ: {}\n", "")
+
+
+def test_free_lie_dims_is_counted_in_integers_at_large_sizes():
+    start = time.perf_counter()
+    code, out, err = run_cli("count", "--family", "free-lie-dims", "200")
+    assert (code, err) == (0, "") and int(out) > 0
+    assert time.perf_counter() - start < 1
+
+
 def test_pair_outputs():
     assert run_cli("pair", "--algebra", "eqsym", "--basis", "M", "12", "12")[1].strip() == "1"
     assert run_cli("pair", "--algebra", "eqsym", "--basis", "M", "12", "21")[1].strip() == "0"

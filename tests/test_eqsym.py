@@ -8,7 +8,7 @@ from conftest import lc, tensor_terms
 from hopfcomb import eqsym
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, pairing, tensor
-from hopfcomb.words import cut_points, endofunctions, unshift, word_from_text as W
+from hopfcomb.words import cut_points, endofunctions, multisets, unshift, word_from_text as W
 
 M = "eqsym:M"
 S = "eqsym:S"
@@ -96,6 +96,13 @@ def test_connected_series():
 def test_free_lie_dimensions():
     assert [eqsym.lie_dims(n) for n in range(1, 7)] == [1, 3, 23, 223, 2800, 42576]
     assert eqsym.lie_dims(8) == 15734388
+
+
+def test_free_lie_dimensions_satisfy_pbw():
+    # the Euler transform of the Lie dimensions is the enveloping algebra's n^n
+    for n in range(8):
+        assert multisets([eqsym.lie_dims(k) for k in range(1, n + 1)]) == [
+            k**k if k else 1 for k in range(n + 1)]
 
 
 def test_connected_series_matches_brute_force():

@@ -3,12 +3,13 @@ import itertools
 import pytest
 
 from conftest import lc, tensor_terms
-from hopfcomb import phisym, sgqsym
+from hopfcomb import cli, phisym, sgqsym
 from hopfcomb.axioms import hopf_check
 from hopfcomb.lincomb import LinComb, tensor_swap
-from hopfcomb.realize import classify_biword, realize_phi
+from hopfcomb.realize import classify_biword, collect_biwords, realize_phi
 from hopfcomb.words import (
     canonical_cycle,
+    cycle_type,
     cycle_words,
     partition_of_word,
     permutations,
@@ -211,6 +212,22 @@ def test_y_representative_independence():
     assert res.passed, res.counterexample
 
 
+def test_y_basis_is_a_commutative_cocommutative_hopf_algebra():
+    report = hopf_check(cli._REGISTRY[phisym.Y_KIND], 6)
+    assert report.passed, report.lines()
+    assert report.commutative and report.cocommutative
+
+
+def test_y_coproduct_is_the_cycle_type_image_of_the_phi_coproduct():
+    for n in range(7):
+        for sigma in permutations(n):
+            image = {}
+            for (a, b), c in phisym.coproduct_phi(sigma).terms.items():
+                key = (cycle_type(a), cycle_type(b))
+                image[key] = image.get(key, 0) + c
+            assert phisym.coproduct_Y(cycle_type(sigma)).terms == image, sigma
+
+
 def test_y_to_sym_is_algebra_morphism():
     res = phisym.y_iso_check(5)
     assert res.passed, res.counterexample
@@ -274,6 +291,17 @@ def test_cached_biword_realizations_are_not_mutated_by_the_checks():
     for s, r in cached.items():
         assert phisym._realized(s, 3) is r
         assert r.terms == before[s] == realize_phi(s, 3).terms, s
+
+
+def test_collect_biwords_sums_each_realization_into_its_class():
+    # every biword over N letters is classified: N^(2n) of them, so size 4
+    # stops at N = 4 (65,536 biwords; N = 5 would classify 390,625)
+    for n in range(5):
+        for sigma in permutations(n):
+            for n_trunc in (n, n + 1) if n < 4 else (n,):
+                biwords = realize_phi(sigma, n_trunc)
+                assert collect_biwords(biwords).terms == {sigma: len(biwords.terms)}, (
+                    sigma, n_trunc)
 
 
 def test_biword_classification_is_total_and_consistent():
