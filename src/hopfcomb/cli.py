@@ -361,7 +361,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -11,9 +11,12 @@ Three rings, all exact and finite at truncation N:
 
 Each realization generates its terms from its own definition rather than
 filtering a larger set: ``realize_phi`` builds a permutation's biword class
-cycle by cycle, and ``qvar_mul`` multiplies integer coefficient lists.  The
-brute-force filters they replaced survive only in the tests, as their
-oracles.
+cycle by cycle; ``row_mul`` groups the right factor's monomials by row
+bitmask and skips a group whose rows meet with one ``&``, so it sorts only
+the products that survive; ``qvar_mul`` and ``qdeform.phi_realized``
+accumulate one integer coefficient list per exponent vector and wrap each
+in a ``QPoly`` once.  The brute-force filters and the ``QPoly``-by-term
+sums they replaced survive only in the tests, as their oracles.
 
 A product check is faithful only when the truncation N is at least the
 total degree n + m: below it, labels of the product have no realization
@@ -58,12 +61,31 @@ def row_monomial(pairs: Iterable[tuple[int, int]]) -> RowMonomial | None:
     return tuple(pairs)
 
 
+def _row_mask(mono: RowMonomial) -> int:
+    mask = 0
+    for r, _ in mono:
+        mask |= 1 << r
+    return mask
+
+
 def row_mul(x: LinComb, y: LinComb) -> LinComb:
+    """Product of two polynomials in row-distinct monomials.
+
+    Two monomials multiply to zero exactly when their row sets meet, so the
+    right factor's terms are grouped by row bitmask and a whole group is
+    skipped with one ``&``; only the surviving pairs are merged and sorted.
+    """
+    groups: dict[int, list[tuple[RowMonomial, int]]] = {}
+    for mb, cb in y.terms.items():
+        groups.setdefault(_row_mask(mb), []).append((mb, cb))
     out: dict[RowMonomial, int] = {}
     for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            m = row_monomial(ma + mb)
-            if m is not None:
+        mask = _row_mask(ma)
+        for mask_b, group in groups.items():
+            if mask & mask_b:
+                continue
+            for mb, cb in group:
+                m = tuple(sorted(ma + mb))
                 out[m] = out.get(m, 0) + ca * cb
     return LinComb(ROW_KIND, out)
 
@@ -222,20 +244,35 @@ def qvar_mul(x: LinComb, y: LinComb) -> LinComb:
     right = [(vb, QPoly.coerce(cb).coeffs) for vb, cb in y.terms.items()]
     out: dict[ExponentVector, list[int]] = {}
     for va, ca in x.terms.items():
-        ca = QPoly.coerce(ca).coeffs
+        ca = nonzero_coeffs(ca)
         suffix = list(itertools.accumulate(reversed(va[1:]), initial=0))[::-1]
         for vb, cb in right:
             swaps = sum(map(mul, vb, suffix))
-            vec = tuple(map(add, va, vb))
-            acc = out.setdefault(vec, [])
-            size = swaps + len(ca) + len(cb) - 1
-            if len(acc) < size:
-                acc.extend([0] * (size - len(acc)))
-            for i, a in enumerate(ca, start=swaps):
-                if a:
-                    for j, b in enumerate(cb, start=i):
-                        acc[j] += a * b
-    return LinComb(QMONO_KIND, {vec: QPoly(acc) for vec, acc in out.items()})
+            add_product_into(out.setdefault(tuple(map(add, va, vb)), []), ca, cb, swaps)
+    return qpoly_terms(out)
+
+
+def nonzero_coeffs(c: QPoly | int) -> list[tuple[int, int]]:
+    """The (exponent, coefficient) pairs of c with a nonzero coefficient."""
+    return [(i, a) for i, a in enumerate(QPoly.coerce(c).coeffs) if a]
+
+
+def add_product_into(acc: list[int], a: list[tuple[int, int]], b: Sequence[int],
+                     shift: int) -> None:
+    """Add q^shift times a times b into the coefficient list acc, growing it
+    as needed: a is given by :func:`nonzero_coeffs`, b as its coefficient list."""
+    size = shift + a[-1][0] + len(b)
+    if len(acc) < size:
+        acc.extend([0] * (size - len(acc)))
+    for i, x in a:
+        for j, y in enumerate(b, start=shift + i):
+            acc[j] += x * y
+
+
+def qpoly_terms(lists: dict[ExponentVector, list[int]]) -> LinComb:
+    """The q-commuting polynomial with one integer coefficient list per
+    exponent vector, each wrapped in a :class:`QPoly` once."""
+    return LinComb(QMONO_KIND, {vec: QPoly(acc) for vec, acc in lists.items()})
 
 
 def realize_fundamental(comp: Sequence[int], n_trunc: int) -> LinComb:

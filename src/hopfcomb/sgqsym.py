@@ -40,6 +40,7 @@ from .words import (
     partition_multiplicities,
     partition_of_word,
     permutations,
+    permutations_of_type,
     relabel_partition,
     restrict_partition,
     set_partitions,
@@ -87,18 +88,16 @@ def product_M_splitting(alpha: Word, beta: Word) -> LinComb:
 def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
     """Third route: count complementary cycle subsets standardizing to the pair.
 
-    The count runs over all of S_(n+m), but a split can only succeed when
-    gamma's cycle lengths are alpha's and beta's together and the chosen
-    cycles have alpha's lengths, so only those gammas and subsets are tried.
+    A split can only succeed when gamma's cycle lengths are alpha's and
+    beta's together and the chosen cycles have alpha's lengths, so only the
+    gammas of that cycle type are generated, and only those subsets tried.
     """
     n, m = len(alpha), len(beta)
     alpha_type = cycle_type(alpha)
     gamma_type = sort_composition(alpha_type + cycle_type(beta))
     terms: dict[Word, int] = {}
-    for gamma in permutations(n + m):
+    for gamma in permutations_of_type(gamma_type, n + m):
         cyc = cycles(gamma)
-        if sort_composition([len(c) for c in cyc]) != gamma_type:
-            continue
         count = 0
         for chosen in itertools.combinations(range(len(cyc)), len(alpha_type)):
             if sort_composition([len(cyc[i]) for i in chosen]) != alpha_type:
@@ -294,9 +293,7 @@ def coproduct_uq(comp: Composition) -> LinComb:
 # Sym embedding on integer partitions
 
 def ul_expand(lam: IntegerPartition) -> LinComb:
-    n = sum(lam)
-    terms = {sigma: 1 for sigma in permutations(n) if cycle_type(sigma) == lam}
-    return LinComb(M_KIND, terms)
+    return LinComb(M_KIND, dict.fromkeys(permutations_of_type(lam, sum(lam)), 1))
 
 
 def product_ul(lam1: IntegerPartition, lam2: IntegerPartition) -> LinComb:

@@ -379,6 +379,41 @@ def permutations(n: int) -> Iterator[Word]:
     return itertools.permutations(range(1, n + 1))
 
 
+def permutations_of_type(lam: Sequence[int], n: int) -> Iterator[Word]:
+    """The permutations of 1..n whose cycle lengths are the parts of lam, each once.
+
+    The cycle through the least unused letter takes each distinct remaining
+    length in turn, and its other letters run over the arrangements of that
+    many unused letters; a permutation's cycle through that letter fixes
+    both choices, so no permutation is reached twice.
+
+    >>> list(permutations_of_type((2, 1), 3))
+    [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    """
+    if sum(lam) != n or not all(part > 0 for part in lam):
+        raise ValueError(f"not a partition of {n}: {tuple(lam)!r}")
+    left = partition_multiplicities(lam)
+    word = [0] * n
+
+    def rec(unused: Word) -> Iterator[Word]:
+        if not unused:
+            yield tuple(word)
+            return
+        first, rest = unused[0], unused[1:]
+        for length in sorted(left):
+            if not left[length]:
+                continue
+            left[length] -= 1
+            for others in itertools.permutations(rest, length - 1):
+                cycle = (first, *others)
+                for a, b in zip(cycle, others + (first,)):
+                    word[a - 1] = b
+                yield from rec(tuple(a for a in rest if a not in others))
+            left[length] += 1
+
+    return rec(tuple(range(1, n + 1)))
+
+
 def _completions(prefixes: Iterable[tuple[Word, Iterable[Word]]]) -> Iterator[Word]:
     """Each prefix followed by each of its tails, in order.
 
@@ -651,9 +686,16 @@ def word_from_text(text: str) -> Word:
         return ()
     if text.startswith("("):
         return from_cycles(_cycles_from_text(text))
-    if "," in text:
-        return tuple(int(a) for a in text.split(","))
-    return tuple(int(ch) for ch in text)
+    return _numbers(text.split(",") if "," in text else text, text, "a word")
+
+
+def _numbers(pieces: Iterable[str], text: str, noun: str) -> tuple[int, ...]:
+    """The pieces read as integers; a piece that is not one refuses the whole
+    text as ``not <noun>: '<text>'``."""
+    try:
+        return tuple(map(int, pieces))
+    except ValueError:
+        raise ValueError(f"not {noun}: {text!r}") from None
 
 
 def _cycles_from_text(text: str) -> list[Cycle]:
@@ -682,7 +724,7 @@ def set_partition_from_text(text: str) -> SetPartition:
     inner = text[1:-1]
     if not inner:
         return ()
-    blocks = [tuple(int(a) for a in chunk.split(",")) for chunk in inner.split("|")]
+    blocks = [_numbers(chunk.split(","), text, "a set partition") for chunk in inner.split("|")]
     return canonical_set_partition(blocks)
 
 
@@ -697,7 +739,7 @@ def composition_from_text(text: str) -> Composition:
     inner = text[1:-1]
     if not inner:
         return ()
-    return tuple(int(a) for a in inner.split(","))
+    return _numbers(inner.split(","), text, "a composition")
 
 
 # ---------------------------------------------------------------------------

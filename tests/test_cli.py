@@ -409,6 +409,23 @@ def test_wrong_family_labels_exit_two(argv):
     assert "Traceback" not in err
 
 
+# A letter that is not a number names the label, not Python's int().
+@pytest.mark.parametrize("argv, message", [
+    ("product --algebra eqsym 1a 1", "not a word: '1a'"),
+    ("product --algebra eqsym 1,a 1", "not a word: '1,a'"),
+    ("product --algebra wsym {1,a} {1}", "not a set partition: '{1,a}'"),
+    ("coproduct --algebra qsym-q (1,a)", "not a composition: '(1,a)'"),
+    ("product --algebra parkgraph 1a 1", "not a word: '1a'"),
+])
+def test_non_numeric_letters_are_refused_with_the_label(argv, message):
+    assert run_cli(*argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_basis_message_has_no_repr_quotes():
+    assert run_cli("product", "--algebra", "sgqsym", "--basis", "Y", "1", "1") == (
+        2, "", "error: unknown basis 'Y' for algebra 'sgqsym'\n")
+
+
 # Cycle text with an unclosed or stray chunk, or a letter 0, is refused, not
 # cut short ("(12" is not the permutation 1, nor "(12)(34" 213, nor "(10)" 1).
 @pytest.mark.parametrize("text", [

@@ -8,6 +8,7 @@ from conftest import lc, tensor_terms
 from hopfcomb import eqsym
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, pairing, tensor
+from hopfcomb.realize import ROW_KIND, realize_endofunction, row_monomial, row_mul
 from hopfcomb.words import cut_points, endofunctions, multisets, unshift, word_from_text as W
 
 M = "eqsym:M"
@@ -129,6 +130,31 @@ def test_oracle_all_pairs_total_degree_4():
             for f in endofunctions(i):
                 for g in endofunctions(j):
                     assert eqsym.oracle_check(f, g)
+
+
+def _row_mul_by_sort_and_filter(x, y):
+    """The pairwise route: sort every concatenated pair, drop repeated rows."""
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            m = row_monomial(ma + mb)
+            if m is not None:
+                out[m] = out.get(m, 0) + ca * cb
+    return LinComb(ROW_KIND, out)
+
+
+def test_row_mul_matches_sort_and_filter_on_realized_pairs():
+    for top in range(6):
+        for n_trunc in (top, top + 1):
+            realized = {
+                n: [realize_endofunction(f, n_trunc) for f in endofunctions(n)]
+                for n in range(top + 1)
+            }
+            for n in range(top + 1):
+                for x in realized[n]:
+                    for y in realized[top - n]:
+                        expected = _row_mul_by_sort_and_filter(x, y)
+                        assert row_mul(x, y) == expected, (x, y, n_trunc)
 
 
 def test_hopf_axioms_degree_4():

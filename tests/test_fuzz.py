@@ -89,6 +89,8 @@ def test_every_request_is_answered_or_refused_in_one_line(argv):
         assert ": error: " in err.splitlines()[-1], (argv, err)
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        # the message is the library's, not Python's repr or int() text
+        assert "invalid literal" not in err and not err.startswith('error: "'), (argv, err)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

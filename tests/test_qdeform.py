@@ -6,7 +6,7 @@ from hopfcomb import qdeform
 from hopfcomb.coeffs import QPoly
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_kind, twisted_tensor_mul
-from hopfcomb.realize import qvar_mul, realize_fundamental
+from hopfcomb.realize import QMONO_KIND, qvar_mul, realize_fundamental
 from hopfcomb.words import (
     descent_composition,
     inversions,
@@ -138,6 +138,19 @@ def test_phi_is_twisted_morphism_degree_4():
             for a in permutations(i):
                 for b in permutations(j):
                     assert qdeform.phi_morphism_check(a, b), (a, b)
+
+
+def test_phi_realized_matches_the_apply_form_on_products():
+    # the fundamentals scaled by QPoly and summed through LinComb.apply
+    for i in range(6):
+        for a in permutations(i):
+            for j in range(6 - i):
+                for b in permutations(j):
+                    image = qdeform.phi_lincomb(qdeform.product_F(a, b))
+                    for n_trunc in (i + j, i + j + 1):
+                        expected = image.apply(
+                            lambda comp: realize_fundamental(comp, n_trunc), kind=QMONO_KIND)
+                        assert qdeform.phi_realized(image, n_trunc) == expected, (a, b)
 
 
 def test_phi_morphism_check_rejects_a_truncation_below_the_degree():

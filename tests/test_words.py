@@ -32,7 +32,9 @@ from hopfcomb.words import (
     ordered_cycle_type,
     parking_functions,
     partition_of_word,
+    partitions,
     permutations,
+    permutations_of_type,
     set_partition_from_text,
     set_partition_to_text,
     set_partitions,
@@ -123,6 +125,23 @@ def test_standardized_cycles_match_the_from_cycles_route_to_degree_6():
                         [tuple(rank[a] for a in cyc[i]) for i in chosen], len(support)
                     )
                     assert standardized_cycles(cyc, chosen) == expected, (sigma, chosen)
+
+
+def test_permutations_of_type_partition_each_symmetric_group():
+    for n in range(8):
+        seen = []
+        for lam in partitions(n):
+            of_type = list(permutations_of_type(lam, n))
+            assert all(cycle_type(sigma) == lam for sigma in of_type), lam
+            seen += of_type
+        assert len(seen) == len(set(seen)) == math.factorial(n), n
+        assert set(seen) == set(permutations(n)), n
+
+
+def test_permutations_of_type_refuses_what_is_not_a_partition_of_n():
+    for lam, n in [((2, 1), 4), ((3, 1), 3), ((2, 0, 1), 3)]:
+        with pytest.raises(ValueError):
+            permutations_of_type(lam, n)
 
 
 def test_cycle_supports_and_types():
