@@ -1,10 +1,11 @@
 """Exhaustive Hopf-axiom verification for graded bases at desk-scale degrees.
 
 An algebra is described by a :class:`GradedBasis`: its label family plus
-basis-level product and coproduct rules.  The checker refuses a degree bound
-beyond the family's ``Limits`` bound before it calls any rule, verifies each
-axiom on all basis elements up to the bound and reports the first
-counterexample found.
+basis-level product and coproduct rules.  Before it enumerates a label, the
+checker refuses a degree bound beyond the family's ``Limits`` bound, and a
+sweep whose case count, read off the family sizes, is beyond
+``Limits.sweep_cases``.  It verifies each axiom on all basis elements up to
+the bound and reports the first counterexample found.
 
 An identity lhs = rhs is checked as one signed sum: lhs is accumulated with
 sign +1 and rhs with sign -1 into one dict, by the accumulate-into forms of
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .limits import guard
+from .limits import LimitExceeded, Limits, guard
 from .lincomb import (
     LinComb,
     _sum_scaled_into,
@@ -30,7 +31,7 @@ from .lincomb import (
     tensor_kind,
     tensor_swap,
 )
-from .words import Family, enumerate_family
+from .words import Family, enumerate_family, family_size
 
 
 @dataclass(frozen=True)
@@ -298,10 +299,30 @@ def _pair_cases(sweep: _Sweep) -> Cases:
                     yield (a, b), checks
 
 
+def sweep_guard(family: str, bound: int, limits: Limits | None = None) -> None:
+    """Refuse a sweep to ``bound`` beyond the family's bound, then one whose
+    cases exceed ``Limits.sweep_cases``.  The cases, counted by
+    ``family_size`` before any label is enumerated, are the labels, pairs
+    and triples of degrees >= 1 and total degree at most ``bound``."""
+    limits = limits or Limits()
+    guard(family, bound, limits)
+    sizes = [0] + [family_size(family, n, limits) for n in range(1, bound + 1)]
+
+    def times_sizes(counts: list[int]) -> list[int]:
+        return [sum(counts[i] * sizes[t - i] for i in range(t + 1)) for t in range(bound + 1)]
+
+    pairs = times_sizes(sizes)
+    cases = sum(sizes) + sum(pairs) + sum(times_sizes(pairs))
+    if cases > limits.sweep_cases:
+        raise LimitExceeded(
+            f"{family} sweep to degree {bound} has {cases} cases, exceeds configured "
+            f"budget {limits.sweep_cases} (Limits.sweep_cases)")
+
+
 def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
     """Verify associativity, coassociativity, unit/counit, compatibility,
     and record (co)commutativity, exhaustively up to the degree bound."""
-    guard(alg.family.name, degree_bound)
+    sweep_guard(alg.family.name, degree_bound)
     sweep = _Sweep(alg, degree_bound)
     results = first_failure(_associativity_cases(sweep), ("associativity",))
     results.update(first_failure(

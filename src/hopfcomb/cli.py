@@ -14,8 +14,9 @@ import sys
 from typing import Callable
 
 from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
-from .axioms import GradedBasis, check_each, duality_check, graded_pairs, hopf_check
-from .limits import LimitExceeded, current_limits, guard
+from .axioms import (GradedBasis, check_each, duality_check, graded_pairs, hopf_check,
+                     sweep_guard)
+from .limits import LimitExceeded, current_limits
 from .lincomb import LinComb
 from .words import (FAMILIES, family_size, set_partition_to_text, word_from_text,
                     word_to_text)
@@ -145,7 +146,7 @@ def _fqsym_q_checks(max_degree: int) -> tuple[int, list[str]]:
     """fqsym-q's sweep: the twisted morphism on every pair of F labels, then
     cocommutativity at q = 0."""
     family = _REGISTRY[qdeform.F_KIND].family
-    guard(family.name, max_degree)
+    sweep_guard(family.name, max_degree)
     res = check_each(graded_pairs(family.labels, max_degree), qdeform.fqsym_twisted_morphism_check)
     cocom = qdeform.cocommutativity_check(min(max_degree, DUALITY_DEGREE))
     lines = [res.line("twisted-morphism"), cocom.line("q0-cocommutativity")]

@@ -15,7 +15,7 @@ from math import factorial
 from . import symfunc
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
 from .lincomb import LinComb, bilinear, tensor, tensor_kind
-from .realize import BIWORD_KIND, biword_mul, realize_phi
+from .realize import phi_factors
 from .words import (
     FAMILIES,
     Cycle,
@@ -254,12 +254,22 @@ def y_iso_check(degree_bound: int) -> CheckResult:
 # biword oracle
 
 @lru_cache(maxsize=None)
-def _realized(sigma: Word, n_trunc: int) -> LinComb:
-    return realize_phi(sigma, n_trunc)
+def _realized(sigma: Word, n_trunc: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    return phi_factors(sigma, n_trunc)
 
 
 def biword_product_check(sigma: Word, tau: Word, n_trunc: int | None = None) -> bool:
     """The concatenated biword realization equals the matching-product rule.
+
+    Each realization is a product T x B of top and bottom words
+    (:func:`realize.phi_factors`), so no product is expanded.  The left side
+    is (T_sigma T_tau) x (B_sigma B_tau), every coefficient 1, since
+    concatenating words of fixed lengths is injective.  The right side is
+    the sum of c_gamma T_gamma x B_gamma over the rule's terms: its bottoms
+    at a top word are the sum of c_gamma B_gamma over the gammas whose tops
+    contain it, summed once per distinct group of (gamma, c_gamma).  That
+    sum must be B_sigma B_tau on every left top and vanish on every other,
+    and every left top must be covered.
 
     The truncation must be at least the total degree: below it, the
     permutations with more cycles than letters have no biwords, so a
@@ -269,9 +279,27 @@ def biword_product_check(sigma: Word, tau: Word, n_trunc: int | None = None) -> 
         n_trunc = len(sigma) + len(tau)
     if n_trunc < len(sigma) + len(tau):
         raise ValueError("truncation too small to separate degree-(n+m) labels")
-    lhs = biword_mul(_realized(sigma, n_trunc), _realized(tau, n_trunc))
-    rhs = product_phi(sigma, tau).apply(lambda gamma: _realized(gamma, n_trunc), kind=BIWORD_KIND)
-    return lhs == rhs
+    tops_s, bottoms_s = _realized(sigma, n_trunc)
+    tops_t, bottoms_t = _realized(tau, n_trunc)
+    lhs_tops = {a + b for a in tops_s for b in tops_t}
+    lhs_bottoms = dict.fromkeys((a + b for a in bottoms_s for b in bottoms_t), 1)
+    groups: dict[Word, list] = {}
+    for gamma, c in product_phi(sigma, tau).terms.items():
+        for top in _realized(gamma, n_trunc)[0]:
+            groups.setdefault(top, []).append((gamma, c))
+    tops_by_group: dict[tuple, list[Word]] = {}
+    for top, group in groups.items():
+        tops_by_group.setdefault(tuple(group), []).append(top)
+    for group, tops in tops_by_group.items():
+        acc: dict[Word, int] = {}
+        for gamma, c in group:
+            for bottom in _realized(gamma, n_trunc)[1]:
+                acc[bottom] = acc.get(bottom, 0) + c
+        total = {bottom: c for bottom, c in acc.items() if c}
+        inside = {top in lhs_tops for top in tops}
+        if (True in inside and total != lhs_bottoms) or (False in inside and total):
+            return False
+    return lhs_tops <= groups.keys()
 
 
 def algebra() -> GradedBasis:

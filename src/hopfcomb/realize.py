@@ -10,13 +10,16 @@ Three rings, all exact and finite at truncation N:
   the cost of one power of q per swap.
 
 Each realization generates its terms from its own definition rather than
-filtering a larger set: ``realize_phi`` builds a permutation's biword class
-cycle by cycle; ``row_mul`` groups the right factor's monomials by row
-bitmask and skips a group whose rows meet with one ``&``, so it sorts only
-the products that survive; ``qvar_mul`` and ``qdeform.phi_realized``
+filtering a larger set: ``phi_factors`` builds a permutation's biword class
+cycle by cycle as a product T x B of top and bottom words, which
+``phisym.biword_product_check`` compares without expanding and
+``realize_phi`` expands; ``row_mul`` groups the right factor's monomials by
+row bitmask and skips a group whose rows meet with one ``&``, so it sorts
+only the products that survive; ``qvar_mul`` and ``qdeform.phi_realized``
 accumulate one integer coefficient list per exponent vector and wrap each
-in a ``QPoly`` once.  The brute-force filters and the ``QPoly``-by-term
-sums they replaced survive only in the tests, as their oracles.
+in a ``QPoly`` once.  The brute-force filters, the ``QPoly``-by-term sums
+and the expanded biword product ``biword_mul`` survive only in the tests,
+as their oracles.
 
 A product check is faithful only when the truncation N is at least the
 total degree n + m: below it, labels of the product have no realization
@@ -184,14 +187,15 @@ def _cycle_subwords(std_cycle: Cycle, n_trunc: int) -> tuple[Word, ...]:
     )
 
 
-def realize_phi(sigma: Word, n_trunc: int) -> LinComb:
-    """All truncated biwords classifying to sigma: top letters and bottom
-    letters bounded by the truncation.
+def phi_factors(sigma: Word, n_trunc: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """The truncated biwords classifying to sigma as a Cartesian product
+    T x B: the top words T and the bottom words B, each without repeats.
 
     :func:`classify_biword` reads a biword block by block, so sigma's class
     is a product over its cycles: the top word gives each cycle's support
-    its own letter, and the bottom subword on each support is any word whose
-    cycle is that cycle renumbered onto 1..k.
+    its own letter (one top per injective choice of letters), and the
+    bottom subword on each support is any word whose cycle is that cycle
+    renumbered onto 1..k.
     """
     cyc = cycles(sigma)
     supports = [sorted(c) for c in cyc]
@@ -210,12 +214,18 @@ def realize_phi(sigma: Word, n_trunc: int) -> LinComb:
         flat = [a for part in per_cycle for a in part]
         return tuple([flat[k] for k in slot])
 
-    tops = [
+    tops = tuple(
         word([letter] * len(c) for letter, c in zip(letters, cyc))
         for letters in itertools.permutations(range(1, n_trunc + 1), len(cyc))
-    ]
-    bottoms = [word(subwords) for subwords in itertools.product(*subword_lists)]
-    return LinComb(BIWORD_KIND, dict.fromkeys(itertools.product(tops, bottoms), 1))
+    )
+    bottoms = tuple(word(subwords) for subwords in itertools.product(*subword_lists))
+    return tops, bottoms
+
+
+def realize_phi(sigma: Word, n_trunc: int) -> LinComb:
+    """All truncated biwords classifying to sigma, each with coefficient 1:
+    the expansion of :func:`phi_factors`."""
+    return LinComb(BIWORD_KIND, dict.fromkeys(itertools.product(*phi_factors(sigma, n_trunc)), 1))
 
 
 def collect_biwords(x: LinComb) -> LinComb:

@@ -228,12 +228,13 @@ def test_criterion_3_oracle_equivalence():
     sg_pairs = checked
 
     phi_pairs = 0
-    for i in range(1, 4):
-        for j in range(1, 5 - i):
+    for i in range(1, 5):
+        for j in range(1, 6 - i):
             for a in permutations(i):
                 for b in permutations(j):
                     assert phisym.biword_product_check(a, b), (a, b)
                     phi_pairs += 1
+    assert phi_pairs == 93
 
     w_pairs = 0
     for i in range(1, 4):

@@ -6,7 +6,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from hopfcomb import cli
+from hopfcomb.axioms import sweep_guard
 from hopfcomb.cli import main
+from hopfcomb.limits import LimitExceeded, Limits
 
 
 def run_cli(*argv):
@@ -267,6 +269,34 @@ def test_verify_refuses_degrees_beyond_the_family_bound(algebra, degree):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("algebra, degree", [
+    ("eqsym", 7), ("eqsym", 8), ("cpqsym", 7), ("cpqsym", 8), ("piqsym", 10), ("wsym", 11),
+])
+def test_verify_refuses_sweeps_beyond_the_case_budget(algebra, degree):
+    # each degree passes its family bound; the sweep's case count does not
+    start = time.perf_counter()
+    code, out, err = run_cli("verify", "--algebra", algebra, "--max-degree", str(degree))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("limit exceeded: ")
+    assert "(Limits.sweep_cases)" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_every_verifiable_algebra_sweeps_within_the_budget_at_the_default_degree():
+    for algebra in cli.VERIFIABLE:
+        sweep_guard(cli._lookup(algebra, None).family.name, Limits().max_degree)
+
+
+def test_sweep_case_count_is_labels_pairs_and_triples():
+    # endofunctions of sizes 1..6: 1, 4, 27, 256, 3125, 46656
+    with pytest.raises(LimitExceeded, match="has 61525 cases"):
+        sweep_guard("endofunctions", 6, Limits(sweep_cases=61524))
+    sweep_guard("endofunctions", 6, Limits(sweep_cases=61525))
+    # permutations to degree 2: labels 1 + 2, pairs (1, 1), triples none
+    with pytest.raises(LimitExceeded, match="has 4 cases"):
+        sweep_guard("permutations", 2, Limits(sweep_cases=3))
 
 
 @pytest.mark.parametrize("family", ["hypoplactic-q-classes", "sylvester-q-classes"])

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -6,7 +7,14 @@ from conftest import lc, tensor_terms
 from hopfcomb import cli, phisym, sgqsym
 from hopfcomb.axioms import hopf_check
 from hopfcomb.lincomb import LinComb, tensor_swap
-from hopfcomb.realize import classify_biword, collect_biwords, realize_phi
+from hopfcomb.realize import (
+    BIWORD_KIND,
+    biword_mul,
+    classify_biword,
+    collect_biwords,
+    phi_factors,
+    realize_phi,
+)
 from hopfcomb.words import (
     canonical_cycle,
     cycle_type,
@@ -241,6 +249,57 @@ def test_biword_oracle_small():
                     assert phisym.biword_product_check(a, b), (a, b)
 
 
+def _product_phi_variants(rule):
+    """The rule itself and three wrong rules: the least term dropped, the
+    greatest term's coefficient raised by 1, and the least permutation of the
+    right degree that is not a term added (None where every one is a term)."""
+    def dropped(a, b):
+        terms = dict(rule(a, b).terms)
+        del terms[min(terms)]
+        return LinComb(PHI, terms)
+
+    def raised(a, b):
+        terms = dict(rule(a, b).terms)
+        terms[max(terms)] += 1
+        return LinComb(PHI, terms)
+
+    def spurious(a, b):
+        terms = dict(rule(a, b).terms)
+        missing = [g for g in permutations(len(a) + len(b)) if g not in terms]
+        if not missing:
+            return None
+        terms[missing[0]] = 1
+        return LinComb(PHI, terms)
+
+    return {"rule": rule, "dropped": dropped, "raised": raised, "spurious": spurious}
+
+
+def test_factored_biword_check_agrees_with_the_expanded_product(monkeypatch):
+    # the expanded route multiplies the realizations out with biword_mul and
+    # realizes the rule's terms one by one
+    realized = lru_cache(maxsize=None)(realize_phi)
+    variants = _product_phi_variants(phisym.product_phi)
+    spurious = 0
+    for total in range(2, 5):
+        for i in range(1, total):
+            for a in permutations(i):
+                for b in permutations(total - i):
+                    for n_trunc in (total, total + 1):
+                        lhs = biword_mul(realized(a, n_trunc), realized(b, n_trunc))
+                        for name, variant in variants.items():
+                            value = variant(a, b)
+                            if value is None:
+                                continue
+                            rhs = value.apply(lambda g: realized(g, n_trunc), kind=BIWORD_KIND)
+                            monkeypatch.setattr(phisym, "product_phi", lambda x, y: value)
+                            factored = phisym.biword_product_check(a, b, n_trunc)
+                            assert factored == (lhs == rhs) == (name == "rule"), (
+                                name, a, b, n_trunc)
+                            spurious += name == "spurious"
+    # only (1) times (1) has every permutation of its degree as a term
+    assert spurious == 2 * 21 - 2  # 21 pairs, two truncations each
+
+
 def test_biword_oracle_rejects_a_truncation_below_the_degree():
     # at N = 1 the product's two-cycle permutation (12) has no biword
     with pytest.raises(ValueError):
@@ -279,18 +338,30 @@ def test_realize_phi_matches_the_biword_filter():
                     sigma, n_trunc)
 
 
+def test_realize_phi_is_the_cartesian_expansion_of_its_factors():
+    for n in range(5):
+        for n_trunc in range(1, 6):
+            for sigma in permutations(n):
+                tops, bottoms = phi_factors(sigma, n_trunc)
+                assert len(set(tops)) == len(tops) and len(set(bottoms)) == len(bottoms)
+                expansion = {(top, bottom): 1 for top in tops for bottom in bottoms}
+                assert realize_phi(sigma, n_trunc).terms == expansion, (sigma, n_trunc)
+
+
 def test_cached_biword_realizations_are_not_mutated_by_the_checks():
-    labels = [s for n in range(4) for s in permutations(n)]
-    cached = {s: phisym._realized(s, 3) for s in labels}
-    before = {s: dict(r.terms) for s, r in cached.items()}
-    for i in range(1, 3):
-        for j in range(1, 4 - i):
+    labels = [s for n in range(5) for s in permutations(n)]
+    cached = {s: phisym._realized(s, 4) for s in labels}
+    for tops, bottoms in cached.values():
+        assert type(tops) is tuple and type(bottoms) is tuple
+    before = {s: (tuple(tops), tuple(bottoms)) for s, (tops, bottoms) in cached.items()}
+    for i in range(1, 4):
+        for j in range(1, 5 - i):
             for a in permutations(i):
                 for b in permutations(j):
-                    assert phisym.biword_product_check(a, b, 3)
-    for s, r in cached.items():
-        assert phisym._realized(s, 3) is r
-        assert r.terms == before[s] == realize_phi(s, 3).terms, s
+                    assert phisym.biword_product_check(a, b, 4)
+    for s, factors in cached.items():
+        assert phisym._realized(s, 4) is factors
+        assert factors == before[s] == phi_factors(s, 4), s
 
 
 def test_collect_biwords_sums_each_realization_into_its_class():
