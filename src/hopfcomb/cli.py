@@ -268,6 +268,9 @@ def _run(args) -> int:
 
     if args.command == "pair":
         spec = _lookup(args.algebra, args.basis)
+        if len(args.elements) == 3 and spec.product is None:
+            print(f"no product registered for {spec.kind}", file=sys.stderr)
+            return 2
         labels = [spec.family.parse(e) for e in args.elements]
         if len(labels) == 2:
             print(1 if labels[0] == labels[1] else 0)

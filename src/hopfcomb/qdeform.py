@@ -3,7 +3,8 @@
 The deformation never touches the products; coproducts acquire powers of q
 counted by crossing inversions, and comultiplicativity holds for the tensor
 product twisted by q^(deg x deg).  Two q-rewriting systems give quotients
-with class censuses by descent compositions and by binary trees.
+with class censuses by descent compositions and by binary trees, counted as
+the irreducible permutations that a local rule on adjacent letters generates.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .words import (
     Word,
     connected_factorization,
     descent_composition,
-    enumerate_family,
     inversions,
     permutations,
     shifted_shuffle,
@@ -212,10 +212,15 @@ def _qs_applicable(w: Word, i: int) -> bool:
     return any(a <= w[t] < c for t in range(i + 2, len(w)))
 
 
-_SYSTEMS = {"qH": _qh_applicable, "qS": _qs_applicable}
+# A system's step predicate, and the one letter below c that may follow c in
+# an irreducible permutation, given the sorted unused letters (else 0).
+_SYSTEMS = {
+    "qH": (_qh_applicable, lambda c, unused: c - 1),
+    "qS": (_qs_applicable, lambda c, unused: max((b for b in unused if b < c), default=0)),
+}
 
 
-def _applicable(system: str):
+def _system(system: str):
     if system not in _SYSTEMS:
         raise ValueError(f"unknown rewriting system {system!r}")
     return _SYSTEMS[system]
@@ -231,7 +236,7 @@ def _swap(w: Word, i: int) -> Word:
 
 
 def rewrite_steps(w: Word, system: str) -> list[Word]:
-    return [_swap(w, i) for i in _positions(w, _applicable(system))]
+    return [_swap(w, i) for i in _positions(w, _system(system)[0])]
 
 
 def q_rewrite(w: Word, system: str) -> tuple[Word, int]:
@@ -240,7 +245,7 @@ def q_rewrite(w: Word, system: str) -> tuple[Word, int]:
     Each step is the first one ``rewrite_steps`` lists: the swap at the
     least applicable position.
     """
-    applicable = _applicable(system)
+    applicable, _ = _system(system)
     guard("rewrite_length", len(w))
     exponent = 0
     current = tuple(w)
@@ -272,22 +277,37 @@ def confluence_check(system: str, length: int, n_letters: int) -> CheckResult:
     return check_each(((w,) for w in words), confluent)
 
 
-def class_census(system: str, n: int) -> int:
-    """Number of rewriting classes of permutations, forgetting q powers.
+def irreducible_permutations(system: str, n: int) -> Iterator[Word]:
+    """The permutations of size n where no rewrite step applies.
 
-    This counts the irreducible permutations of size n: those where no
-    rewrite step applies.  A step swaps two adjacent letters, so rewriting
-    a permutation gives a permutation, and ``q_rewrite`` stops exactly at
-    an irreducible word; an irreducible permutation is its own normal form.
-    So the normal forms of S_n are exactly its irreducible permutations,
-    and one applicability scan per permutation counts them.
+    They grow letter by letter, never from a prefix that holds a step: its
+    witness stays in every extension.  In a permutation a descent ``c a`` is
+    a step exactly when a value strictly between a and c lies to its right
+    (qS) or anywhere (qH).  So after the last letter c any unused larger
+    letter may follow, since every earlier descent's gap is filled, and of
+    the smaller ones only the largest unused one (qS) or c - 1 (qH).
     """
-    applicable = _applicable(system)
-    return sum(
-        1
-        for sigma in enumerate_family("permutations", n)
-        if next(_positions(sigma, applicable), None) is None
-    )
+    _, follower = _system(system)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    guard("permutations", n)
+
+    def grow(prefix: Word, c: int, unused: Word) -> Iterator[Word]:
+        if not unused:
+            yield prefix
+        below = follower(c, unused)
+        for k, b in enumerate(unused):
+            if b > c or b == below:
+                yield from grow(prefix + (b,), b, unused[:k] + unused[k + 1 :])
+
+    return grow((), 0, tuple(range(1, n + 1)))
+
+
+def class_census(system: str, n: int) -> int:
+    """Number of rewriting classes of permutations, forgetting q powers: a step
+    swaps two adjacent letters, so the normal forms of S_n are exactly its
+    irreducible permutations, and these are generated and counted."""
+    return sum(1 for _ in irreducible_permutations(system, n))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,14 @@ def test_count_families():
     assert run_cli("count", "--family", "sylvester-q-classes", "5")[1].strip() == "42"
 
 
+@pytest.mark.parametrize("family, count", [
+    ("sylvester-q-classes", "4862"), ("hypoplactic-q-classes", "256")])
+def test_census_counts_answer_at_the_permutation_bound(family, count):
+    start = time.perf_counter()
+    assert run_cli("count", "--family", family, "9") == (0, count + "\n", "")
+    assert time.perf_counter() - start < 1
+
+
 def test_stalactic_counts_at_zero_and_at_large_sizes():
     for family in ("parking", "endofunctions", "initial-words"):
         assert run_cli("count", "--family", f"{family}-stalactic", "0") == (0, "1\n", "")
@@ -131,6 +139,12 @@ def test_pair_outputs():
     assert run_cli("pair", "--algebra", "eqsym", "--basis", "M", "12", "21")[1].strip() == "0"
     code, out, _ = run_cli("pair", "--algebra", "eqsym", "--basis", "M", "12", "321", "52341")
     assert code == 0 and out.strip() == "3"
+
+
+def test_pair_of_three_labels_needs_a_product():
+    for command in (["pair", "(1)", "(1)", "(2)"], ["product", "(1)", "(2)"]):
+        code, out, err = run_cli(command[0], "--algebra", "qsym-q", "--basis", "M", *command[1:])
+        assert (code, out, err) == (2, "", "no product registered for qsym-q:M\n")
 
 
 def test_convert_phisym():

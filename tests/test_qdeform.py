@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -237,8 +238,24 @@ def test_confluence_small():
 
 
 def test_class_censuses():
-    assert [qdeform.class_census("qS", n) for n in range(1, 6)] == [1, 2, 5, 14, 42]
-    assert [qdeform.class_census("qH", n) for n in range(1, 7)] == [1, 2, 4, 8, 16, 32]
+    assert [qdeform.class_census("qS", n) for n in range(1, 10)] == [
+        math.comb(2 * n, n) // (n + 1) for n in range(1, 10)]
+    assert [qdeform.class_census("qH", n) for n in range(1, 10)] == [
+        2 ** (n - 1) for n in range(1, 10)]
+
+
+def _irreducible_by_scan(system, n):
+    """The census's oracle: one applicability scan per permutation of S_n."""
+    return {sigma for sigma in permutations(n) if not qdeform.rewrite_steps(sigma, system)}
+
+
+@pytest.mark.parametrize("system", ["qH", "qS"])
+def test_generated_irreducible_permutations_match_the_scan(system):
+    for n in range(9):
+        generated = list(qdeform.irreducible_permutations(system, n))
+        assert len(set(generated)) == len(generated), n
+        assert all(sorted(sigma) == list(range(1, n + 1)) for sigma in generated), n
+        assert set(generated) == _irreducible_by_scan(system, n), n
 
 
 def _rewrite_by_listed_steps(w, system):
@@ -267,10 +284,7 @@ def test_class_census_matches_rewriting(system):
 def test_normal_forms_are_the_irreducible_permutations(system):
     for n in range(7):
         normal_forms = {qdeform.q_rewrite(sigma, system)[0] for sigma in permutations(n)}
-        irreducible = {
-            sigma for sigma in permutations(n) if not qdeform.rewrite_steps(sigma, system)
-        }
-        assert normal_forms == irreducible, n
+        assert normal_forms == _irreducible_by_scan(system, n), n
 
 
 def test_class_census_edge_cases():
