@@ -142,9 +142,9 @@ def test_pair_outputs():
 
 
 def test_pair_of_three_labels_needs_a_product():
-    for command in (["pair", "(1)", "(1)", "(2)"], ["product", "(1)", "(2)"]):
-        code, out, err = run_cli(command[0], "--algebra", "qsym-q", "--basis", "M", *command[1:])
-        assert (code, out, err) == (2, "", "no product registered for qsym-q:M\n")
+    for argv in (["pair", "(1)", "(1)", "(2)"], ["product", "(1)", "(2)"]):
+        result = run_cli(argv[0], "--algebra", "qsym-q", "--basis", "M", *argv[1:])
+        assert result == (2, "", "no product registered for qsym-q:M\n")
 
 
 def test_convert_phisym():
