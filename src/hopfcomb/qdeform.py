@@ -212,8 +212,9 @@ def _qs_applicable(w: Word, i: int) -> bool:
     return any(a <= w[t] < c for t in range(i + 2, len(w)))
 
 
-# A system's step predicate, and the one letter below c that may follow c in
-# an irreducible permutation, given the sorted unused letters (else 0).
+# Each system's step predicate and its follower rule: the only letter below c
+# that may follow c in an irreducible permutation, given the unused letters (a
+# value that is no unused letter below c lets none follow).
 _SYSTEMS = {
     "qH": (_qh_applicable, lambda c, unused: c - 1),
     "qS": (_qs_applicable, lambda c, unused: max((b for b in unused if b < c), default=0)),
