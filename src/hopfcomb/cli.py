@@ -53,7 +53,8 @@ _REGISTRY: dict[str, GradedBasis] = {basis.kind: basis for basis in (
     parkfunc.cc_algebra(),
     GradedBasis(parkfunc.CC_DUAL_KIND, FAMILIES["nondecreasing_parking"],
                 parkfunc.cc_dual_product, parkfunc.cc_dual_coproduct),
-    GradedBasis(parkfunc.FOREST_KIND, parkfunc.FORESTS, parkfunc.forest_product, None),
+    GradedBasis(parkfunc.FOREST_KIND, parkfunc.FORESTS,
+                parkfunc.forest_product, parkfunc.forest_coproduct),
     GradedBasis(parkfunc.GRAPH_KIND, parkfunc.PARKING_GRAPHS,
                 parkfunc.unlabelled_product, parkfunc.unlabelled_coproduct),
     GradedBasis(qdeform.F_KIND, FAMILIES["permutations"],
@@ -275,7 +276,7 @@ def _run(args) -> int:
         if len(labels) == 2:
             print(1 if labels[0] == labels[1] else 0)
             return 0
-        if len(labels) == 3 and spec.product is not None:
+        if len(labels) == 3:
             print(spec.product(labels[0], labels[1])[labels[2]])
             return 0
         print("pair takes two labels (delta) or three (<x*y, z>)", file=sys.stderr)

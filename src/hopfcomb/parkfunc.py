@@ -1,10 +1,12 @@
 """The commutative parking-function algebra, its graph and forest structures.
 
-Parking functions are closed under the endofunction product and coproduct;
-summing over labellings of functional graphs yields a polynomial algebra on
-connected unlabelled graphs, and killing the non-nondecreasing labels yields
-a quotient with Catalan-many classes per degree whose class sums over
-support forests close into a Hopf algebra of rooted forests.
+Parking functions are closed under the endofunction product and coproduct.
+Summing over the labellings of functional graphs yields the polynomial
+algebra on connected unlabelled graphs.  Killing the non-nondecreasing
+labels yields a quotient with Catalan-many classes per degree, whose class
+sums over support forests close into the polynomial algebra on rooted
+trees.  Both polynomial algebras take their product and coproduct from
+:func:`sgqsym.multiset_rules`, the rule of the cycle-type basis `ul`.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from . import eqsym
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
 from .limits import guard
 from .lincomb import LinComb, bilinear, tensor_kind
+from .sgqsym import multiset_rules
 from .words import (
     FAMILIES,
     Family,
@@ -26,7 +29,6 @@ from .words import (
     exact_quotient,
     is_nondecreasing,
     is_parking,
-    multiset_splits,
     multisets,
     nondecreasing_parking_functions,
     parking_functions,
@@ -187,35 +189,8 @@ def unlabelled_count(n: int) -> int:
     return a[n]
 
 
-def graph_representative(cert: tuple, n: int) -> Word:
-    for p in enumerate_family("parking", n):
-        if graph_certificate(p) == cert:
-            return p
-    raise ValueError("no parking function realizes the certificate")
-
-
 def cert_size(cert: tuple) -> int:
     return sum(forest_size(comp) for comp in cert)
-
-
-def unlabelled_product(cert1: tuple, cert2: tuple) -> LinComb:
-    """Product of labelling sums: a multiple of the disjoint union.
-
-    The multiplicity counts complementary stable splits of one representative
-    whose standardized halves realize the two factors.
-    """
-    n, m = cert_size(cert1), cert_size(cert2)
-    h = shifted_concat(graph_representative(cert1, n), graph_representative(cert2, m))
-    target = tuple(sorted(cert1 + cert2))
-    kappa = 0
-    for subset, complement in eqsym.stable_splits(h):
-        if len(subset) != n:
-            continue
-        left = eqsym.restrict_std(h, subset)
-        right = eqsym.restrict_std(h, complement)
-        if graph_certificate(left) == cert1 and graph_certificate(right) == cert2:
-            kappa += 1
-    return LinComb.basis(GRAPH_KIND, target, kappa)
 
 
 def unlabelled_product_brute(cert1: tuple, cert2: tuple) -> LinComb:
@@ -240,14 +215,13 @@ def unlabelled_product_brute(cert1: tuple, cert2: tuple) -> LinComb:
     return LinComb(GRAPH_KIND, out)
 
 
-def unlabelled_coproduct(cert: tuple) -> LinComb:
-    """Unshuffle of connected components: every distinct multiset split once.
+def _sorted(pieces) -> tuple:
+    return tuple(sorted(pieces))
 
-    Labelled pieces pair off bijectively with (labelled graph, cut) pairs, so
-    the class-sum coefficients are all 1.
-    """
-    terms = {split: 1 for split in multiset_splits(cert)}
-    return LinComb(tensor_kind(GRAPH_KIND), terms)
+
+# The labelling sums of functional graphs are the polynomial algebra on the
+# connected graphs, their certificate components.
+unlabelled_product, unlabelled_coproduct = multiset_rules(GRAPH_KIND, _sorted)
 
 
 def connected_graph_counts(bound: int) -> list[int]:
@@ -369,7 +343,7 @@ def forest_certificate(p: Word) -> tuple:
 
 
 def forest_text(cert: tuple) -> str:
-    return "".join(tree_text(t) for t in cert) or "()"
+    return "".join(tree_text(t) for t in cert)
 
 
 def forest_size(cert: tuple) -> int:
@@ -387,34 +361,7 @@ PARKING_GRAPHS = Family(
     certificate_text, cert_size)
 
 
-def forest_members(cert: tuple) -> list[Word]:
-    n = forest_size(cert)
-    return [
-        p
-        for p in nondecreasing_parking_functions(n)
-        if forest_certificate(p) == cert
-    ]
-
-
-def forest_product(cert1: tuple, cert2: tuple) -> LinComb:
-    """Product of forest class sums, regrouped over forests.
-
-    Raises if the expansion fails to be constant on forest classes (it never
-    does at tested degrees; closure is part of the test suite).
-    """
-    total: dict[Word, int] = {}
-    for p in forest_members(cert1):
-        for q in forest_members(cert2):
-            for h, c in cc_product(p, q).terms.items():
-                total[h] = total.get(h, 0) + c
-    out: dict[tuple, int] = {}
-    for h, c in total.items():
-        cert = forest_certificate(h)
-        if cert in out and out[cert] != c:
-            raise AssertionError("forest sums do not close")
-        out[cert] = c
-    for cert, c in out.items():
-        for member in forest_members(cert):
-            if total.get(member, 0) != c:
-                raise AssertionError("forest sums do not close")
-    return LinComb(FOREST_KIND, out)
+# The forest class sums are the polynomial algebra on the rooted trees; the
+# tests check both rules against the class sums of ``cc_product`` and
+# ``cc_coproduct``.
+forest_product, forest_coproduct = multiset_rules(FOREST_KIND, _sorted)

@@ -296,27 +296,34 @@ def ul_expand(lam: IntegerPartition) -> LinComb:
     return LinComb(M_KIND, dict.fromkeys(permutations_of_type(lam, sum(lam)), 1))
 
 
-def product_ul(lam1: IntegerPartition, lam2: IntegerPartition) -> LinComb:
-    union = tuple(sorted(lam1 + lam2, reverse=True))
-    m1 = partition_multiplicities(lam1)
-    mu = partition_multiplicities(union)
-    coeff = 1
-    for part, mult in mu.items():
-        coeff *= comb(mult, m1.get(part, 0))
-    return LinComb.basis(UL_KIND, union, coeff)
+def multiset_rules(kind: str, canonical: Callable[[Iterable], tuple]) -> tuple[Callable, Callable]:
+    """Product and coproduct of the polynomial algebra on connected pieces,
+    in the basis N_A = prod over pieces c of x_c^(m_c) / m_c!, where m_c is
+    how often c occurs in the multiset A.
 
-
-def coproduct_ul(lam: IntegerPartition) -> LinComb:
-    """Every distinct ordered multiset split of the parts, each once.
-
-    Matches the cut coproduct of the class sums: a pair of labels arises from
-    exactly one (permutation, cut) pair per labelled pair.
+    Labels are multisets of pieces held as tuples that ``canonical`` sorts:
+    cycle types of permutations here, connected functional graphs and rooted
+    trees in :mod:`parkfunc`.  The product is the multiset union A + B,
+    N_A N_B = prod over c of C(m_c(A) + m_c(B), m_c(A)) N_(A + B), and the
+    coproduct takes every distinct split of the multiset once: on the class
+    sums, a pair of labels arises from exactly one (labelled object, cut)
+    pair per labelled pair.
     """
-    terms = {
-        (sort_composition(left), sort_composition(right)): 1
-        for left, right in multiset_splits(lam)
-    }
-    return LinComb(tensor_kind(UL_KIND), terms)
+    def product(a: tuple, b: tuple) -> LinComb:
+        mb = partition_multiplicities(b)
+        coeff = 1
+        for piece, mult in partition_multiplicities(a).items():
+            coeff *= comb(mult + mb.get(piece, 0), mult)
+        return LinComb.basis(kind, canonical(a + b), coeff)
+
+    def coproduct(a: tuple) -> LinComb:
+        terms = {(canonical(left), canonical(right)): 1 for left, right in multiset_splits(a)}
+        return LinComb(tensor_kind(kind), terms)
+
+    return product, coproduct
+
+
+product_ul, coproduct_ul = multiset_rules(UL_KIND, sort_composition)
 
 
 # ---------------------------------------------------------------------------

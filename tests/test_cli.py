@@ -111,6 +111,19 @@ def test_more_golden_products_through_cli():
     assert out.strip() == "1045"
 
 
+def test_forest_rules_answer_by_closed_form():
+    assert run_cli("coproduct", "--algebra", "forest", "1") == (
+        0, "M[()](x)M[] + M[](x)M[()]\n", "")
+    assert run_cli("coproduct", "--algebra", "forest", "1123") == (
+        0, "M[(((())))](x)M[] + M[](x)M[(((())))]\n", "")
+    for label in ("111111", "1111111"):  # 6 + 6 and 7 + 7: a star squared
+        star = "(" + "()" * (len(label) - 1) + ")"
+        start = time.perf_counter()
+        result = run_cli("product", "--algebra", "forest", label, label)
+        assert time.perf_counter() - start < 0.1
+        assert result == (0, f"2*M[{star}{star}]\n", "")
+
+
 def test_insert_output():
     code, out, _ = run_cli("insert", "cabccdbdd")
     assert code == 0

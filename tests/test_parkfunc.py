@@ -145,17 +145,12 @@ def test_certificate_matches_the_iteration_route():
 
 
 def test_unlabelled_product_matches_brute_expansion():
-    certs = [
-        parkfunc.graph_certificate(W("1")),
-        parkfunc.graph_certificate(W("11")),
-        parkfunc.graph_certificate(W("21")),
-        parkfunc.graph_certificate(W("121")),
-    ]
-    for a in certs:
-        for b in certs:
-            if parkfunc.cert_size(a) + parkfunc.cert_size(b) > 5:
-                continue
-            assert parkfunc.unlabelled_product(a, b) == parkfunc.unlabelled_product_brute(a, b)
+    certs = [cert for n in range(1, 5) for cert in parkfunc.endofunction_certificates(n)]
+    pairs = [(a, b) for a in certs for b in certs
+             if parkfunc.cert_size(a) + parkfunc.cert_size(b) <= 5]
+    assert len(pairs) == 110
+    for a, b in pairs:
+        assert parkfunc.unlabelled_product(a, b) == parkfunc.unlabelled_product_brute(a, b)
 
 
 def test_unlabelled_coproduct_matches_brute_expansion():
@@ -238,17 +233,56 @@ def test_forest_unit():
     assert parkfunc.forest_product((), f1) == LinComb.basis("forest:M", f1, 1)
 
 
-def test_forest_sums_close_up_to_degree_5():
-    forests_by_size: dict[int, set] = {}
-    for n in range(1, 5):
-        forests_by_size[n] = {
-            parkfunc.forest_certificate(p) for p in nondecreasing_parking_functions(n)
-        }
-    for n in range(1, 4):
-        for m in range(1, min(5 - n, 4) + 1):
-            for f1 in forests_by_size[n]:
-                for f2 in forests_by_size[m]:
-                    parkfunc.forest_product(f1, f2)  # raises if sums do not close
+def _forest_classes(bound):
+    """Forest certificate -> its nondecreasing parking functions, sizes 0..bound."""
+    classes: dict[tuple, list] = {}
+    for n in range(bound + 1):
+        for p in nondecreasing_parking_functions(n):
+            classes.setdefault(parkfunc.forest_certificate(p), []).append(p)
+    return classes
+
+
+def _regrouped(total, classes):
+    """Regroup a sum over tuples of words by their tuples of forest classes,
+    asserting that all members of a tuple of classes carry one coefficient."""
+    out = {}
+    for key in {tuple(map(parkfunc.forest_certificate, words)) for words in total}:
+        members = itertools.product(*(classes[forest] for forest in key))
+        values = {total.get(words, 0) for words in members}
+        assert len(values) == 1, key
+        out[key] = values.pop()
+    return out
+
+
+def test_forest_product_matches_the_class_sums_up_to_degree_6():
+    """The class sums of ``cc_product`` close on forests, and their product
+    is ``forest_product``: every term of the expansion carries its class's
+    coefficient."""
+    classes = _forest_classes(6)
+    pairs = [(f1, f2) for f1 in classes for f2 in classes
+             if parkfunc.forest_size(f1) + parkfunc.forest_size(f2) <= 6]
+    assert len(pairs) == 312
+    for f1, f2 in pairs:
+        total: dict = {}
+        for p in classes[f1]:
+            for q in classes[f2]:
+                for h, c in parkfunc.cc_product(p, q).terms.items():
+                    total[(h,)] = total.get((h,), 0) + c
+        expected = {forest: c for (forest,), c in _regrouped(total, classes).items()}
+        assert dict(parkfunc.forest_product(f1, f2).terms) == expected, (f1, f2)
+
+
+def test_forest_coproduct_matches_the_class_sums_up_to_size_7():
+    """Regrouping ``cc_coproduct`` over a forest's class gives each class
+    pair once per member pair: that coefficient is ``forest_coproduct``'s."""
+    classes = _forest_classes(7)
+    assert len(classes) == 200
+    for forest, members in classes.items():
+        total: dict = {}
+        for p in members:
+            for pair, c in parkfunc.cc_coproduct(p).terms.items():
+                total[pair] = total.get(pair, 0) + c
+        assert dict(parkfunc.forest_coproduct(forest).terms) == _regrouped(total, classes), forest
 
 
 def test_forest_certificate_requires_nondecreasing():
@@ -270,4 +304,6 @@ def test_certificate_texts_are_faithful():
         parkfunc.forest_certificate(p) for p in nondecreasing_parking_functions(4)
     }
     assert len(forests) == 9  # rooted forests on four nodes
+    forests = set(_forest_classes(5))
+    assert len(forests) == 1 + 1 + 2 + 4 + 9 + 20
     assert len({parkfunc.forest_text(f) for f in forests}) == len(forests)
