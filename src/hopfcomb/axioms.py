@@ -18,7 +18,7 @@ kinds raises ``ValueError``, and sides of different kinds fail the case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
@@ -72,6 +72,9 @@ class HopfReport:
     algebra: str
     degree_bound: int
     checks: dict[str, CheckResult] = field(default_factory=dict)
+    # the swept basis with rules that read the sweep's tables first, and so
+    # keep them alive: `verify` hands it to `duality_check` as the primal
+    tabled: GradedBasis | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -91,7 +94,7 @@ class HopfReport:
 
 
 # ---------------------------------------------------------------------------
-# the sweep: tables below the top degree, cases in a fixed order
+# the sweep: tables for every held degree, cases in a fixed order
 
 Cases = Iterable[tuple[tuple, dict[str, Callable[[], bool]]]]
 
@@ -138,35 +141,50 @@ def graded_pairs(labels: Callable[[int], Iterable], bound: int) -> Iterator[tupl
                     yield x, y
 
 
-class _Sweep:
-    """Labels and rule values for one :func:`hopf_check` call.
+# A sweep holds its top degree, labels and rule values, only when the family
+# has at most this many labels there.  A held top degree's values are most of
+# the sweep's memory: holding the 46,656 endofunctions of size 6 took the peak
+# RSS of `verify --algebra eqsym` from 23 MB to 97 MB, and the 16,807 parking
+# functions took cpqsym's from 20 MB to 46 MB, so those top degrees stream.
+# At this bound the largest held sweep the guards allow, wsym at degree 7
+# (877 labels), peaks at 26 MB; at 5,040, piqsym at degree 8 reached 55 MB.
+HELD_TOP_LABELS = 1_000
 
-    Products of total degree below the bound and coproducts of labels below
-    it are computed once and kept in plain dicts that die with the sweep.
-    Top-degree values are not kept: they are most of the distinct arguments,
-    and the top degree's labels are streamed from the family rather than
-    held.  Cached values are shared between the axioms, which is safe because
-    no ``LinComb`` operation mutates its operands.
+
+class _Sweep:
+    """Labels and rule values for one sweep of the Hopf axioms to ``bound``.
+
+    The degrees up to ``held_upto`` are held: their labels are listed, and
+    products of total degree up to ``held_upto`` and coproducts of labels up
+    to it are computed once and kept in plain dicts that die with the sweep.
+    ``held_upto`` is the bound when the family has at most ``HELD_TOP_LABELS``
+    labels there, and else the degree below: a large top degree's labels are
+    streamed from the family and its values are not kept.  Cached values are
+    shared between the axioms, and the report hands them on as its
+    ``tabled`` basis; that is safe because no ``LinComb`` operation mutates
+    its operands.
     """
 
     def __init__(self, alg: GradedBasis, bound: int):
         self.alg = alg
         self.bound = bound
         self.degree = alg.family.degree
-        self.below = alg.labels_upto(bound - 1)
+        hold_top = bound >= 1 and family_size(alg.family.name, bound) <= HELD_TOP_LABELS
+        self.held_upto = bound if hold_top else bound - 1
+        self.held_labels = alg.labels_upto(self.held_upto)
         self.products: dict = {}
         self.coproducts: dict = {}
 
     def labels(self, n: int) -> Iterable:
-        if n == self.bound:
+        if n > self.held_upto:
             return enumerate_family(self.alg.family.name, n)
-        return self.below.get(n, ())
+        return self.held_labels[n]
 
     def product(self, a, b) -> LinComb:
         value = self.products.get((a, b))
         if value is None:
             value = self.alg.product(a, b)
-            if self.degree(a) + self.degree(b) < self.bound:
+            if self.degree(a) + self.degree(b) <= self.held_upto:
                 self.products[(a, b)] = value
         return value
 
@@ -174,16 +192,16 @@ class _Sweep:
         value = self.coproducts.get(a)
         if value is None:
             value = self.alg.coproduct(a)
-            if self.degree(a) < self.bound:
+            if self.degree(a) <= self.held_upto:
                 self.coproducts[a] = value
         return value
 
     def product_rule(self, total: int) -> Callable:
-        """The product for arguments of this total degree: cached below the top."""
-        return self.product if total < self.bound else self.alg.product
+        """The product for arguments of this total degree: cached where held."""
+        return self.product if total <= self.held_upto else self.alg.product
 
     def coproduct_rule(self, degree: int) -> Callable:
-        return self.coproduct if degree < self.bound else self.alg.coproduct
+        return self.coproduct if degree <= self.held_upto else self.alg.coproduct
 
 
 def _cancels(terms: dict, lhs_kind: str, rhs_kind: str) -> bool:
@@ -221,11 +239,14 @@ def _associativity_cases(sweep: _Sweep) -> Cases:
 
 def _label_cases(sweep: _Sweep) -> Cases:
     """One coproduct per label serves coassociativity, counit and
-    cocommutativity; the unit law calls the product rule directly."""
+    cocommutativity.  The unit law's products below the top degree go
+    through the table, where compatibility's tensor products read them; at
+    the top nothing else asks for them, so they are not kept."""
     alg = sweep.alg
     kind = alg.kind
     unit = ()
     for n in range(1, sweep.bound + 1):
+        product = sweep.product if n < sweep.bound else alg.product
         for a in sweep.labels(n):
             cop = sweep.coproduct_rule(n)(a)
 
@@ -239,8 +260,8 @@ def _label_cases(sweep: _Sweep) -> Cases:
                 return _cancels(terms, lhs, rhs)
 
             yield (a,), {
-                "unit": lambda: (_is_basis_element(alg.product(unit, a), kind, a)
-                                 and _is_basis_element(alg.product(a, unit), kind, a)),
+                "unit": lambda: (_is_basis_element(product(unit, a), kind, a)
+                                 and _is_basis_element(product(a, unit), kind, a)),
                 "coassociativity": coassociates,
                 "counit": lambda: _counit_sides(unit, cop) == ({a: 1}, {a: 1}),
                 "cocommutativity": lambda: tensor_swap(cop) == cop,
@@ -321,7 +342,8 @@ def sweep_guard(family: str, bound: int, limits: Limits | None = None) -> None:
 
 def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
     """Verify associativity, coassociativity, unit/counit, compatibility,
-    and record (co)commutativity, exhaustively up to the degree bound."""
+    and record (co)commutativity, exhaustively up to the degree bound.  The
+    report's ``tabled`` basis reads its rule values from the sweep's tables."""
     sweep_guard(alg.family.name, degree_bound)
     sweep = _Sweep(alg, degree_bound)
     results = first_failure(_associativity_cases(sweep), ("associativity",))
@@ -330,7 +352,8 @@ def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
     results.update(first_failure(_pair_cases(sweep), ("compatibility", "commutativity")))
     order = ("associativity", "unit", "coassociativity", "counit",
              "compatibility", "commutativity", "cocommutativity")
-    return HopfReport(alg.kind, degree_bound, {name: results[name] for name in order})
+    tabled = replace(alg, product=sweep.product, coproduct=sweep.coproduct)
+    return HopfReport(alg.kind, degree_bound, {name: results[name] for name in order}, tabled)
 
 
 def duality_check(
@@ -364,7 +387,10 @@ def duality_check(
             cols: dict = {}
             for z in targets:
                 for pair, c in coproduct(z).terms.items():
-                    cols.setdefault(pair, {})[z] = c
+                    # a pair with an empty side is no row; its column, one
+                    # dict per target, would only add to the peak memory
+                    if pair[0] and pair[1]:
+                        cols.setdefault(pair, {})[z] = c
             for i in range(1, total):
                 for a in by_degree.get(i, []):
                     for b in by_degree.get(total - i, []):

@@ -175,10 +175,12 @@ def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
     lines = report.lines()
     passed = report.passed
     if plan is not None:
+        # the primal rules read the sweep's tables: they hold every value
+        # duality asks for, but for a streamed top degree's
         dual = _lookup(algebra, plan)
         res = duality_check(
-            alg, dual.coproduct, min(max_degree, DUALITY_DEGREE),
-            dual_product=dual.product, primal_coproduct=alg.coproduct,
+            report.tabled, dual.coproduct, min(max_degree, DUALITY_DEGREE),
+            dual_product=dual.product, primal_coproduct=report.tabled.coproduct,
         )
         lines.append(res.line("duality-consistency"))
         passed = passed and res.passed

@@ -6,12 +6,13 @@ counterexample in the checker's visiting order.  The expected tuples were
 recorded from the straightforward nested-loop checker, so they also pin that
 the sweep order of the table-driven checker is unchanged.
 """
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
-from hopfcomb import eqsym, parkfunc, phisym, qdeform, sgqsym
+from hopfcomb import axioms, cli, eqsym, parkfunc, phisym, qdeform, sgqsym
 from hopfcomb.axioms import (
     CheckResult,
     HopfReport,
@@ -247,10 +248,13 @@ def test_report_keeps_its_key_order():
     ]
 
 
-def test_degree_bounds_below_one_check_nothing():
+def test_degree_bounds_below_one_check_nothing(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(axioms, "family_size", lambda *args: sizes.append(args))
     for bound in (0, -1):
         report = hopf_check(eqsym.algebra(), bound)
         assert all(r.passed for r in report.checks.values())
+    assert sizes == []
 
 
 def test_graded_pairs_keep_the_nested_loop_order():
@@ -308,6 +312,76 @@ def test_checks_refuse_bounds_beyond_the_family_bound_before_any_rule_call():
 
 
 # ---------------------------------------------------------------------------
+# the held and the streamed top degree
+
+def counted(alg, calls: Counter):
+    """``alg`` with both rules counting their calls, by argument tuple, in
+    ``calls``: a product's arguments are a pair, a coproduct's a 1-tuple."""
+
+    def counting(rule):
+        def rule_counted(*args):
+            calls[args] += 1
+            return rule(*args)
+
+        return rule_counted
+
+    return replace(alg, product=counting(alg.product), coproduct=counting(alg.coproduct))
+
+
+def hold_top_degrees(monkeypatch, held: bool) -> None:
+    """Hold every sweep's top degree, or stream every one."""
+    monkeypatch.setattr(axioms, "HELD_TOP_LABELS", 10**9 if held else 0)
+
+
+SWEEP_PATH_CASES = {
+    **{name: (broken_algebra(name), (4,)) for name in HOPF_CASES},
+    **{name: (cli._lookup(name, None), range(1, 6)) for name in cli.VERIFIABLE},
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_PATH_CASES))
+def test_held_and_streamed_top_degrees_report_alike(name, monkeypatch):
+    alg, bounds = SWEEP_PATH_CASES[name]
+    for bound in bounds:
+        reports = []
+        for held in (True, False):
+            hold_top_degrees(monkeypatch, held)
+            assert _Sweep(alg, bound).held_upto == (bound if held else bound - 1)
+            reports.append(report_of(alg, bound))
+        assert reports[0] == reports[1], bound
+
+
+def test_a_held_sweep_computes_each_rule_value_once():
+    alg = phisym.algebra()
+    assert _Sweep(alg, 5).held_upto == 5
+    calls: Counter = Counter()
+    assert hopf_check(counted(alg, calls), 5).passed
+    top = [args for args in calls if sum(map(alg.family.degree, args)) == 5]
+    assert len(top) > 120  # the coproducts of size 5 and the products of total 5
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "streamed"])
+@pytest.mark.parametrize("algebra", ["eqsym", "sgqsym", "ccqsym"])
+def test_verify_duality_reads_the_sweep_tables(algebra, held, monkeypatch):
+    """The primal rules reach no argument in ``verify`` that ``hopf_check``
+    alone does not, and none more often."""
+    bound = 4 if algebra == "eqsym" else 5
+    hold_top_degrees(monkeypatch, held)
+    if not held:
+        # duality below the streamed top degree reads only tabled values
+        monkeypatch.setattr(cli, "DUALITY_DEGREE", bound - 1)
+    primal = cli._lookup(algebra, None)
+    alone: Counter = Counter()
+    hopf_check(counted(primal, alone), bound)
+    in_verify: Counter = Counter()
+    monkeypatch.setitem(cli._REGISTRY, primal.kind, counted(primal, in_verify))
+    code, lines = cli._verify(algebra, bound)
+    assert (code, lines[-1]) == (0, "duality-consistency: ok")
+    assert in_verify == alone
+
+
+# ---------------------------------------------------------------------------
 # rules that hand out shared LinComb objects from a cache
 
 def _cached(rule, handed_out):
@@ -328,6 +402,23 @@ def test_hopf_check_never_mutates_cached_rule_values(alg):
     shared = replace(alg, product=_cached(alg.product, handed_out),
                      coproduct=_cached(alg.coproduct, handed_out))
     assert hopf_check(shared, 4).passed
+    assert handed_out
+    for value, snapshot in handed_out:
+        assert value.terms == snapshot
+
+
+@pytest.mark.parametrize("algebra", ["eqsym", "sgqsym", "ccqsym"])
+def test_verify_never_mutates_cached_rule_values(algebra, monkeypatch):
+    """The values the sweep tables and duality then reads, from the primal
+    and the dual rules, come out of ``verify`` as they went in."""
+    handed_out: list = []
+    for basis in (None, cli._VERIFY[algebra]):
+        record = cli._lookup(algebra, basis)
+        monkeypatch.setitem(cli._REGISTRY, record.kind, replace(
+            record, product=_cached(record.product, handed_out),
+            coproduct=_cached(record.coproduct, handed_out)))
+    code, lines = cli._verify(algebra, 4)
+    assert (code, lines[-1]) == (0, "duality-consistency: ok")
     assert handed_out
     for value, snapshot in handed_out:
         assert value.terms == snapshot

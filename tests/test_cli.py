@@ -2,13 +2,18 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from hopfcomb import cli
-from hopfcomb.axioms import sweep_guard
+from hopfcomb.axioms import HELD_TOP_LABELS, sweep_guard
 from hopfcomb.cli import main
 from hopfcomb.limits import LimitExceeded, Limits
+from hopfcomb.words import family_size
+
+# the benchmark's recorded `verify` outputs at the default degree; read only
+GOLDEN_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "sweep.json"
 
 
 def run_cli(*argv):
@@ -579,3 +584,20 @@ def test_verify_passes_at_degree_three(algebra):
     code, out, err = run_cli("verify", "--algebra", algebra, "--max-degree", "3")
     assert (code, err) == (0, "")
     assert out and "FAIL" not in out
+
+
+# the algebras whose default-degree sweep holds its top degree
+HELD_AT_THE_DEFAULT_DEGREE = [
+    "sgqsym", "piqsym", "wsym", "qsym-embed", "sym-embed", "phisym", "ccqsym",
+]
+
+
+@pytest.mark.parametrize("algebra", HELD_AT_THE_DEFAULT_DEGREE)
+def test_verify_at_the_default_degree_prints_the_recorded_report(algebra, monkeypatch):
+    monkeypatch.delenv("HOPFCOMB_MAX_DEGREE", raising=False)
+    degree = Limits().max_degree
+    assert family_size(cli._lookup(algebra, None).family.name, degree) <= HELD_TOP_LABELS
+    with open(GOLDEN_SWEEP) as fh:
+        expected = json.load(fh)[algebra]
+    code, out, err = run_cli("verify", "--algebra", algebra)
+    assert (code, out.splitlines(), err) == (expected["code"], expected["lines"], "")

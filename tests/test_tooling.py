@@ -1,24 +1,66 @@
 """Repository tooling: the benchmark's layer tracer must still find every
-function it wraps, and the package keeps no dead helpers."""
+function it wraps and see every rule call, and the package keeps no dead
+helpers."""
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+
+from hopfcomb import cli
+from hopfcomb.axioms import hopf_check
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_layer_tracer_installs_in_a_fresh_interpreter():
+def _traced(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with the layer tracer on its path."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
+    return subprocess.run(
         # -B: write no bytecode under perfbench/
-        [sys.executable, "-B", "-c", "import layertrace; layertrace.install()"],
+        [sys.executable, "-B", "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_layer_tracer_installs_in_a_fresh_interpreter():
+    proc = _traced("import layertrace; layertrace.install()")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_rule_layers_see_every_rule_call_of_a_held_sweep():
+    """The tracer patches the registry records' rule fields, so a sweep's
+    tables must sit behind those fields for its rule layers to count every
+    call: a cache in front of them would hide arguments from the layers."""
+    proc = _traced(
+        "import json, layertrace\n"
+        "tracer = layertrace.install()\n"
+        "from hopfcomb import cli\n"
+        "from hopfcomb.axioms import hopf_check\n"
+        "hopf_check(cli._REGISTRY['phisym:phi'], 5)\n"
+        "print(json.dumps(tracer.metrics()))\n")
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    record = cli._REGISTRY["phisym:phi"]
+    calls = {"product": Counter(), "coproduct": Counter()}
+
+    def counting(op):
+        def rule(*args):
+            calls[op][args] += 1
+            return getattr(record, op)(*args)
+
+        return rule
+
+    hopf_check(replace(record, product=counting("product"), coproduct=counting("coproduct")), 5)
+    for op, seen in calls.items():
+        assert seen
+        assert traced[f"phisym.{op}.distinct"] == len(seen), op
+        assert traced[f"phisym.{op}.calls"] == sum(seen.values()), op
 
 
 def _public_definitions(path: Path):
