@@ -383,7 +383,6 @@ def duality_check(
     def cases(product: Callable, coproduct: Callable) -> Cases:
         for total in range(2, degree_bound + 1):
             targets = by_degree.get(total, [])
-            rank = {z: r for r, z in enumerate(targets)}
             cols: dict = {}
             for z in targets:
                 for pair, c in coproduct(z).terms.items():
@@ -398,6 +397,8 @@ def duality_check(
                         col = cols.get((a, b), {})
                         z = None
                         if row != col:
+                            # a mismatch ends the check: the rank is built once
+                            rank = {w: r for r, w in enumerate(targets)}
                             diff = [w for w in itertools.chain(row, col)
                                     if row.get(w, 0) != col.get(w, 0)]
                             z = min(diff, key=lambda w: rank.get(w, len(targets)))

@@ -100,6 +100,15 @@ class LinComb:
         return f"LinComb({self.kind}: {body})"
 
 
+def relabelled(kind: str, rule: Callable) -> Callable:
+    """``rule`` with each value's terms re-wrapped, not copied, under ``kind``.
+
+    >>> relabelled("u", lambda a: LinComb.basis("t", a))((1,))
+    LinComb(u: 1*(1,))
+    """
+    return lambda *labels: LinComb(kind, rule(*labels).terms)
+
+
 def bilinear(x: LinComb, y: LinComb, rule: Callable, kind: str | None = None) -> LinComb:
     """Bilinear extension of a basis-level rule ``(label, label) -> LinComb``."""
     x._check(y)

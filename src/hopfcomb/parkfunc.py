@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import eqsym
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
 from .limits import guard
-from .lincomb import LinComb, bilinear, tensor_kind
+from .lincomb import LinComb, bilinear, relabelled, tensor_kind
 from .sgqsym import multiset_rules
 from .words import (
     FAMILIES,
@@ -32,7 +32,6 @@ from .words import (
     multisets,
     nondecreasing_parking_functions,
     parking_functions,
-    shifted_concat,
 )
 
 MPA_KIND = "cpqsym:Mpa"
@@ -45,12 +44,8 @@ FOREST_KIND = "forest:M"
 # ---------------------------------------------------------------------------
 # cpqsym: restriction of the endofunction structure
 
-def product_Mpa(p: Word, q: Word) -> LinComb:
-    return LinComb(MPA_KIND, eqsym.product_M(p, q).terms)
-
-
-def coproduct_Mpa(p: Word) -> LinComb:
-    return LinComb(tensor_kind(MPA_KIND), eqsym.coproduct_M(p).terms)
+product_Mpa = relabelled(MPA_KIND, eqsym.product_M)
+coproduct_Mpa = relabelled(tensor_kind(MPA_KIND), eqsym.coproduct_M)
 
 
 def parking_closure_check(degree_bound: int) -> CheckResult:
@@ -253,8 +248,7 @@ def cc_product(p: Word, q: Word) -> LinComb:
     return LinComb(CC_KIND, out)
 
 
-def cc_coproduct(p: Word) -> LinComb:
-    return LinComb(tensor_kind(CC_KIND), eqsym.coproduct_M(p).terms)
+cc_coproduct = relabelled(tensor_kind(CC_KIND), eqsym.coproduct_M)
 
 
 def cc_ideal_check(degree_bound: int) -> CheckResult:
@@ -268,9 +262,8 @@ def cc_ideal_check(degree_bound: int) -> CheckResult:
     return check_each(graded_pairs(parking_functions, degree_bound), stays)
 
 
-def cc_dual_product(p: Word, q: Word) -> LinComb:
-    """Dual-side class product: shifted concatenation of nondecreasing labels."""
-    return LinComb.basis(CC_DUAL_KIND, shifted_concat(p, q))
+# Dual-side class product: shifted concatenation of nondecreasing labels.
+cc_dual_product = relabelled(CC_DUAL_KIND, eqsym.product_S)
 
 
 def cc_dual_coproduct(p: Word) -> LinComb:

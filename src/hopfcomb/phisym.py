@@ -2,8 +2,10 @@
 
 Products merge cycles through the matching (Wick-style) product of cyclic
 shuffles; the coproduct unshuffles cycles.  Two multiplicative bases are
-provided, both triangular over the natural one by cycle count, together
-with the quotient by cycle type, isomorphic to ordinary symmetric functions.
+provided, both triangular over the natural one by cycle count, and both
+multiply by shifted concatenation: ``Ss`` is the S basis of sgqsym, and
+``Sp`` comultiplies factor by factor, as phi on each connected factor.  The
+quotient by cycle type is isomorphic to ordinary symmetric functions.
 """
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from . import symfunc
+from . import eqsym, symfunc
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
-from .lincomb import LinComb, bilinear, tensor, tensor_kind
+from .lincomb import LinComb, bilinear, relabelled, tensor, tensor_kind, tensor_mul
 from .realize import phi_factors
 from .words import (
     FAMILIES,
@@ -164,29 +166,22 @@ def ssecond_to_phi(x: LinComb) -> LinComb:
     return x.apply(ssecond_expand, kind=PHI_KIND)
 
 
-def product_sprime(alpha: Word, beta: Word) -> LinComb:
-    """Product in the first multiplicative basis, computed through phi."""
-    prod = bilinear(sprime_expand(alpha), sprime_expand(beta), product_phi)
-    return phi_to_sprime(prod)
+# Both bases multiply by shifted concatenation, so the product of two
+# connected factorizations is their concatenation.  Ss_sigma -> S_sigma is an
+# isomorphism of Hopf algebras onto the S basis of sgqsym.
+product_sprime = relabelled(SPRIME_KIND, eqsym.product_S)
+product_ssecond = relabelled(SSECOND_KIND, eqsym.product_S)
+coproduct_ssecond = relabelled(tensor_kind(SSECOND_KIND), eqsym.coproduct_S)
 
 
 def coproduct_sprime(sigma: Word) -> LinComb:
-    cop = coproduct_phi_lifted(sprime_expand(sigma))
-    return _convert_tensor(cop, phi_to_sprime, SPRIME_KIND)
-
-
-def product_ssecond(alpha: Word, beta: Word) -> LinComb:
-    prod = bilinear(ssecond_expand(alpha), ssecond_expand(beta), product_phi)
-    return phi_to_ssecond(prod)
-
-
-def coproduct_ssecond(sigma: Word) -> LinComb:
-    cop = coproduct_phi_lifted(ssecond_expand(sigma))
-    return _convert_tensor(cop, phi_to_ssecond, SSECOND_KIND)
-
-
-def coproduct_phi_lifted(x: LinComb) -> LinComb:
-    return x.apply(coproduct_phi, kind=tensor_kind(PHI_KIND))
+    """The product of the coproducts of the connected factors: on a
+    connected f, S'_f = phi_f, so each is phi's coproduct, converted."""
+    out = LinComb.basis(tensor_kind(SPRIME_KIND), ((), ()))
+    for factor in connected_factorization(sigma):
+        cop = _convert_tensor(coproduct_phi(factor), phi_to_sprime, SPRIME_KIND)
+        out = tensor_mul(out, cop, product_sprime)
+    return out
 
 
 def _convert_tensor(t: LinComb, convert, target_kind: str) -> LinComb:

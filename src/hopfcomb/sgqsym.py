@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import eqsym, symfunc
 from .axioms import CheckResult, GradedBasis, check_each, graded_labels, graded_pairs
-from .lincomb import LinComb, tensor_kind
+from .lincomb import LinComb, relabelled, tensor_kind
 from .realize import (
     diagonal_weighted_sum,
     realize_lincomb,
@@ -62,13 +62,9 @@ V_KIND = "ncsf:V"
 # ---------------------------------------------------------------------------
 # the M basis on permutations: three routes to the same product
 
-def product_M(alpha: Word, beta: Word) -> LinComb:
-    """Set-split product, restricted from endofunctions.
-
-    Calls :func:`eqsym.product_M`; :func:`eqsym.product_M_conjugation` is the
-    shuffle-conjugation oracle for all three routes.
-    """
-    return LinComb(M_KIND, eqsym.product_M(alpha, beta).terms)
+# First route: the set-split product, restricted from endofunctions;
+# `eqsym.product_M_conjugation` is the oracle for all three routes.
+product_M = relabelled(M_KIND, eqsym.product_M)
 
 
 def product_M_splitting(alpha: Word, beta: Word) -> LinComb:
@@ -113,16 +109,9 @@ def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
     return LinComb(M_KIND, terms)
 
 
-def coproduct_M(sigma: Word) -> LinComb:
-    return LinComb(tensor_kind(M_KIND), eqsym.coproduct_M(sigma).terms)
-
-
-def product_S(alpha: Word, beta: Word) -> LinComb:
-    return LinComb(S_KIND, eqsym.product_S(alpha, beta).terms)
-
-
-def coproduct_S(sigma: Word) -> LinComb:
-    return LinComb(tensor_kind(S_KIND), eqsym.coproduct_S(sigma).terms)
+coproduct_M = relabelled(tensor_kind(M_KIND), eqsym.coproduct_M)
+product_S = relabelled(S_KIND, eqsym.product_S)
+coproduct_S = relabelled(tensor_kind(S_KIND), eqsym.coproduct_S)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import functools
 import itertools
 import math
 
-from conftest import lc, tensor_terms
+from conftest import lc, phi_route_coproduct, phi_route_product, tensor_terms
 from hopfcomb import cli, eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.coeffs import QPoly
@@ -309,14 +309,14 @@ def test_criterion_6_cross_basis_consistency():
             for a in permutations(i):
                 for b in permutations(j):
                     target = {shifted_concat(a, b): 1}
-                    assert phisym.product_sprime(a, b).terms == target
-                    assert phisym.product_ssecond(a, b).terms == target
+                    assert phi_route_product("Sp", a, b).terms == target
+                    assert phi_route_product("Ss", a, b).terms == target
                     assert sgqsym.product_S(a, b).terms == target
     # the second multiplicative basis matches the dual-basis coproduct as well
     for n in range(1, 5):
         for sigma in permutations(n):
             assert (
-                phisym.coproduct_ssecond(sigma).terms
+                phi_route_coproduct("Ss", sigma).terms
                 == sgqsym.coproduct_S(sigma).terms
             )
 

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import lc, tensor_terms
+from conftest import lc, phi_route_coproduct, phi_route_product, tensor_terms
 from hopfcomb import cli, phisym, sgqsym
 from hopfcomb.axioms import hopf_check
 from hopfcomb.lincomb import LinComb, tensor_swap
@@ -162,14 +162,26 @@ def test_basis_round_trips_degree_5():
             assert phisym.ssecond_to_phi(LinComb(PHI, ss.terms)) == x
 
 
+def _labels_upto(n):
+    return [sigma for k in range(n + 1) for sigma in permutations(k)]
+
+
 def test_sprime_ssecond_products_match_the_dual_basis():
-    for i in range(1, 4):
-        for j in range(1, 5 - i):
+    # the phi route is the oracle of both rules, on every pair of total
+    # degree <= 5 (unit included), and is the dual basis's shifted concatenation
+    pairs = 0
+    for total in range(6):
+        for i in range(total + 1):
             for a in permutations(i):
-                for b in permutations(j):
+                for b in permutations(total - i):
                     target = {shifted_concat(a, b): 1}
-                    assert phisym.product_sprime(a, b).terms == target
-                    assert phisym.product_ssecond(a, b).terms == target
+                    for basis, rule in (("Sp", phisym.product_sprime),
+                                        ("Ss", phisym.product_ssecond)):
+                        oracle = phi_route_product(basis, a, b)
+                        assert rule(a, b) == oracle, (basis, a, b)
+                        assert oracle.terms == target, (basis, a, b)
+                    pairs += 1
+    assert pairs == 400
 
 
 def test_phi_coproduct_constants_equal_dual_basis_constants():
@@ -184,12 +196,23 @@ def test_phi_coproduct_constants_equal_dual_basis_constants():
 
 
 def test_ssecond_coproduct_constants_match_dual_basis():
-    for n in range(1, 5):
-        for sigma in permutations(n):
-            assert (
-                phisym.coproduct_ssecond(sigma).terms
-                == sgqsym.coproduct_S(sigma).terms
-            ), sigma
+    # the phi route is the oracle of the rule and agrees with the dual basis
+    for sigma in _labels_upto(5):
+        oracle = phi_route_coproduct("Ss", sigma)
+        assert phisym.coproduct_ssecond(sigma) == oracle, sigma
+        assert oracle.terms == sgqsym.coproduct_S(sigma).terms, sigma
+
+
+def test_sprime_coproduct_matches_the_phi_route():
+    for sigma in _labels_upto(5):
+        assert phisym.coproduct_sprime(sigma) == phi_route_coproduct("Sp", sigma), sigma
+
+
+@pytest.mark.parametrize("kind", [phisym.SPRIME_KIND, phisym.SSECOND_KIND])
+def test_multiplicative_bases_sweep_like_phi_at_degree_6(kind):
+    report = hopf_check(cli._REGISTRY[kind], 6)
+    assert report.lines() == hopf_check(phisym.algebra(), 6).lines()
+    assert report.passed and report.cocommutative and not report.commutative
 
 
 def test_sprime_coproduct_exception_at_4231():

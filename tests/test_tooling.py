@@ -69,7 +69,9 @@ def _public_definitions(path: Path):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            names = [n.id for t in node.targets
+                     for n in (t.elts if isinstance(t, ast.Tuple) else [t])
+                     if isinstance(n, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names = [node.target.id]
         else:
