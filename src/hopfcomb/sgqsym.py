@@ -29,7 +29,6 @@ from .words import (
     SetPartition,
     Word,
     block_composition,
-    canonical_set_partition,
     consecutive_blocks,
     cycle_supports,
     cycle_type,
@@ -41,8 +40,6 @@ from .words import (
     partition_of_word,
     permutations,
     permutations_of_type,
-    relabel_partition,
-    restrict_partition,
     set_partitions,
     shuffle,
     sort_composition,
@@ -153,33 +150,39 @@ def upi_expand(pi: SetPartition) -> LinComb:
 
 
 def product_upi(pi1: SetPartition, pi2: SetPartition) -> LinComb:
+    """Push pi1 onto each n-subset of [n+m] and pi2 onto its complement.
+
+    Takes canonical labels: an increasing relabelling keeps every block
+    sorted, so only the list of blocks is sorted again.
+    """
     n = sum(len(b) for b in pi1)
     m = sum(len(b) for b in pi2)
     terms: dict[SetPartition, int] = {}
     ground = range(1, n + m + 1)
     for chosen in itertools.combinations(ground, n):
-        complement = tuple(i for i in ground if i not in chosen)
-        merged = canonical_set_partition(
-            relabel_partition(pi1, chosen) + relabel_partition(pi2, complement)
-        )
+        inside = set(chosen)
+        complement = [i for i in ground if i not in inside]
+        blocks = [tuple([chosen[a - 1] for a in b]) for b in pi1]
+        blocks += [tuple([complement[a - 1] for a in b]) for b in pi2]
+        blocks.sort()
+        merged = tuple(blocks)
         terms[merged] = terms.get(merged, 0) + 1
     return LinComb(UPI_KIND, terms)
 
 
 def coproduct_upi(pi: SetPartition) -> LinComb:
-    """Cuts of the ground set into an initial and final interval of blocks."""
-    n = sum(len(b) for b in pi)
-    terms: dict[tuple[SetPartition, SetPartition], int] = {}
-    for k in range(n + 1):
-        left = [b for b in pi if all(a <= k for a in b)]
-        right = [b for b in pi if all(a > k for a in b)]
-        if sum(len(b) for b in left) != k:
-            continue
-        key = (
-            canonical_set_partition(left),
-            restrict_partition(canonical_set_partition(right), range(k + 1, n + 1)),
-        )
-        terms[key] = terms.get(key, 0) + 1
+    """Cuts of the ground set into an initial and final interval of blocks.
+
+    Takes a canonical label: the blocks below a cut at k are a prefix of pi,
+    which covers exactly [k] when its largest letter is k.
+    """
+    terms: dict[tuple[SetPartition, SetPartition], int] = {((), pi): 1}
+    k = top = 0
+    for j, b in enumerate(pi, start=1):
+        k += len(b)
+        top = max(top, b[-1])
+        if top == k:
+            terms[pi[:j], tuple(tuple([a - k for a in c]) for c in pi[j:])] = 1
     return LinComb(tensor_kind(UPI_KIND), terms)
 
 
@@ -187,40 +190,45 @@ def coproduct_upi(pi: SetPartition) -> LinComb:
 # WSym: word symmetric functions by orbit sums
 
 def product_Mw(pi1: SetPartition, pi2: SetPartition) -> LinComb:
-    """Merge blocks across the two factors by partial matchings."""
+    """Merge blocks across the two factors by partial matchings.
+
+    Takes canonical labels: every result lists pi1's blocks, merged or not,
+    in pi1's order, then pi2's unmerged shifted blocks in pi2's order, so it
+    is canonical as built.
+    """
     n = sum(len(b) for b in pi1)
-    shifted = tuple(tuple(a + n for a in b) for b in pi2)
-    b1 = list(relabel_partition(pi1, range(1, n + 1)))
+    shifted = [tuple([a + n for a in b]) for b in pi2]
     terms: dict[SetPartition, int] = {}
-    k_max = min(len(b1), len(shifted))
-    for k in range(k_max + 1):
-        for left in itertools.combinations(range(len(b1)), k):
-            rest_left = [b1[i] for i in range(len(b1)) if i not in left]
+    for k in range(min(len(pi1), len(shifted)) + 1):
+        for left in itertools.combinations(range(len(pi1)), k):
             for right in itertools.permutations(range(len(shifted)), k):
-                merged = [tuple(sorted(b1[i] + shifted[j])) for i, j in zip(left, right)]
-                rest_right = [
-                    shifted[j] for j in range(len(shifted)) if j not in right
-                ]
-                pi = canonical_set_partition(merged + rest_left + rest_right)
+                blocks = list(pi1)
+                for i, j in zip(left, right):
+                    blocks[i] += shifted[j]
+                blocks += [b for j, b in enumerate(shifted) if j not in right]
+                pi = tuple(blocks)
                 terms[pi] = terms.get(pi, 0) + 1
     return LinComb(MW_KIND, terms)
 
 
 def coproduct_Mw(pi: SetPartition) -> LinComb:
-    """Ordered alphabet-sum coproduct: blocks split into two standardized groups."""
+    """Ordered alphabet-sum coproduct: blocks split into two standardized groups.
+
+    Takes a canonical label: each subset of its blocks is standardized
+    once, by the rank of its letters, and keeps its order, so it is canonical.
+    """
+    full = (1 << len(pi)) - 1
+    std: list[SetPartition] = []
+    for mask in range(full + 1):
+        group = [b for i, b in enumerate(pi) if mask >> i & 1]
+        letters = sorted([a for b in group for a in b])
+        rank = dict(zip(letters, range(1, len(letters) + 1)))
+        std.append(tuple([tuple([rank[a] for a in b]) for b in group]))
     terms: dict[tuple[SetPartition, SetPartition], int] = {}
-    blocks = list(pi)
-    for size in range(len(blocks) + 1):
-        for chosen in itertools.combinations(range(len(blocks)), size):
-            inside = [blocks[i] for i in chosen]
-            outside = [blocks[i] for i in range(len(blocks)) if i not in chosen]
-            left = restrict_partition(
-                canonical_set_partition(inside), [a for b in inside for a in b]
-            )
-            right = restrict_partition(
-                canonical_set_partition(outside), [a for b in outside for a in b]
-            )
-            key = (left, right)
+    for size in range(len(pi) + 1):
+        for chosen in itertools.combinations(range(len(pi)), size):
+            mask = sum(1 << i for i in chosen)
+            key = (std[mask], std[full ^ mask])
             terms[key] = terms.get(key, 0) + 1
     return LinComb(tensor_kind(MW_KIND), terms)
 

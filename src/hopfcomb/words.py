@@ -286,20 +286,6 @@ def partition_of_word(w: Sequence[int]) -> SetPartition:
     return canonical_set_partition(blocks.values())
 
 
-def restrict_partition(pi: SetPartition, positions: Sequence[int]) -> SetPartition:
-    """Standardize the restriction of a partition to a subset of its ground set."""
-    rank = {p: i for i, p in enumerate(sorted(positions), start=1)}
-    keep = set(positions)
-    blocks = [tuple(rank[a] for a in b if a in keep) for b in pi]
-    return canonical_set_partition(b for b in blocks if b)
-
-
-def relabel_partition(pi: SetPartition, positions: Sequence[int]) -> SetPartition:
-    """Push a partition of [n] into an n-subset via the increasing bijection."""
-    target = sorted(positions)
-    return canonical_set_partition(tuple(target[a - 1] for a in b) for b in pi)
-
-
 def consecutive_blocks(parts: Sequence[int]) -> SetPartition:
     """The blocks of consecutive integers with the given sizes, in order.
 

@@ -1,6 +1,8 @@
-from hopfcomb import phisym
+import itertools
+
+from hopfcomb import phisym, sgqsym
 from hopfcomb.lincomb import LinComb, bilinear, tensor_kind
-from hopfcomb.words import word_from_text
+from hopfcomb.words import canonical_set_partition, word_from_text
 
 
 def lc(kind, *pairs):
@@ -45,3 +47,97 @@ def phi_route_coproduct(basis, sigma):
     expand, convert, kind = PHI_ROUTES[basis]
     cop = expand(sigma).apply(phisym.coproduct_phi, kind=tensor_kind(phisym.PHI_KIND))
     return phisym._convert_tensor(cop, convert, kind)
+
+
+# The set-partition rules written without reading the canonical form of
+# their inputs: every label they build is sorted again through
+# canonical_set_partition.  They are the oracles, term for term and in
+# insertion order, of sgqsym's rules of the same names.
+
+def relabel_partition(pi, positions):
+    """Push a partition of [n] into an n-subset via the increasing bijection."""
+    target = sorted(positions)
+    return canonical_set_partition(tuple(target[a - 1] for a in b) for b in pi)
+
+
+def restrict_partition(pi, positions):
+    """Standardize the restriction of a partition to a subset of its ground set."""
+    rank = {p: i for i, p in enumerate(sorted(positions), start=1)}
+    keep = set(positions)
+    blocks = [tuple(rank[a] for a in b if a in keep) for b in pi]
+    return canonical_set_partition(b for b in blocks if b)
+
+
+def sorting_product_upi(pi1, pi2):
+    n = sum(len(b) for b in pi1)
+    m = sum(len(b) for b in pi2)
+    terms = {}
+    ground = range(1, n + m + 1)
+    for chosen in itertools.combinations(ground, n):
+        complement = tuple(i for i in ground if i not in chosen)
+        merged = canonical_set_partition(
+            relabel_partition(pi1, chosen) + relabel_partition(pi2, complement)
+        )
+        terms[merged] = terms.get(merged, 0) + 1
+    return LinComb(sgqsym.UPI_KIND, terms)
+
+
+def sorting_coproduct_upi(pi):
+    n = sum(len(b) for b in pi)
+    terms = {}
+    for k in range(n + 1):
+        left = [b for b in pi if all(a <= k for a in b)]
+        right = [b for b in pi if all(a > k for a in b)]
+        if sum(len(b) for b in left) != k:
+            continue
+        key = (
+            canonical_set_partition(left),
+            restrict_partition(canonical_set_partition(right), range(k + 1, n + 1)),
+        )
+        terms[key] = terms.get(key, 0) + 1
+    return LinComb(tensor_kind(sgqsym.UPI_KIND), terms)
+
+
+def sorting_product_Mw(pi1, pi2):
+    n = sum(len(b) for b in pi1)
+    shifted = tuple(tuple(a + n for a in b) for b in pi2)
+    b1 = list(relabel_partition(pi1, range(1, n + 1)))
+    terms = {}
+    k_max = min(len(b1), len(shifted))
+    for k in range(k_max + 1):
+        for left in itertools.combinations(range(len(b1)), k):
+            rest_left = [b1[i] for i in range(len(b1)) if i not in left]
+            for right in itertools.permutations(range(len(shifted)), k):
+                merged = [tuple(sorted(b1[i] + shifted[j])) for i, j in zip(left, right)]
+                rest_right = [
+                    shifted[j] for j in range(len(shifted)) if j not in right
+                ]
+                pi = canonical_set_partition(merged + rest_left + rest_right)
+                terms[pi] = terms.get(pi, 0) + 1
+    return LinComb(sgqsym.MW_KIND, terms)
+
+
+def sorting_coproduct_Mw(pi):
+    terms = {}
+    blocks = list(pi)
+    for size in range(len(blocks) + 1):
+        for chosen in itertools.combinations(range(len(blocks)), size):
+            inside = [blocks[i] for i in chosen]
+            outside = [blocks[i] for i in range(len(blocks)) if i not in chosen]
+            left = restrict_partition(
+                canonical_set_partition(inside), [a for b in inside for a in b]
+            )
+            right = restrict_partition(
+                canonical_set_partition(outside), [a for b in outside for a in b]
+            )
+            key = (left, right)
+            terms[key] = terms.get(key, 0) + 1
+    return LinComb(tensor_kind(sgqsym.MW_KIND), terms)
+
+
+SORTING_ROUTES = {
+    "product_upi": sorting_product_upi,
+    "coproduct_upi": sorting_coproduct_upi,
+    "product_Mw": sorting_product_Mw,
+    "coproduct_Mw": sorting_coproduct_Mw,
+}

@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 
-from conftest import lc
+import pytest
+
+from conftest import SORTING_ROUTES, lc
 from hopfcomb import eqsym, sgqsym, symfunc
 from hopfcomb.axioms import duality_check, hopf_check
-from hopfcomb.lincomb import LinComb, bilinear, pairing, tensor
+from hopfcomb.lincomb import LinComb, bilinear, pairing, tensor, tensor_kind
 from hopfcomb.words import (
     compositions,
     cycle_type,
@@ -144,8 +146,8 @@ def test_upi_squared_degree_one():
 
 
 def test_upi_expansion_commutes_with_products():
-    for i in range(1, 3):
-        for j in range(1, 4 - i):
+    for i in range(1, 5):
+        for j in range(1, 6 - i):
             for p1 in set_partitions(i):
                 for p2 in set_partitions(j):
                     lhs = bilinear(
@@ -155,6 +157,47 @@ def test_upi_expansion_commutes_with_products():
                     for pi, c in sgqsym.product_upi(p1, p2).terms.items():
                         rhs = rhs + sgqsym.upi_expand(pi).scale(c)
                     assert lhs == rhs, (p1, p2)
+
+
+def test_upi_expansion_is_a_coalgebra_map():
+    # Delta_M(upi_expand(pi)) = (upi_expand (x) upi_expand)(coproduct_upi(pi))
+    tensor_m = tensor_kind(M)
+    for n in range(6):
+        for pi in set_partitions(n):
+            lifted = sgqsym.upi_expand(pi).apply(sgqsym.coproduct_M, kind=tensor_m)
+            expanded = LinComb(tensor_m)
+            for (left, right), c in sgqsym.coproduct_upi(pi).terms.items():
+                image = tensor(sgqsym.upi_expand(left), sgqsym.upi_expand(right))
+                expanded = expanded + image.scale(c)
+            assert lifted == expanded, pi
+
+
+def _set_partitions_upto(n):
+    return [pi for k in range(n + 1) for pi in set_partitions(k)]
+
+
+@pytest.mark.parametrize("rule", ["product_upi", "product_Mw"])
+def test_set_partition_products_match_the_sorting_routes(rule):
+    # coefficients and insertion order, on every pair of total degree <= 6
+    # (unit included); the sweeps' first counterexamples follow that order
+    labels = _set_partitions_upto(6)
+    pairs = [(a, b) for a in labels for b in labels
+             if sum(map(len, a)) + sum(map(len, b)) <= 6]
+    assert len(pairs) == 815
+    for a, b in pairs:
+        out, oracle = getattr(sgqsym, rule)(a, b), SORTING_ROUTES[rule](a, b)
+        assert out.kind == oracle.kind
+        assert list(out.terms.items()) == list(oracle.terms.items()), (a, b)
+
+
+@pytest.mark.parametrize("rule", ["coproduct_upi", "coproduct_Mw"])
+def test_set_partition_coproducts_match_the_sorting_routes(rule):
+    labels = _set_partitions_upto(7)
+    assert len(labels) == 1156 and labels[0] == ()
+    for pi in labels:
+        out, oracle = getattr(sgqsym, rule)(pi), SORTING_ROUTES[rule](pi)
+        assert out.kind == oracle.kind
+        assert list(out.terms.items()) == list(oracle.terms.items()), pi
 
 
 def test_uq_product_golden():
@@ -240,17 +283,17 @@ def test_wsym_realization_contains_orbit_word():
 
 
 def test_wsym_word_realization_product():
-    for i in range(1, 3):
-        for j in range(1, 4 - i):
+    for i in range(1, 4):
+        for j in range(1, 5 - i):
             for p1 in set_partitions(i):
                 for p2 in set_partitions(j):
                     assert sgqsym.mw_word_product_check(p1, p2), (p1, p2)
 
 
 def test_wsym_piqsym_duality():
-    # <upi_a upi_b, Mw_pi> = <upi_a (x) upi_b, Delta Mw_pi>, degree <= 4
-    for i in range(1, 3):
-        for j in range(1, 4 - i):
+    # <upi_a upi_b, Mw_pi> = <upi_a (x) upi_b, Delta Mw_pi>, degree <= 5
+    for i in range(1, 5):
+        for j in range(1, 6 - i):
             for a in set_partitions(i):
                 for b in set_partitions(j):
                     prod = sgqsym.product_upi(a, b)

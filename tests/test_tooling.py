@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from hopfcomb import cli
 from hopfcomb.axioms import hopf_check
 
@@ -33,7 +35,10 @@ def test_layer_tracer_installs_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_traced_rule_layers_see_every_rule_call_of_a_held_sweep():
+@pytest.mark.parametrize("kind, layer", [
+    ("phisym:phi", "phisym"), ("piqsym:upi", "sgqsym"), ("wsym:Mw", "sgqsym"),
+], ids=["phisym:phi", "piqsym:upi", "wsym:Mw"])
+def test_traced_rule_layers_see_every_rule_call_of_a_held_sweep(kind, layer):
     """The tracer patches the registry records' rule fields, so a sweep's
     tables must sit behind those fields for its rule layers to count every
     call: a cache in front of them would hide arguments from the layers."""
@@ -42,11 +47,11 @@ def test_traced_rule_layers_see_every_rule_call_of_a_held_sweep():
         "tracer = layertrace.install()\n"
         "from hopfcomb import cli\n"
         "from hopfcomb.axioms import hopf_check\n"
-        "hopf_check(cli._REGISTRY['phisym:phi'], 5)\n"
+        f"hopf_check(cli._REGISTRY[{kind!r}], 5)\n"
         "print(json.dumps(tracer.metrics()))\n")
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(proc.stdout.splitlines()[-1])
-    record = cli._REGISTRY["phisym:phi"]
+    record = cli._REGISTRY[kind]
     calls = {"product": Counter(), "coproduct": Counter()}
 
     def counting(op):
@@ -59,8 +64,8 @@ def test_traced_rule_layers_see_every_rule_call_of_a_held_sweep():
     hopf_check(replace(record, product=counting("product"), coproduct=counting("coproduct")), 5)
     for op, seen in calls.items():
         assert seen
-        assert traced[f"phisym.{op}.distinct"] == len(seen), op
-        assert traced[f"phisym.{op}.calls"] == sum(seen.values()), op
+        assert traced[f"{layer}.{op}.distinct"] == len(seen), op
+        assert traced[f"{layer}.{op}.calls"] == sum(seen.values()), op
 
 
 def _public_definitions(path: Path):

@@ -350,6 +350,15 @@ def test_set_partition_text_round_trip():
     assert set_partition_from_text("{}") == ()
 
 
+def test_set_partition_labels_are_canonical():
+    # the set-partition rules of sgqsym read this: increasing blocks, ordered
+    # by their least letter
+    for n in range(8):
+        for pi in set_partitions(n):
+            assert pi == canonical_set_partition(pi), pi
+    assert set_partition_from_text("{3|2,1}") == ((1, 2), (3,))
+
+
 def test_composition_text_round_trip():
     assert composition_to_text((2, 1, 1)) == "(2,1,1)"
     assert composition_from_text("(2,1,1)") == (2, 1, 1)
