@@ -57,10 +57,13 @@ def current_limits() -> Limits:
 def guard(kind: str, n: int, limits: Limits | None = None) -> None:
     """Refuse an enumeration of family ``kind`` at size ``n`` beyond the bound.
 
-    The message names the knob that holds the bound, ``Limits.<kind>``.
+    The message names the knob that holds the bound, ``Limits.<kind>``; a
+    family with no such knob has no enumerator and is refused at any size.
     """
     limits = limits or Limits()
-    bound = getattr(limits, kind)
+    bound = getattr(limits, kind, None)
+    if bound is None:
+        raise ValueError(f"{kind} cannot be enumerated: there is no Limits.{kind} bound")
     if n > bound:
         raise LimitExceeded(
             f"{kind} enumeration at n={n} exceeds configured bound {bound} (Limits.{kind})")

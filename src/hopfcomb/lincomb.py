@@ -88,6 +88,20 @@ class LinComb:
     def map_coeffs(self, fn: Callable) -> "LinComb":
         return LinComb(self.kind, {label: fn(c) for label, c in self.terms.items()})
 
+    def map_labels(self, fn: Callable, kind: str) -> "LinComb":
+        """Linear extension of a map ``label -> label`` into basis ``kind``:
+        the coefficients of the labels sent to one image are summed, in the
+        order the images first appear.
+
+        >>> LinComb("t", {(1, 2): 1, (2, 1): 2, (3,): 5, (4,): -5}).map_labels(len, "n")
+        LinComb(n: 3*2)
+        """
+        terms: dict = {}
+        for label, c in self.terms.items():
+            image = fn(label)
+            terms[image] = terms.get(image, 0) + c
+        return LinComb(kind, terms)
+
     def apply(self, rule: Callable, kind: str | None = None) -> "LinComb":
         """Linear extension of a basis-level map ``label -> LinComb``."""
         pieces = ((rule(label), c) for label, c in self.terms.items())

@@ -241,11 +241,8 @@ def cc_product(p: Word, q: Word) -> LinComb:
     """Product of nondecreasing classes; non-nondecreasing terms vanish."""
     if not (is_nondecreasing(p) and is_nondecreasing(q)):
         raise ValueError("class labels must be nondecreasing parking functions")
-    out: dict[Word, int] = {}
-    for h, c in product_Mpa(p, q).terms.items():
-        if is_nondecreasing(h):
-            out[h] = out.get(h, 0) + c
-    return LinComb(CC_KIND, out)
+    terms = product_Mpa(p, q).terms
+    return LinComb(CC_KIND, {h: c for h, c in terms.items() if is_nondecreasing(h)})
 
 
 cc_coproduct = relabelled(tensor_kind(CC_KIND), eqsym.coproduct_M)

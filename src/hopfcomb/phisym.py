@@ -197,32 +197,21 @@ def type_representative(lam: IntegerPartition) -> Word:
     return from_cycles(consecutive_blocks(lam), sum(lam))
 
 
-def project_Y(x: LinComb) -> LinComb:
-    terms: dict[IntegerPartition, int] = {}
-    for sigma, c in x.terms.items():
-        lam = cycle_type(sigma)
-        terms[lam] = terms.get(lam, 0) + c
-    return LinComb(Y_KIND, terms)
-
-
 def product_Y(lam1: IntegerPartition, lam2: IntegerPartition) -> LinComb:
-    return project_Y(product_phi(type_representative(lam1), type_representative(lam2)))
+    product = product_phi(type_representative(lam1), type_representative(lam2))
+    return product.map_labels(cycle_type, Y_KIND)
 
 
 def coproduct_Y(lam: IntegerPartition) -> LinComb:
-    cop = coproduct_phi(type_representative(lam))
-    terms: dict[tuple[IntegerPartition, IntegerPartition], int] = {}
-    for (a, b), c in cop.terms.items():
-        key = (cycle_type(a), cycle_type(b))
-        terms[key] = terms.get(key, 0) + c
-    return LinComb(tensor_kind(Y_KIND), terms)
+    return coproduct_phi(type_representative(lam)).map_labels(
+        lambda ab: (cycle_type(ab[0]), cycle_type(ab[1])), tensor_kind(Y_KIND))
 
 
 def y_representative_independent(degree_bound: int) -> CheckResult:
     """Cycle-type class products do not depend on the representatives."""
     return check_each(
         graded_pairs(permutations, degree_bound),
-        lambda sigma, tau: project_Y(product_phi(sigma, tau))
+        lambda sigma, tau: product_phi(sigma, tau).map_labels(cycle_type, Y_KIND)
         == product_Y(cycle_type(sigma), cycle_type(tau)))
 
 

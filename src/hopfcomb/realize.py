@@ -125,23 +125,6 @@ def trace_power(n: int, n_trunc: int) -> LinComb:
     return LinComb(ROW_KIND, terms)
 
 
-def diagonal_weighted_sum(n: int, n_trunc: int, weight) -> LinComb:
-    """Sum over order-n diagonal index sets of sum_sigma weight(sigma) prod x.
-
-    weight maps a permutation word to an integer; weight=sign gives minors,
-    weight=1 the permanent, a character gives immanants.
-    """
-    terms: dict[RowMonomial, int] = {}
-    for support in itertools.combinations(range(1, n_trunc + 1), n):
-        for sigma in itertools.permutations(range(1, n + 1)):
-            w = weight(sigma)
-            if not w:
-                continue
-            mono = tuple(sorted((support[k], support[sigma[k] - 1]) for k in range(n)))
-            terms[mono] = terms.get(mono, 0) + w
-    return LinComb(ROW_KIND, terms)
-
-
 # ---------------------------------------------------------------------------
 # noncommutative biword ring
 
@@ -230,11 +213,7 @@ def realize_phi(sigma: Word, n_trunc: int) -> LinComb:
 
 def collect_biwords(x: LinComb) -> LinComb:
     """Group a biword polynomial into permutation classes."""
-    out: dict[Word, int] = {}
-    for (top, bottom), c in x.terms.items():
-        sigma = classify_biword(top, bottom)
-        out[sigma] = out.get(sigma, 0) + c
-    return LinComb("phisym:phi", out)
+    return x.map_labels(lambda biword: classify_biword(*biword), "phisym:phi")
 
 
 # ---------------------------------------------------------------------------

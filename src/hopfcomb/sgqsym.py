@@ -16,12 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import eqsym, symfunc
 from .axioms import CheckResult, GradedBasis, check_each, graded_labels, graded_pairs
-from .lincomb import LinComb, relabelled, tensor_kind
-from .realize import (
-    diagonal_weighted_sum,
-    realize_lincomb,
-    trace_power,
-)
+from .lincomb import LinComb, bilinear, relabelled, tensor_kind
+from .realize import realize_lincomb, trace_power
 from .words import (
     FAMILIES,
     Composition,
@@ -348,32 +344,48 @@ def j_power_sum_check(n: int, n_trunc: int) -> bool:
     return lhs == rhs
 
 
-def j_elementary_check(n: int, n_trunc: int) -> bool:
-    """Sum of diagonal minors equals the signed sum over all permutations."""
-    lhs = diagonal_weighted_sum(n, n_trunc, sign_of)
+def j_image(x: LinComb) -> LinComb:
+    """The embedding j of symmetric functions into the M basis.
+
+    j is multiplicative and sends p_n to n times the class sum of the
+    n-cycles, as :func:`j_power_sum_check` realizes, so x is expanded in
+    power sums and each p_lam multiplied out through ``product_M``.  The
+    coefficients are Fractions, integral when x is.
+    """
+    def j_power(lam: IntegerPartition) -> LinComb:
+        out = LinComb.basis(M_KIND, ())
+        for part in lam:
+            out = bilinear(out, ul_expand((part,)).scale(part), product_M)
+        return out
+
+    return symfunc.convert(x, "p").apply(j_power, kind=M_KIND)
+
+
+def j_elementary_check(n: int) -> bool:
+    """j(e_n) is the signed class sum, whose realization is the sum of the
+    principal n-minors."""
     signed = LinComb(M_KIND, {sigma: sign_of(sigma) for sigma in permutations(n)})
-    return lhs == realize_lincomb(signed, n_trunc)
+    return j_image(symfunc.sym("e", (n,))) == signed
 
 
-def j_complete_check(n: int, n_trunc: int) -> bool:
-    """Permanent minors equal the plain sum over all permutations."""
-    lhs = diagonal_weighted_sum(n, n_trunc, lambda sigma: 1)
-    full = LinComb(M_KIND, {sigma: 1 for sigma in permutations(n)})
-    return lhs == realize_lincomb(full, n_trunc)
+def j_complete_check(n: int) -> bool:
+    """j(h_n) is the plain class sum, realized as the principal n-permanents."""
+    full = LinComb(M_KIND, dict.fromkeys(permutations(n), 1))
+    return j_image(symfunc.sym("h", (n,))) == full
 
 
-def j_schur_check(lam: IntegerPartition, n_trunc: int) -> bool:
-    """Diagonal immanants of a hook or two-row shape match the character sum."""
+def j_schur_check(lam: IntegerPartition) -> bool:
+    """j(s_lam) of a hook or two-row shape is the character-weighted class
+    sum, realized as the principal immanants."""
     lam = tuple(sorted(lam, reverse=True))
     n = sum(lam)
     is_hook = len(lam) <= 1 or all(p == 1 for p in lam[1:])
     if not (is_hook or len(lam) <= 2) or n > 4:
         raise ValueError("immanant check is limited to hook/two-row shapes of weight <= 4")
-    lhs = diagonal_weighted_sum(n, n_trunc, lambda s: character(lam, cycle_type(s)))
     weighted = LinComb(
         M_KIND, {s: character(lam, cycle_type(s)) for s in permutations(n)}
     )
-    return lhs == realize_lincomb(weighted, n_trunc)
+    return j_image(symfunc.sym("s", lam)) == weighted
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +414,16 @@ def subalgebra_closure_check(predicate: Callable, degree_bound: int) -> CheckRes
 # ---------------------------------------------------------------------------
 # the quotient of WSym and Bell polynomials
 
-def project_V(x: LinComb) -> LinComb:
-    """Push a WSym element into the quotient basis indexed by compositions."""
-    terms: dict[Composition, int] = {}
-    for pi, c in x.terms.items():
-        comp = block_composition(pi)
-        terms[comp] = terms.get(comp, 0) + c
-    return LinComb(V_KIND, terms)
-
-
 def product_V(comp1: Composition, comp2: Composition) -> LinComb:
-    return project_V(product_Mw(consecutive_blocks(comp1), consecutive_blocks(comp2)))
+    product = product_Mw(consecutive_blocks(comp1), consecutive_blocks(comp2))
+    return product.map_labels(block_composition, V_KIND)
 
 
 def quotient_well_defined(degree_bound: int) -> CheckResult:
     """Class products are independent of the representative set partitions."""
     return check_each(
         graded_pairs(set_partitions, degree_bound),
-        lambda pi1, pi2: project_V(product_Mw(pi1, pi2))
+        lambda pi1, pi2: product_Mw(pi1, pi2).map_labels(block_composition, V_KIND)
         == product_V(block_composition(pi1), block_composition(pi2)))
 
 
@@ -428,11 +432,7 @@ def bell_polynomial(n: int) -> dict[IntegerPartition, int]:
     power = LinComb.basis(MW_KIND, ((1,),))
     for _ in range(n - 1):
         power = power.apply(lambda pi: product_Mw(pi, ((1,),)), kind=MW_KIND)
-    coeffs: dict[IntegerPartition, int] = {}
-    for pi, c in power.terms.items():
-        lam = sort_composition(block_composition(pi))
-        coeffs[lam] = coeffs.get(lam, 0) + c
-    return coeffs
+    return power.map_labels(lambda pi: sort_composition(block_composition(pi)), "bell").terms
 
 
 def bell_series_oracle(n: int) -> dict[IntegerPartition, int]:

@@ -1,8 +1,17 @@
 import itertools
 
-from hopfcomb import phisym, sgqsym
+from hopfcomb import parkfunc, phisym, sgqsym
 from hopfcomb.lincomb import LinComb, bilinear, tensor_kind
-from hopfcomb.words import canonical_set_partition, word_from_text
+from hopfcomb.realize import classify_biword
+from hopfcomb.words import (
+    block_composition,
+    canonical_set_partition,
+    consecutive_blocks,
+    cycle_type,
+    is_nondecreasing,
+    sort_composition,
+    word_from_text,
+)
 
 
 def lc(kind, *pairs):
@@ -140,4 +149,81 @@ SORTING_ROUTES = {
     "coproduct_upi": sorting_coproduct_upi,
     "product_Mw": sorting_product_Mw,
     "coproduct_Mw": sorting_coproduct_Mw,
+}
+
+
+# The label maps written as loops that sum each image's coefficients into a
+# dict.  They are the oracles, term for term and in insertion order, of the
+# rules of the same names, which map their labels through LinComb.map_labels.
+
+def project_Y(x):
+    terms = {}
+    for sigma, c in x.terms.items():
+        lam = cycle_type(sigma)
+        terms[lam] = terms.get(lam, 0) + c
+    return LinComb(phisym.Y_KIND, terms)
+
+
+def looping_product_Y(lam1, lam2):
+    return project_Y(phisym.product_phi(phisym.type_representative(lam1),
+                                        phisym.type_representative(lam2)))
+
+
+def looping_coproduct_Y(lam):
+    cop = phisym.coproduct_phi(phisym.type_representative(lam))
+    terms = {}
+    for (a, b), c in cop.terms.items():
+        key = (cycle_type(a), cycle_type(b))
+        terms[key] = terms.get(key, 0) + c
+    return LinComb(tensor_kind(phisym.Y_KIND), terms)
+
+
+def project_V(x):
+    terms = {}
+    for pi, c in x.terms.items():
+        comp = block_composition(pi)
+        terms[comp] = terms.get(comp, 0) + c
+    return LinComb(sgqsym.V_KIND, terms)
+
+
+def looping_product_V(comp1, comp2):
+    return project_V(sgqsym.product_Mw(consecutive_blocks(comp1), consecutive_blocks(comp2)))
+
+
+def looping_cc_product(p, q):
+    if not (is_nondecreasing(p) and is_nondecreasing(q)):
+        raise ValueError("class labels must be nondecreasing parking functions")
+    out = {}
+    for h, c in parkfunc.product_Mpa(p, q).terms.items():
+        if is_nondecreasing(h):
+            out[h] = out.get(h, 0) + c
+    return LinComb(parkfunc.CC_KIND, out)
+
+
+def looping_collect_biwords(x):
+    out = {}
+    for (top, bottom), c in x.terms.items():
+        sigma = classify_biword(top, bottom)
+        out[sigma] = out.get(sigma, 0) + c
+    return LinComb("phisym:phi", out)
+
+
+def looping_bell_polynomial(n):
+    power = LinComb.basis(sgqsym.MW_KIND, ((1,),))
+    for _ in range(n - 1):
+        power = power.apply(lambda pi: sgqsym.product_Mw(pi, ((1,),)), kind=sgqsym.MW_KIND)
+    coeffs = {}
+    for pi, c in power.terms.items():
+        lam = sort_composition(block_composition(pi))
+        coeffs[lam] = coeffs.get(lam, 0) + c
+    return coeffs
+
+
+LOOPING_ROUTES = {
+    "product_Y": looping_product_Y,
+    "coproduct_Y": looping_coproduct_Y,
+    "product_V": looping_product_V,
+    "cc_product": looping_cc_product,
+    "collect_biwords": looping_collect_biwords,
+    "bell_polynomial": looping_bell_polynomial,
 }

@@ -22,6 +22,7 @@ from hopfcomb.axioms import (
     first_failure,
     graded_pairs,
     hopf_check,
+    sweep_guard,
 )
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
@@ -641,3 +642,20 @@ def test_a_broken_rule_fails_its_claim_at_the_first_counterexample(name, monkeyp
     assert claim().passed
     monkeypatch.setattr(module, rule, broken)
     assert claim() == CheckResult(False, counterexample)
+
+
+@pytest.mark.parametrize("kind, family", [("forest:M", "forests"),
+                                          ("parkgraph:N", "parking_graphs")])
+def test_a_family_with_no_enumerator_is_refused_before_any_rule(kind, family):
+    def untouched(*labels):
+        raise AssertionError("a rule was called")
+
+    record = replace(cli._REGISTRY[kind], product=untouched, coproduct=untouched)
+    message = f"^{family} cannot be enumerated: there is no Limits.{family} bound$"
+    with pytest.raises(ValueError, match=message) as refused:
+        hopf_check(record, 3)
+    assert not isinstance(refused.value, LimitExceeded)
+    with pytest.raises(ValueError, match=message):
+        duality_check(record, untouched, 3, untouched, untouched)
+    with pytest.raises(ValueError, match=message):
+        sweep_guard(family, 3)

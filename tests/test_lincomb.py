@@ -197,6 +197,23 @@ def test_apply_on_zero_keeps_the_kind():
 
 
 @pytest.mark.parametrize("u", UNITS)
+def test_map_labels_sums_colliding_images_in_first_image_order(u):
+    x = LinComb("t", {(3, 1): u, (1,): 2 * u, (1, 2): -u, (2,): u, (4, 4): u})
+    out = x.map_labels(len, "n")
+    assert out.kind == "n"
+    assert list(out.terms.items()) == [(2, u), (1, 3 * u)]
+    assert x.terms == {(3, 1): u, (1,): 2 * u, (1, 2): -u, (2,): u, (4, 4): u}
+
+
+@pytest.mark.parametrize("u", UNITS)
+def test_map_labels_drops_images_that_cancel(u):
+    out = LinComb("t", {(1, 2): u, (2, 1): -u, (3,): u}).map_labels(len, "n")
+    assert list(out.terms.items()) == [(1, u)] and _no_zeros(out)
+    assert LinComb("t", {(1,): u, (2,): -u}).map_labels(len, "n") == LinComb("n")
+    assert LinComb("t").map_labels(len, "n").kind == "n"
+
+
+@pytest.mark.parametrize("u", UNITS)
 def test_bilinear_accumulates_without_zero_terms(u):
     rule = lambda a, b: LinComb("u", {(len(a + b),): u if a == (1,) else -u, a + b: 1})
     out = bilinear(LinComb("t", {(1,): 1, (2,): 1}), LinComb.basis("t", (3,)), rule)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import lc, tensor_terms
+from conftest import LOOPING_ROUTES, lc, tensor_terms
 from hopfcomb import eqsym, parkfunc
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.limits import LimitExceeded
@@ -186,6 +186,21 @@ def test_ccqsym_product_kills_the_ideal():
     assert r.terms == {W("122"): 1, W("113"): 1}
     with pytest.raises(ValueError):
         parkfunc.cc_product(W("21"), W("1"))
+
+
+def test_cc_product_matches_the_looping_route():
+    # coefficients and insertion order on every pair of nondecreasing
+    # parking functions of total degree <= 6, the unit included
+    labels = [p for n in range(7) for p in nondecreasing_parking_functions(n)]
+    pairs = [(p, q) for p in labels for q in labels if len(p) + len(q) <= 6]
+    assert len(pairs) == 625
+    for p, q in pairs:
+        out, oracle = parkfunc.cc_product(p, q), LOOPING_ROUTES["cc_product"](p, q)
+        assert out.kind == oracle.kind
+        assert list(out.terms.items()) == list(oracle.terms.items()), (p, q)
+    for rule in (parkfunc.cc_product, LOOPING_ROUTES["cc_product"]):
+        with pytest.raises(ValueError):
+            rule(W("1"), W("21"))
 
 
 def test_ideal_is_stable():

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import lc, phi_route_coproduct, phi_route_product, tensor_terms
+from conftest import LOOPING_ROUTES, lc, phi_route_coproduct, phi_route_product, tensor_terms
 from hopfcomb import cli, phisym, sgqsym
 from hopfcomb.axioms import hopf_check
 from hopfcomb.lincomb import LinComb, tensor_swap
@@ -20,6 +20,7 @@ from hopfcomb.words import (
     cycle_type,
     cycle_words,
     partition_of_word,
+    partitions,
     permutations,
     shifted_concat,
     shuffle,
@@ -396,6 +397,35 @@ def test_collect_biwords_sums_each_realization_into_its_class():
                 biwords = realize_phi(sigma, n_trunc)
                 assert collect_biwords(biwords).terms == {sigma: len(biwords.terms)}, (
                     sigma, n_trunc)
+
+
+def _same_terms(out, oracle, case):
+    assert out.kind == oracle.kind
+    assert list(out.terms.items()) == list(oracle.terms.items()), case
+
+
+def test_cycle_type_rules_match_the_looping_routes():
+    # coefficients and insertion order, unit included: every pair of total
+    # degree <= 6 for the product, every partition of size <= 7 for the coproduct
+    labels = [lam for n in range(8) for lam in partitions(n)]
+    pairs = [(a, b) for a in labels for b in labels if sum(a) + sum(b) <= 6]
+    assert len(pairs) == 139
+    for a, b in pairs:
+        _same_terms(phisym.product_Y(a, b), LOOPING_ROUTES["product_Y"](a, b), (a, b))
+    for lam in labels:
+        _same_terms(phisym.coproduct_Y(lam), LOOPING_ROUTES["coproduct_Y"](lam), lam)
+
+
+def test_collect_biwords_matches_the_looping_route():
+    # biword products, where several classes meet, and a signed difference
+    # whose coefficients cancel on the classes the two sides share
+    n_trunc = 3
+    for a, b in itertools.product([s for n in range(3) for s in permutations(n)], repeat=2):
+        if len(a) + len(b) > n_trunc:
+            continue
+        x = biword_mul(realize_phi(a, n_trunc), realize_phi(b, n_trunc))
+        for y in (x, x - biword_mul(realize_phi(b, n_trunc), realize_phi(a, n_trunc))):
+            _same_terms(collect_biwords(y), LOOPING_ROUTES["collect_biwords"](y), (a, b))
 
 
 def test_biword_classification_is_total_and_consistent():

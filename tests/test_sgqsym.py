@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import SORTING_ROUTES, lc
+from conftest import LOOPING_ROUTES, SORTING_ROUTES, lc
 from hopfcomb import eqsym, sgqsym, symfunc
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, bilinear, pairing, tensor, tensor_kind
@@ -14,6 +14,7 @@ from hopfcomb.words import (
     cycles,
     is_involution,
     is_permutation,
+    partitions,
     permutations,
     set_partition_from_text as SP,
     set_partitions,
@@ -308,26 +309,47 @@ def test_wsym_piqsym_duality():
 
 
 def test_trace_minor_permanent_identities():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         assert sgqsym.j_power_sum_check(n, n + 1)
-        assert sgqsym.j_elementary_check(n, n + 1)
-        assert sgqsym.j_complete_check(n, n + 1)
+        assert sgqsym.j_elementary_check(n)
+        assert sgqsym.j_complete_check(n)
+
+
+@pytest.mark.parametrize("broken", ["zero", "doubled"])
+def test_embedding_checks_fail_on_a_broken_product(monkeypatch, broken):
+    product_M = sgqsym.product_M
+    if broken == "zero":
+        monkeypatch.setattr(sgqsym, "product_M", lambda a, b: LinComb(M))
+    else:
+        monkeypatch.setattr(sgqsym, "product_M", lambda a, b: product_M(a, b).scale(2))
+    assert not sgqsym.j_elementary_check(3)
+    assert not sgqsym.j_complete_check(3)
+    assert not sgqsym.j_schur_check((2, 1))
 
 
 def test_immanant_identities_hook_and_two_row():
     shapes = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
               (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     for lam in shapes:
-        assert sgqsym.j_schur_check(lam, sum(lam) + 1), lam
+        assert sgqsym.j_schur_check(lam), lam
+
+
+def test_j_image_of_every_schur_function_is_its_character_sum():
+    # beyond the shapes j_schur_check accepts: every partition of n <= 5
+    for n in range(1, 6):
+        for lam in partitions(n):
+            weighted = LinComb(M, {s: sgqsym.character(lam, cycle_type(s))
+                                   for s in permutations(n)})
+            assert sgqsym.j_image(symfunc.sym("s", lam)) == weighted, lam
 
 
 def test_immanant_out_of_scope_shapes_rejected():
     import pytest
 
     with pytest.raises(ValueError):
-        sgqsym.j_schur_check((2, 2, 1), 6)
+        sgqsym.j_schur_check((2, 2, 1))
     with pytest.raises(ValueError):
-        sgqsym.j_schur_check((3, 2), 6)
+        sgqsym.j_schur_check((3, 2))
 
 
 def test_involutions_span_a_subalgebra():
@@ -359,6 +381,20 @@ def test_all_permutations_closed():
 def test_quotient_well_defined():
     res = sgqsym.quotient_well_defined(4)
     assert res.passed, res.counterexample
+
+
+def test_word_quotient_rules_match_the_looping_routes():
+    # product_V in coefficients and insertion order on every pair of
+    # compositions of total degree <= 6, the unit included
+    labels = [c for n in range(7) for c in compositions(n)]
+    pairs = [(a, b) for a in labels for b in labels if sum(a) + sum(b) <= 6]
+    for a, b in pairs:
+        out, oracle = sgqsym.product_V(a, b), LOOPING_ROUTES["product_V"](a, b)
+        assert out.kind == oracle.kind
+        assert list(out.terms.items()) == list(oracle.terms.items()), (a, b)
+    for n in range(1, 7):
+        bell = sgqsym.bell_polynomial(n)
+        assert list(bell.items()) == list(LOOPING_ROUTES["bell_polynomial"](n).items()), n
 
 
 def test_bell_polynomials():

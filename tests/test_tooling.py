@@ -37,7 +37,8 @@ def test_layer_tracer_installs_in_a_fresh_interpreter():
 
 @pytest.mark.parametrize("kind, layer", [
     ("phisym:phi", "phisym"), ("piqsym:upi", "sgqsym"), ("wsym:Mw", "sgqsym"),
-], ids=["phisym:phi", "piqsym:upi", "wsym:Mw"])
+    ("phisym:Y", "phisym"), ("ccqsym:Mpa", "parkfunc"),
+], ids=["phisym:phi", "piqsym:upi", "wsym:Mw", "phisym:Y", "ccqsym:Mpa"])
 def test_traced_rule_layers_see_every_rule_call_of_a_held_sweep(kind, layer):
     """The tracer patches the registry records' rule fields, so a sweep's
     tables must sit behind those fields for its rule layers to count every
