@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .limits import LimitExceeded, Limits, guard
+from . import limits
+from .limits import LimitExceeded, guard
 from .lincomb import (
     LinComb,
     _sum_scaled_into,
@@ -320,24 +321,24 @@ def _pair_cases(sweep: _Sweep) -> Cases:
                     yield (a, b), checks
 
 
-def sweep_guard(family: str, bound: int, limits: Limits | None = None) -> None:
+def sweep_guard(family: str, bound: int) -> None:
     """Refuse a sweep to ``bound`` beyond the family's bound, then one whose
     cases exceed ``Limits.sweep_cases``.  The cases, counted by
     ``family_size`` before any label is enumerated, are the labels, pairs
     and triples of degrees >= 1 and total degree at most ``bound``."""
-    limits = limits or Limits()
-    guard(family, bound, limits)
-    sizes = [0] + [family_size(family, n, limits) for n in range(1, bound + 1)]
+    guard(family, bound)
+    sizes = [0] + [family_size(family, n) for n in range(1, bound + 1)]
 
     def times_sizes(counts: list[int]) -> list[int]:
         return [sum(counts[i] * sizes[t - i] for i in range(t + 1)) for t in range(bound + 1)]
 
     pairs = times_sizes(sizes)
     cases = sum(sizes) + sum(pairs) + sum(times_sizes(pairs))
-    if cases > limits.sweep_cases:
+    budget = limits.LIMITS.sweep_cases
+    if cases > budget:
         raise LimitExceeded(
             f"{family} sweep to degree {bound} has {cases} cases, exceeds configured "
-            f"budget {limits.sweep_cases} (Limits.sweep_cases)")
+            f"budget {budget} (Limits.sweep_cases)")
 
 
 def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:

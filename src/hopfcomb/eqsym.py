@@ -19,7 +19,7 @@ from typing import Callable
 from .axioms import CheckResult, GradedBasis, check_each
 from .lincomb import LinComb, tensor_kind
 from .realize import oracle_product_check
-from .words import (FAMILIES, Word, cut_points, endofunctions, exact_quotient, inverse,
+from .words import (FAMILIES, Word, cut_points, enumerate_family, exact_quotient, inverse,
                     is_connected, shifted_concat, shuffle)
 
 M_KIND = "eqsym:M"
@@ -213,7 +213,7 @@ def free_generation_check(bound: int) -> CheckResult:
 
 
 def brute_connected_count(n: int) -> int:
-    return sum(1 for f in endofunctions(n) if is_connected(f))
+    return sum(map(is_connected, enumerate_family("endofunctions", n)))
 
 
 # ---------------------------------------------------------------------------

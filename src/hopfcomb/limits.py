@@ -1,9 +1,10 @@
 """Resource guards for enumeration and verification sweeps.
 
-All exhaustive routines are meant for desk-scale arguments.  The guard
-values live in a configuration object rather than being scattered through
-the code, and the environment variable ``HOPFCOMB_MAX_DEGREE`` overrides
-the degree bound used by verification sweeps.
+All exhaustive routines are meant for desk-scale arguments.  Every bound
+lives in the one :data:`LIMITS` value, read at call time, so a test that
+replaces it reaches every guard; the environment variable
+``HOPFCOMB_MAX_DEGREE`` overrides the degree bound used by verification
+sweeps.
 """
 from __future__ import annotations
 
@@ -35,33 +36,34 @@ class Limits:
     sweep_cases: int = 200_000
 
 
+LIMITS = Limits()
+
+
 def current_limits() -> Limits:
     """The active limits, honouring the ``HOPFCOMB_MAX_DEGREE`` override.
 
     Only ``max_degree`` reads the environment, so only the sweeps that use it
     call this; a malformed value raises ``ValueError`` naming the variable.
     """
-    limits = Limits()
     override = os.environ.get("HOPFCOMB_MAX_DEGREE")
-    if override is not None:
-        try:
-            max_degree = int(override)
-        except ValueError:
-            raise ValueError(
-                f"HOPFCOMB_MAX_DEGREE must be an integer, got {override!r}"
-            ) from None
-        limits = replace(limits, max_degree=max_degree)
-    return limits
+    if override is None:
+        return LIMITS
+    try:
+        max_degree = int(override)
+    except ValueError:
+        raise ValueError(
+            f"HOPFCOMB_MAX_DEGREE must be an integer, got {override!r}"
+        ) from None
+    return replace(LIMITS, max_degree=max_degree)
 
 
-def guard(kind: str, n: int, limits: Limits | None = None) -> None:
+def guard(kind: str, n: int) -> None:
     """Refuse an enumeration of family ``kind`` at size ``n`` beyond the bound.
 
     The message names the knob that holds the bound, ``Limits.<kind>``; a
     family with no such knob has no enumerator and is refused at any size.
     """
-    limits = limits or Limits()
-    bound = getattr(limits, kind, None)
+    bound = getattr(LIMITS, kind, None)
     if bound is None:
         raise ValueError(f"{kind} cannot be enumerated: there is no Limits.{kind} bound")
     if n > bound:

@@ -11,7 +11,9 @@ trees.  Both polynomial algebras take their product and coproduct from
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import eqsym
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
@@ -23,10 +25,10 @@ from .words import (
     Family,
     Word,
     catalan,
-    cut_points,
     endofunctions,
     enumerate_family,
     exact_quotient,
+    is_connected,
     is_nondecreasing,
     is_parking,
     multisets,
@@ -128,24 +130,17 @@ def is_connected_graph(cert: tuple) -> bool:
 
 
 @lru_cache(maxsize=None)
-def unlabelled_certificates(n: int) -> dict[tuple, int]:
-    """Certificates of parking functions of size n with class sizes."""
-    census: dict[tuple, int] = {}
-    for p in enumerate_family("parking", n):
-        cert = graph_certificate(p)
-        census[cert] = census.get(cert, 0) + 1
-    return census
+def unlabelled_certificates(n: int) -> MappingProxyType[tuple, int]:
+    """Certificates of parking functions of size n with class sizes, as a
+    read-only view: the census is cached and shared."""
+    return MappingProxyType(Counter(map(graph_certificate, enumerate_family("parking", n))))
 
 
 @lru_cache(maxsize=None)
-def endofunction_certificates(n: int) -> dict[tuple, int]:
+def endofunction_certificates(n: int) -> MappingProxyType[tuple, int]:
     """Certificates over all endofunctions: the labelling classes summed by
-    the unlabelled basis."""
-    census: dict[tuple, int] = {}
-    for f in enumerate_family("endofunctions", n):
-        cert = graph_certificate(f)
-        census[cert] = census.get(cert, 0) + 1
-    return census
+    the unlabelled basis, as a read-only view of the cached census."""
+    return MappingProxyType(Counter(map(graph_certificate, enumerate_family("endofunctions", n))))
 
 
 def _rooted_tree_counts(bound: int) -> list[int]:
@@ -273,11 +268,7 @@ def cc_dual_coproduct(p: Word) -> LinComb:
 
 
 def connected_nondecreasing_count(n: int) -> int:
-    return sum(
-        1
-        for p in nondecreasing_parking_functions(n)
-        if cut_points(p) == [0, n]
-    )
+    return sum(map(is_connected, enumerate_family("nondecreasing_parking", n)))
 
 
 def cc_freeness_check(bound: int) -> CheckResult:

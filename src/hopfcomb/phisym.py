@@ -10,6 +10,7 @@ quotient by cycle type is isomorphic to ordinary symmetric functions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -31,7 +32,6 @@ from .words import (
     cycle_words,
     cycles,
     from_cycles,
-    partition_multiplicities,
     permutations,
     shuffle,
     standardized_cycles,
@@ -218,7 +218,7 @@ def y_representative_independent(degree_bound: int) -> CheckResult:
 def y_to_sym(lam: IntegerPartition) -> LinComb:
     """Image of a cycle-type class in monomial symmetric functions."""
     numerator = 1
-    for mult in partition_multiplicities(lam).values():
+    for mult in Counter(lam).values():
         numerator *= factorial(mult)
     denominator = 1
     for part in lam:

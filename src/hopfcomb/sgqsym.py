@@ -9,6 +9,7 @@ polynomial combinatorics.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -32,7 +33,6 @@ from .words import (
     from_cycles,
     multiset_splits,
     ordered_cycle_type,
-    partition_multiplicities,
     partition_of_word,
     permutations,
     permutations_of_type,
@@ -303,10 +303,10 @@ def multiset_rules(kind: str, canonical: Callable[[Iterable], tuple]) -> tuple[C
     pair per labelled pair.
     """
     def product(a: tuple, b: tuple) -> LinComb:
-        mb = partition_multiplicities(b)
+        mb = Counter(b)
         coeff = 1
-        for piece, mult in partition_multiplicities(a).items():
-            coeff *= comb(mult + mb.get(piece, 0), mult)
+        for piece, mult in Counter(a).items():
+            coeff *= comb(mult + mb[piece], mult)
         return LinComb.basis(kind, canonical(a + b), coeff)
 
     def coproduct(a: tuple) -> LinComb:
@@ -429,8 +429,10 @@ def quotient_well_defined(degree_bound: int) -> CheckResult:
 
 def bell_polynomial(n: int) -> dict[IntegerPartition, int]:
     """Coefficients c_lam of the n-th power of the one-block class."""
-    power = LinComb.basis(MW_KIND, ((1,),))
-    for _ in range(n - 1):
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    power = LinComb.basis(MW_KIND, ())
+    for _ in range(n):
         power = power.apply(lambda pi: product_Mw(pi, ((1,),)), kind=MW_KIND)
     return power.map_labels(lambda pi: sort_composition(block_composition(pi)), "bell").terms
 
@@ -472,7 +474,7 @@ def bell_check(n: int) -> bool:
 def commutative_image_coeff(lam: IntegerPartition) -> int:
     """Multiplier making the commutative image of an orbit sum a monomial."""
     out = 1
-    for mult in partition_multiplicities(lam).values():
+    for mult in Counter(lam).values():
         out *= factorial(mult)
     return out
 

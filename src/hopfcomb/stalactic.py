@@ -8,6 +8,7 @@ column position sets in a set partition.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -35,14 +36,7 @@ def canonical_form(w: Word) -> Word:
     >>> canonical_form((3, 1, 2, 3, 3, 4, 2, 4, 4))
     (3, 3, 3, 1, 2, 2, 4, 4, 4)
     """
-    order: list[int] = []
-    counts: dict[int, int] = {}
-    for a in w:
-        if a not in counts:
-            order.append(a)
-            counts[a] = 0
-        counts[a] += 1
-    return tuple(a for a in order for _ in range(counts[a]))
+    return tuple(Counter(w).elements())
 
 
 def congruent(u: Word, v: Word) -> bool:
@@ -98,17 +92,10 @@ def insert(w: Word) -> tuple[StalacticTableau, SetPartition]:
     >>> insert((3, 1, 2, 3, 3, 4, 2, 4, 4))[1]
     ((1, 4, 5), (2,), (3, 7), (6, 8, 9))
     """
-    order: list[int] = []
-    mult: dict[int, int] = {}
     positions: dict[int, list[int]] = {}
     for pos, a in enumerate(w, start=1):
-        if a not in mult:
-            order.append(a)
-            mult[a] = 0
-            positions[a] = []
-        mult[a] += 1
-        positions[a].append(pos)
-    tableau = StalacticTableau(tuple((a, mult[a]) for a in order))
+        positions.setdefault(a, []).append(pos)
+    tableau = StalacticTableau(tuple((a, len(p)) for a, p in positions.items()))
     q_symbol = canonical_set_partition(positions.values())
     return tableau, q_symbol
 
@@ -120,17 +107,16 @@ def class_count_brute(family: str, n: int) -> int:
     return len({canonical_form(w) for w in enumerate_family(family, n)})
 
 
-def class_census_by_letters(family: str, n: int) -> dict[int, int]:
+def class_census_by_letters(family: str, n: int) -> Counter[int]:
     """Class counts refined by the number of distinct letters."""
-    census: dict[int, int] = {}
-    for form in {canonical_form(w) for w in enumerate_family(family, n)}:
-        k = len(set(form))
-        census[k] = census.get(k, 0) + 1
-    return census
+    forms = {canonical_form(w) for w in enumerate_family(family, n)}
+    return Counter(len(set(form)) for form in forms)
 
 
 def triangle(name: str, n: int) -> list[int]:
     """Row n (1-indexed, entries k = 1..n) of the named triangle."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if name == "narayana":
         return [comb(n, k) * comb(n, k - 1) // n for k in range(1, n + 1)]
     if name == "lah":
@@ -162,15 +148,12 @@ def class_count(family: str, n: int) -> int:
 def triangle_brute(name: str, n: int) -> list[int]:
     """Brute-force triangle rows, counting classes by distinct letters."""
     if name == "narayana":
-        census: dict[int, int] = {}
-        for w in enumerate_family("nondecreasing_parking", n):
-            k = len(set(w))
-            census[k] = census.get(k, 0) + 1
-        return [census.get(k, 0) for k in range(1, n + 1)]
-    if name in TRIANGLE_FAMILIES:
+        census = Counter(len(set(w)) for w in enumerate_family("nondecreasing_parking", n))
+    elif name in TRIANGLE_FAMILIES:
         census = class_census_by_letters(TRIANGLE_FAMILIES[name], n)
-        return [census.get(k, 0) for k in range(1, n + 1)]
-    raise ValueError(f"no brute-force census for triangle {name!r}")
+    else:
+        raise ValueError(f"no brute-force census for triangle {name!r}")
+    return [census[k] for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

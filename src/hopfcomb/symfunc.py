@@ -9,6 +9,7 @@ directly on semistandard tableaux.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -16,7 +17,7 @@ from typing import Iterator
 
 from .limits import guard
 from .lincomb import LinComb, bilinear
-from .words import IntegerPartition, partition_multiplicities, partitions
+from .words import IntegerPartition, partitions
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -95,7 +96,7 @@ def m_eval_at_n(mu: IntegerPartition, n: int) -> int:
     count = 1
     for i in range(length):
         count *= n - i
-    for mult in partition_multiplicities(mu).values():
+    for mult in Counter(mu).values():
         count //= factorial(mult)
     return count
 

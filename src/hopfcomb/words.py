@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .limits import Limits, guard
+from .limits import guard
 
 Word = tuple[int, ...]
 Cycle = tuple[int, ...]
@@ -305,20 +306,13 @@ def sort_composition(parts: Sequence[int]) -> IntegerPartition:
     return tuple(sorted(parts, reverse=True))
 
 
-def partition_multiplicities(lam: Sequence[int]) -> dict[int, int]:
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    return mult
-
-
 def multiset_splits(items: Sequence) -> Iterator[tuple[tuple, tuple]]:
     """Every distinct split of a multiset into (left, right), each once, both sorted.
 
     >>> list(multiset_splits((2, 1)))
     [((), (1, 2)), ((2,), (1,)), ((1,), (2,)), ((1, 2), ())]
     """
-    mult = partition_multiplicities(items)
+    mult = Counter(items)
     distinct = sorted(mult)
     for counts in itertools.product(*(range(mult[a] + 1) for a in distinct)):
         left = tuple(a for a, k in zip(distinct, counts) for _ in range(k))
@@ -378,7 +372,7 @@ def permutations_of_type(lam: Sequence[int], n: int) -> Iterator[Word]:
     """
     if sum(lam) != n or not all(part > 0 for part in lam):
         raise ValueError(f"not a partition of {n}: {tuple(lam)!r}")
-    left = partition_multiplicities(lam)
+    left = Counter(lam)
     word = [0] * n
 
     def rec(unused: Word) -> Iterator[Word]:
@@ -627,29 +621,29 @@ def multisets(counts: Sequence[int]) -> list[int]:
     return dims
 
 
-def _guarded(kind: str, n: int, limits: Limits | None) -> "Family":
+def _guarded(kind: str, n: int) -> "Family":
     """The family ``kind``, once ``n`` is a size it may be asked for."""
     if kind not in FAMILIES:
         raise ValueError(f"unknown family {kind!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    guard(kind, n, limits)
+    guard(kind, n)
     return FAMILIES[kind]
 
 
-def enumerate_family(kind: str, n: int, limits: Limits | None = None) -> Iterator:
+def enumerate_family(kind: str, n: int) -> Iterator:
     """Stream every object of the family exactly once, guarded by size limits."""
-    return _guarded(kind, n, limits).labels(n)
+    return _guarded(kind, n).labels(n)
 
 
-def family_size(kind: str, n: int, limits: Limits | None = None) -> int:
+def family_size(kind: str, n: int) -> int:
     """How many objects ``enumerate_family(kind, n)`` streams, by closed form
     or recurrence; refused with the same error wherever the enumeration is.
 
     >>> [family_size("parking", n) for n in range(5)]
     [1, 1, 3, 16, 125]
     """
-    return _guarded(kind, n, limits).size(n)
+    return _guarded(kind, n).size(n)
 
 
 # ---------------------------------------------------------------------------

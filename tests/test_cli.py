@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import hopfcomb.limits
 from hopfcomb import cli
 from hopfcomb.axioms import HELD_TOP_LABELS, sweep_guard
 from hopfcomb.cli import main
@@ -321,14 +322,20 @@ def test_every_verifiable_algebra_sweeps_within_the_budget_at_the_default_degree
         sweep_guard(cli._lookup(algebra, None).family.name, Limits().max_degree)
 
 
-def test_sweep_case_count_is_labels_pairs_and_triples():
+def test_sweep_case_count_is_labels_pairs_and_triples(monkeypatch):
+    def budget(cases):
+        monkeypatch.setattr(hopfcomb.limits, "LIMITS", Limits(sweep_cases=cases))
+
     # endofunctions of sizes 1..6: 1, 4, 27, 256, 3125, 46656
+    budget(61524)
     with pytest.raises(LimitExceeded, match="has 61525 cases"):
-        sweep_guard("endofunctions", 6, Limits(sweep_cases=61524))
-    sweep_guard("endofunctions", 6, Limits(sweep_cases=61525))
+        sweep_guard("endofunctions", 6)
+    budget(61525)
+    sweep_guard("endofunctions", 6)
     # permutations to degree 2: labels 1 + 2, pairs (1, 1), triples none
+    budget(3)
     with pytest.raises(LimitExceeded, match="has 4 cases"):
-        sweep_guard("permutations", 2, Limits(sweep_cases=3))
+        sweep_guard("permutations", 2)
 
 
 @pytest.mark.parametrize("family", ["hypoplactic-q-classes", "sylvester-q-classes"])

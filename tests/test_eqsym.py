@@ -7,6 +7,7 @@ import pytest
 from conftest import lc, tensor_terms
 from hopfcomb import eqsym
 from hopfcomb.axioms import duality_check, hopf_check
+from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, pairing, tensor
 from hopfcomb.realize import ROW_KIND, realize_endofunction, row_monomial, row_mul
 from hopfcomb.words import cut_points, endofunctions, multisets, unshift, word_from_text as W
@@ -109,6 +110,11 @@ def test_free_lie_dimensions_satisfy_pbw():
 def test_connected_series_matches_brute_force():
     for n in range(1, 6):
         assert eqsym.brute_connected_count(n) == eqsym.connected_count(n)
+
+
+def test_brute_connected_count_keeps_the_family_guard():
+    with pytest.raises(LimitExceeded, match=r"\(Limits\.endofunctions\)$"):
+        eqsym.brute_connected_count(9)
 
 
 def test_freeness_dimension_identity():

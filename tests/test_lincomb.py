@@ -86,6 +86,24 @@ def test_qpoly_printing_normal_form():
     assert coeff_from_text("12") == 12
 
 
+@pytest.mark.parametrize("c", [0, 1, -3, 7])
+def test_constant_qpoly_hashes_as_its_int(c):
+    # equal values hash equal, so a constant and its int are one key
+    assert hash(QPoly.const(c)) == hash(c)
+    assert len({QPoly.const(c), c}) == 1
+
+
+def test_equal_qpolys_hash_equal():
+    q = QPoly.gen()
+    assert hash(3 * q**2 + 1) == hash(QPoly((1, 0, 3))) == hash(q * (3 * q) + 1)
+    assert len({-q + 2, 2 - q, QPoly((2, -1, 0))}) == 1
+
+
+def test_lincomb_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(LinComb.basis("t", (1,)))
+
+
 def test_lincomb_basics():
     x = LinComb.basis("t", (1, 2)) + LinComb.basis("t", (2, 1), 2)
     assert x[(2, 1)] == 2 and x[(9,)] == 0

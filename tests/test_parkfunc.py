@@ -61,6 +61,24 @@ def test_unlabelled_count_keeps_the_parking_guard():
         parkfunc.unlabelled_count(-1)
 
 
+@pytest.mark.parametrize("census", [
+    parkfunc.unlabelled_certificates, parkfunc.endofunction_certificates,
+], ids=["unlabelled_certificates", "endofunction_certificates"])
+def test_cached_censuses_are_read_only(census):
+    view = census(3)
+    with pytest.raises(TypeError):
+        view[()] = 1
+    with pytest.raises(AttributeError):
+        view.clear()
+    # the cached census is untouched: functional graphs on 3 nodes
+    assert len(census(3)) == 7
+
+
+def test_connected_nondecreasing_count_keeps_the_family_guard():
+    with pytest.raises(LimitExceeded, match=r"\(Limits\.nondecreasing_parking\)$"):
+        parkfunc.connected_nondecreasing_count(15)
+
+
 def test_parking_and_endofunction_certificates_coincide():
     for n in range(1, 6):
         assert set(parkfunc.unlabelled_certificates(n)) == set(

@@ -405,6 +405,15 @@ def test_bell_polynomials():
         assert sgqsym.bell_check(n)
 
 
+def test_bell_polynomial_at_zero_is_the_unit_and_negative_powers_are_refused():
+    # the zeroth power of the one-block class is the empty partition
+    assert sgqsym.bell_polynomial(0) == {(): 1}
+    assert sgqsym.bell_check(0)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            sgqsym.bell_polynomial(n)
+
+
 def test_commutative_image_multiplier():
     assert sgqsym.commutative_image_coeff((2, 1)) == 1
     assert sgqsym.commutative_image_coeff((1, 1)) == 2

@@ -122,6 +122,23 @@ def test_triangle_rows():
     assert stalactic.triangle("arr", 5) == [1, 8, 36, 96, 120]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: stalactic.class_count("parking", -1),
+    lambda: stalactic.class_count("initial_words", -3),
+    lambda: stalactic.triangle("lah", -2),
+    lambda: stalactic.triangle("narayana", -1),
+], ids=["class_count-parking", "class_count-initial_words", "triangle-lah", "triangle-narayana"])
+def test_negative_sizes_are_refused(call):
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        call()
+
+
+def test_size_zero_is_one_class_and_an_empty_row():
+    for family in stalactic.TRIANGLE_FAMILIES.values():
+        assert stalactic.class_count(family, 0) == 1
+    assert stalactic.triangle("lah", 0) == []
+
+
 def test_triangle_column_scaling():
     import math
 

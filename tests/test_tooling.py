@@ -104,3 +104,23 @@ def test_no_dead_helpers():
                        if not (path == module and first <= number <= last)):
                 dead.append(f"{module.name}:{name}")
     assert dead == []
+
+
+def test_one_bounds_value():
+    """Every guard reads ``limits.LIMITS``: no other module of the package
+    builds a ``Limits``, and no function takes a ``limits`` argument."""
+    found = []
+    for module in sorted((ROOT / "src" / "hopfcomb").glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Call) and module.name != "limits.py":
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Limits":
+                    found.append(f"{module.name}:{node.lineno} calls Limits(")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                if any(param.arg == "limits" for param in params):
+                    found.append(f"{module.name}:{node.lineno} takes limits")
+    assert found == []

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import hopfcomb.limits
 from hopfcomb.limits import LimitExceeded, Limits
 from hopfcomb.words import (
     FAMILIES,
@@ -190,7 +191,7 @@ def test_enumeration_counts():
             assert len(set(items)) == len(items)
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     with pytest.raises(LimitExceeded):
         list(enumerate_family("endofunctions", 9))
     # refused when called, before the first item is drawn
@@ -198,9 +199,9 @@ def test_enumeration_guard():
                       ("compositions", 11), ("partitions", 15)):
         with pytest.raises(LimitExceeded):
             enumerate_family(family, n)
-    limits = Limits(endofunctions=2)
+    monkeypatch.setattr(hopfcomb.limits, "LIMITS", Limits(endofunctions=2))
     with pytest.raises(LimitExceeded):
-        list(enumerate_family("endofunctions", 3, limits))
+        list(enumerate_family("endofunctions", 3))
     with pytest.raises(ValueError):
         enumerate_family("no-such-family", 2)
 
@@ -231,11 +232,13 @@ def test_family_size_is_the_int_one_at_size_zero(name):
     ("parking", 9, None), ("endofunctions", 9, None), ("partitions", 15, None),
     ("endofunctions", 3, Limits(endofunctions=2)),
 ])
-def test_family_size_refuses_what_the_enumeration_refuses(kind, n, limits):
+def test_family_size_refuses_what_the_enumeration_refuses(kind, n, limits, monkeypatch):
+    if limits is not None:
+        monkeypatch.setattr(hopfcomb.limits, "LIMITS", limits)
     with pytest.raises(ValueError) as enumerated:
-        enumerate_family(kind, n, limits)
+        enumerate_family(kind, n)
     with pytest.raises(ValueError) as counted:
-        family_size(kind, n, limits)
+        family_size(kind, n)
     assert type(counted.value) is type(enumerated.value)
     assert str(counted.value) == str(enumerated.value)
 
