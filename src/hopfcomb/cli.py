@@ -18,15 +18,8 @@ from .axioms import (GradedBasis, check_each, duality_check, graded_pairs, hopf_
                      sweep_guard)
 from .limits import LimitExceeded, current_limits
 from .lincomb import LinComb
-from .words import (FAMILIES, family_size, set_partition_to_text, word_from_text,
+from .words import (FAMILIES, Family, family_size, set_partition_to_text, word_from_text,
                     word_to_text)
-
-
-def _letters_from_text(text: str):
-    text = text.strip()
-    if text.isalpha():
-        return tuple(ord(ch) - 96 for ch in text.lower())
-    return word_from_text(text)
 
 
 # Keyed by kind, "algebra:basis"; an algebra's first basis is its default.
@@ -78,46 +71,41 @@ def _lookup(algebra: str, basis: str | None) -> GradedBasis:
     return _REGISTRY[kind]
 
 
-def _terms(x: LinComb, spec: GradedBasis, tensor_terms: bool,
-           part: Callable[[str], str], sep: str) -> list[tuple[str, object]]:
-    """(label text, coefficient) in output order: graded, then by text.
-    Each factor is written by ``part``; tensor factors are joined by ``sep``."""
+# phisym's changes of basis, keyed by (from, to) basis name
+_PHISYM_CONVERSIONS = {("phi", "Sp"): phisym.phi_to_sprime, ("phi", "Ss"): phisym.phi_to_ssecond,
+                       ("Sp", "phi"): phisym.sprime_to_phi, ("Ss", "phi"): phisym.ssecond_to_phi}
+
+
+def _emit(x: LinComb, kind: str, family: Family, fmt: str, tensor_terms: bool = False) -> None:
+    """Print ``x`` as one text line or one JSON object, its terms graded, then
+    by their text as that format writes it: "B[a](x)B[b]" in text, "a|b" in JSON."""
+    algebra, basis = kind.split(":")
+    part, sep = (str, "|") if fmt == "json" else (f"{basis}[{{}}]".format, "(x)")
     rows = []
     for label, c in x.terms.items():
         factors = label if tensor_terms else (label,)
-        text = sep.join(part(spec.family.text(f)) for f in factors)
-        rows.append((sum(spec.family.degree(f) for f in factors), text, c))
-    return [(text, c) for _, text, c in sorted(rows, key=lambda row: row[:2])]
-
-
-def _emit(x: LinComb, spec: GradedBasis, fmt: str, tensor_terms: bool = False) -> None:
-    algebra, basis = spec.kind.split(":")
+        text = sep.join(part(family.text(f)) for f in factors)
+        rows.append((sum(family.degree(f) for f in factors), text, c))
+    rows.sort(key=lambda row: row[:2])
     if fmt == "json":
-        terms = _terms(x, spec, tensor_terms, str, "|")
-        payload = {
-            "algebra": algebra,
-            "basis": basis,
-            "terms": [{"label": text, "coeff": str(c)} for text, c in terms],
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return
-    chunks = []
-    for body, c in _terms(x, spec, tensor_terms, lambda t: f"{basis}[{t}]", "(x)"):
-        if c == 1:
-            chunks.append(body)
-        elif isinstance(c, int) and c >= 0:
-            chunks.append(f"{c}*{body}")
-        else:
-            chunks.append(f"({c})*{body}")
-    print(" + ".join(chunks) or "0")
+        return _print_json({"algebra": algebra, "basis": basis,
+                            "terms": [{"label": text, "coeff": str(c)} for _, text, c in rows]})
+    print(" + ".join(text if c == 1 else f"{c}*{text}" if isinstance(c, int) and c >= 0
+                     else f"({c})*{text}" for _, text, c in rows) or "0")
+
+
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True))
+
+
+def _refuse(message: str) -> int:
+    """A refusal the parser cannot see: one bare stderr line, exit 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 # ---------------------------------------------------------------------------
 # count families
-
-def _stalactic_count(family: str):
-    return lambda n: stalactic.class_count(family, n)
-
 
 # counted by closed form or recurrence, and refused where their enumerators are
 _LABEL_FAMILIES = ("endofunctions", "permutations", "parking", "nondecreasing_parking",
@@ -128,9 +116,9 @@ _COUNTS: dict[str, Callable] = {
        for family in _LABEL_FAMILIES},
     "connected-endofunctions": eqsym.connected_count,
     "free-lie-dims": eqsym.lie_dims,
-    "parking-stalactic": _stalactic_count("parking"),
-    "endofunctions-stalactic": _stalactic_count("endofunctions"),
-    "initial-words-stalactic": _stalactic_count("initial_words"),
+    "parking-stalactic": lambda n: stalactic.class_count("parking", n),
+    "endofunctions-stalactic": lambda n: stalactic.class_count("endofunctions", n),
+    "initial-words-stalactic": lambda n: stalactic.class_count("initial_words", n),
     "unlabelled-parking-graphs": parkfunc.unlabelled_count,
     "sylvester-q-classes": lambda n: qdeform.class_census("qS", n),
     "hypoplactic-q-classes": lambda n: qdeform.class_census("qH", n),
@@ -188,65 +176,87 @@ def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# one handler per command; each prints its result and returns the exit code
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The whole argument tree, built on the first call and shared by every
-    later one: parsing reads it and never changes it."""
-    parser = argparse.ArgumentParser(
-        prog="hopfcomb",
-        description="Exact computations in combinatorial Hopf algebras of "
-        "endofunctions, permutations, set partitions, parking functions and trees.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_algebra_args(p, nargs: int):
-        p.add_argument("--algebra", required=True, choices=ALGEBRAS)
-        p.add_argument("--basis", default=None)
-        p.add_argument("--format", default="text", choices=["text", "json"])
-        p.add_argument("elements", nargs=nargs)
-
-    p = sub.add_parser("product", help="expand a product of two basis elements")
-    add_algebra_args(p, 2)
-    p = sub.add_parser("coproduct", help="expand the coproduct of a basis element")
-    add_algebra_args(p, 1)
-
-    p = sub.add_parser("pair", help="dual-basis pairing; with three elements, <x*y, z>")
-    p.add_argument("--algebra", required=True, choices=ALGEBRAS)
-    p.add_argument("--basis", default=None)
-    p.add_argument("elements", nargs="+")
-
-    p = sub.add_parser("convert", help="change of basis")
-    p.add_argument("--algebra", required=True, choices=["phisym", "sym-classical"])
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--format", default="text", choices=["text", "json"])
-    p.add_argument("element")
-
-    p = sub.add_parser("count", help="count a family at a given size")
-    p.add_argument("--family", required=True, choices=sorted(_COUNTS))
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("insert", help="stalactic insertion of a word")
-    p.add_argument("word")
-    p.add_argument("--format", default="text", choices=["text", "json"])
-
-    p = sub.add_parser("triangle", help="rows of a counting triangle")
-    p.add_argument("--name", required=True,
-                   choices=["narayana", "lah", "tw", "endt", "pascal", "arr"])
-    p.add_argument("rows", type=int)
-
-    p = sub.add_parser("verify", help="run axiom sweeps for an algebra")
-    p.add_argument("--algebra", required=True, choices=VERIFIABLE)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None,
-                   help="alias for --max-degree resource guard")
-    return parser
+def _cmd_product(args) -> int:
+    """``product`` and ``coproduct``: one rule of one registered basis."""
+    spec = _lookup(args.algebra, args.basis)
+    rule = getattr(spec, args.command)
+    if rule is None:
+        return _refuse(f"no {args.command} registered for {spec.kind}")
+    labels = [spec.family.parse(e) for e in args.elements]
+    _emit(rule(*labels), spec.kind, spec.family, args.format, args.command == "coproduct")
+    return 0
 
 
-def _verify_degree(args) -> int:
-    """The degree bound of a sweep: --max-degree, else --limit, else the guard."""
+def _cmd_pair(args) -> int:
+    spec = _lookup(args.algebra, args.basis)
+    if len(args.elements) == 3 and spec.product is None:
+        return _refuse(f"no product registered for {spec.kind}")
+    labels = [spec.family.parse(e) for e in args.elements]
+    if len(labels) not in (2, 3):
+        return _refuse("pair takes two labels (delta) or three (<x*y, z>)")
+    print(spec.product(*labels[:2])[labels[2]] if labels[2:] else int(labels[0] == labels[1]))
+    return 0
+
+
+def _cmd_convert(args) -> int:
+    if args.algebra == "phisym":
+        convert = _PHISYM_CONVERSIONS.get((args.src, args.dst))
+        if convert is None:
+            return _refuse(f"unsupported conversion {args.src} -> {args.dst}")
+        x = LinComb.basis("phisym:phi", _lookup("phisym", args.src).family.parse(args.element))
+        target = _lookup("phisym", args.dst)
+        _emit(convert(x), target.kind, target.family, args.format)
+        return 0
+    # classical symmetric functions
+    if args.src not in symfunc.BASES or args.dst not in symfunc.BASES:
+        return _refuse(f"unsupported basis name {args.src!r} or {args.dst!r}")
+    partitions = FAMILIES["partitions"]
+    out = symfunc.convert(symfunc.sym(args.src, partitions.parse(args.element)), args.dst)
+    _emit(out, f"sym-classical:{args.dst}", partitions, args.format)
+    return 0
+
+
+def _cmd_count(args) -> int:
+    if args.n < 0:
+        raise ValueError("n must be nonnegative")
+    print(_COUNTS[args.family](args.n))
+    return 0
+
+
+def _cmd_insert(args) -> int:
+    text = args.word.strip()
+    alphabetic = text.isalpha()
+    word = tuple(ord(ch) - 96 for ch in text.lower()) if alphabetic else word_from_text(text)
+    if not all(a > 0 for a in word):
+        raise ValueError(f"not a word of positive letters: {args.word!r}")
+    tableau, q_symbol = stalactic.insert(word)
+    letter = (lambda v: chr(96 + v)) if alphabetic else str
+    if args.format == "json":
+        _print_json({"P": [[letter(col[0]), col[1]] for col in tableau.columns],
+                     "Q": [list(b) for b in q_symbol]})
+        return 0
+    p_word = tableau.word()
+    # word_to_text writes the empty word "()"; here it prints as nothing
+    print("P:", word_to_text(p_word) if p_word and not alphabetic
+          else "".join(letter(a) for a in p_word))
+    for row in tableau.rows():
+        print("  " + " ".join("." if v is None else letter(v) for v in row))
+    print("Q:", set_partition_to_text(q_symbol))
+    return 0
+
+
+def _cmd_triangle(args) -> int:
+    if args.rows < 0:
+        raise ValueError("rows must be nonnegative")
+    for n in range(1, args.rows + 1):
+        print(" ".join(str(v) for v in stalactic.triangle(args.name, n)))
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    """The degree bound of the sweep is --max-degree, else --limit, else the guard."""
     for knob, value in (("--max-degree", args.max_degree), ("--limit", args.limit)):
         if value is not None:
             break
@@ -254,116 +264,82 @@ def _verify_degree(args) -> int:
         knob, value = "HOPFCOMB_MAX_DEGREE", current_limits().max_degree
     if value < 1:
         raise ValueError(f"{knob} must be at least 1, got {value}")
-    return value
+    code, lines = _verify(args.algebra, value)
+    for line in lines:
+        print(line)
+    return code
 
 
-def _run(args) -> int:
-    if args.command in ("product", "coproduct"):
-        spec = _lookup(args.algebra, args.basis)
-        rule = getattr(spec, args.command)
-        if rule is None:
-            print(f"no {args.command} registered for {spec.kind}",
-                  file=sys.stderr)
-            return 2
-        labels = [spec.family.parse(e) for e in args.elements]
-        _emit(rule(*labels), spec, args.format, tensor_terms=args.command == "coproduct")
-        return 0
+# ---------------------------------------------------------------------------
+# argument parsing
 
-    if args.command == "pair":
-        spec = _lookup(args.algebra, args.basis)
-        if len(args.elements) == 3 and spec.product is None:
-            print(f"no product registered for {spec.kind}", file=sys.stderr)
-            return 2
-        labels = [spec.family.parse(e) for e in args.elements]
-        if len(labels) == 2:
-            print(1 if labels[0] == labels[1] else 0)
-            return 0
-        if len(labels) == 3:
-            print(spec.product(labels[0], labels[1])[labels[2]])
-            return 0
-        print("pair takes two labels (delta) or three (<x*y, z>)", file=sys.stderr)
-        return 2
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first call and shared by every
+    later one: parsing reads it and never changes it.  Each subcommand's
+    parser names its handler as ``run``."""
+    parser = argparse.ArgumentParser(
+        prog="hopfcomb",
+        description="Exact computations in combinatorial Hopf algebras of "
+        "endofunctions, permutations, set partitions, parking functions and trees.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if args.command == "convert":
-        if args.algebra == "phisym":
-            conversions = {
-                ("phi", "Sp"): phisym.phi_to_sprime,
-                ("phi", "Ss"): phisym.phi_to_ssecond,
-                ("Sp", "phi"): phisym.sprime_to_phi,
-                ("Ss", "phi"): phisym.ssecond_to_phi,
-            }
-            key = (args.src, args.dst)
-            if key not in conversions:
-                print(f"unsupported conversion {args.src} -> {args.dst}",
-                      file=sys.stderr)
-                return 2
-            label = _lookup("phisym", args.src).family.parse(args.element)
-            out = conversions[key](LinComb.basis("phisym:phi", label))
-            _emit(out, _lookup("phisym", args.dst), args.format)
-            return 0
-        # classical symmetric functions
-        if args.src not in symfunc.BASES or args.dst not in symfunc.BASES:
-            print(f"unsupported basis name {args.src!r} or {args.dst!r}",
-                  file=sys.stderr)
-            return 2
-        spec = GradedBasis(f"sym-classical:{args.dst}", FAMILIES["partitions"], None, None)
-        out = symfunc.convert(symfunc.sym(args.src, spec.family.parse(args.element)), args.dst)
-        _emit(out, spec, args.format)
-        return 0
+    def command(name: str, run: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    if args.command == "count":
-        if args.n < 0:
-            raise ValueError("n must be nonnegative")
-        print(_COUNTS[args.family](args.n))
-        return 0
+    def add_format(p):
+        p.add_argument("--format", default="text", choices=["text", "json"])
 
-    if args.command == "insert":
-        word = _letters_from_text(args.word)
-        if not all(a > 0 for a in word):
-            raise ValueError(f"not a word of positive letters: {args.word!r}")
-        tableau, q_symbol = stalactic.insert(word)
+    def add_algebra_args(p, nargs: int):
+        p.add_argument("--algebra", required=True, choices=ALGEBRAS)
+        p.add_argument("--basis", default=None)
+        add_format(p)
+        p.add_argument("elements", nargs=nargs)
 
-        alphabetic = args.word.strip().isalpha()
+    for name, nargs, help in (("product", 2, "expand a product of two basis elements"),
+                              ("coproduct", 1, "expand the coproduct of a basis element")):
+        add_algebra_args(command(name, _cmd_product, help), nargs)
 
-        def letter(v: int) -> str:
-            return chr(96 + v) if alphabetic else str(v)
+    p = command("pair", _cmd_pair, "dual-basis pairing; with three elements, <x*y, z>")
+    p.add_argument("--algebra", required=True, choices=ALGEBRAS)
+    p.add_argument("--basis", default=None)
+    p.add_argument("elements", nargs="+")
 
-        if args.format == "json":
-            print(json.dumps({
-                "P": [[letter(col[0]), col[1]] for col in tableau.columns],
-                "Q": [list(b) for b in q_symbol],
-            }))
-        else:
-            p_word = tableau.word()
-            # word_to_text writes the empty word "()"; here it prints as nothing
-            print("P:", word_to_text(p_word) if p_word and not alphabetic
-                  else "".join(letter(a) for a in p_word))
-            for row in tableau.rows():
-                print("  " + " ".join("." if v is None else letter(v) for v in row))
-            print("Q:", set_partition_to_text(q_symbol))
-        return 0
+    p = command("convert", _cmd_convert, "change of basis")
+    p.add_argument("--algebra", required=True, choices=["phisym", "sym-classical"])
+    p.add_argument("--from", dest="src", required=True)
+    p.add_argument("--to", dest="dst", required=True)
+    add_format(p)
+    p.add_argument("element")
 
-    if args.command == "triangle":
-        if args.rows < 0:
-            raise ValueError("rows must be nonnegative")
-        for n in range(1, args.rows + 1):
-            print(" ".join(str(v) for v in stalactic.triangle(args.name, n)))
-        return 0
+    p = command("count", _cmd_count, "count a family at a given size")
+    p.add_argument("--family", required=True, choices=sorted(_COUNTS))
+    p.add_argument("n", type=int)
 
-    if args.command == "verify":
-        code, lines = _verify(args.algebra, _verify_degree(args))
-        for line in lines:
-            print(line)
-        return code
+    p = command("insert", _cmd_insert, "stalactic insertion of a word")
+    p.add_argument("word")
+    add_format(p)
 
-    raise AssertionError("unreachable")
+    p = command("triangle", _cmd_triangle, "rows of a counting triangle")
+    p.add_argument("--name", required=True,
+                   choices=["narayana", "lah", "tw", "endt", "pascal", "arr"])
+    p.add_argument("rows", type=int)
+
+    p = command("verify", _cmd_verify, "run axiom sweeps for an algebra")
+    p.add_argument("--algebra", required=True, choices=VERIFIABLE)
+    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None,
+                   help="alias for --max-degree resource guard")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return args.run(args)
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 2

@@ -144,34 +144,3 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({str(self)!r})"
-
-
-def coeff_from_text(text: str):
-    """Parse an integer or a q-polynomial in the normal printed form."""
-    text = text.strip()
-    if "q" not in text:
-        return int(text)
-    total = QPoly()
-    token = ""
-    pieces: list[str] = []
-    for ch in text:
-        if ch in "+-" and token and token[-1] not in "*^+-":
-            pieces.append(token)
-            token = ch
-        else:
-            token += ch
-    pieces.append(token)
-    for piece in pieces:
-        sign = 1
-        if piece.startswith("-"):
-            sign, piece = -1, piece[1:]
-        elif piece.startswith("+"):
-            piece = piece[1:]
-        if "q" not in piece:
-            total = total + sign * int(piece)
-            continue
-        mag_text, _, power_text = piece.partition("q")
-        mag = int(mag_text.rstrip("*")) if mag_text.rstrip("*") else 1
-        exponent = int(power_text[1:]) if power_text.startswith("^") else 1
-        total = total + QPoly.monomial(exponent, sign * mag)
-    return total

@@ -25,7 +25,6 @@ from .words import (
     Family,
     Word,
     catalan,
-    endofunctions,
     enumerate_family,
     exact_quotient,
     is_connected,
@@ -184,13 +183,15 @@ def cert_size(cert: tuple) -> int:
 
 
 def unlabelled_product_brute(cert1: tuple, cert2: tuple) -> LinComb:
-    """Full expansion over both endofunction labelling classes, regrouped."""
+    """Full expansion over both endofunction labelling classes, regrouped;
+    refused up front when their product's size is past the enumeration bound."""
     n, m = cert_size(cert1), cert_size(cert2)
+    guard("endofunctions", n + m)
     by_cert: dict[tuple, int] = {}
-    for p in endofunctions(n):
+    for p in enumerate_family("endofunctions", n):
         if graph_certificate(p) != cert1:
             continue
-        for q in endofunctions(m):
+        for q in enumerate_family("endofunctions", m):
             if graph_certificate(q) != cert2:
                 continue
             for h, c in eqsym.product_M(p, q).terms.items():

@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from . import eqsym, symfunc
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
@@ -155,7 +155,19 @@ def phi_to_sprime(x: LinComb) -> LinComb:
 
 
 def phi_to_ssecond(x: LinComb) -> LinComb:
-    return _triangular_convert(x, ssecond_expand, SSECOND_KIND)
+    """Invert ``ssecond_expand`` in one pass over its terms: they are the tau
+    whose cycles C each merge k_C of sigma's cycles, all with coefficient 1, so
+    [sigma, tau] is a product of partition lattices, whose Moebius function
+    (Rota, 1964) gives phi_sigma = sum_tau prod_C (-1)^(k_C-1) (k_C-1)! Ss_tau."""
+    def inverse(sigma: Word) -> LinComb:
+        firsts = [c[0] for c in cycles(sigma)]
+        terms = {}
+        for tau in ssecond_expand(sigma).terms:
+            cycle_of = {a: c[0] for c in cycles(tau) for a in c}
+            k = Counter(cycle_of[a] for a in firsts).values()
+            terms[tau] = prod((-1) ** (j - 1) * factorial(j - 1) for j in k)
+        return LinComb(SSECOND_KIND, terms)
+    return x.apply(inverse, kind=SSECOND_KIND)
 
 
 def sprime_to_phi(x: LinComb) -> LinComb:

@@ -1,5 +1,9 @@
+import hashlib
 import io
 import json
+import runpy
+import shlex
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,8 +17,9 @@ from hopfcomb.cli import main
 from hopfcomb.limits import LimitExceeded, Limits
 from hopfcomb.words import family_size
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the benchmark's recorded `verify` outputs at the default degree; read only
-GOLDEN_SWEEP = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "sweep.json"
+GOLDEN_SWEEP = PERFBENCH / "golden" / "sweep.json"
 
 
 def run_cli(*argv):
@@ -164,6 +169,34 @@ def test_pair_of_three_labels_needs_a_product():
     for argv in (["pair", "(1)", "(1)", "(2)"], ["product", "(1)", "(2)"]):
         result = run_cli(argv[0], "--algebra", "qsym-q", "--basis", "M", *argv[1:])
         assert result == (2, "", "no product registered for qsym-q:M\n")
+
+
+def test_every_query_pool_request_prints_its_recorded_output():
+    """The benchmark's request pool against its recorded exit codes and stdout
+    digests. Both files are only read: `runpy` writes no bytecode."""
+    queries = runpy.run_path(str(PERFBENCH / "queries.py"))
+    golden = json.loads((PERFBENCH / "golden" / "query.json").read_text())
+    pool = [argv for entries in queries["build_pool"]().values() for argv in entries]
+    assert len(pool) == len(golden) == 1128
+    for argv in pool:
+        code, out, _ = run_cli(*argv)
+        want = golden[queries["key"](argv)]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (want["code"], want["sha256"]), argv
+
+
+def test_refusals_usage_errors_and_help_keep_their_bytes(monkeypatch):
+    """Exit code, stdout and stderr of the refusals the handlers print, the
+    parser's usage errors (no --format on pair, count, triangle or verify) and
+    every --help, recorded from the if-chain dispatcher the handlers replaced.
+    Usage and help text is argparse's own wording, which differs between
+    Python versions, so it is compared on the version it was recorded with."""
+    pinned = json.loads((Path(__file__).parent / "cli_pinned.json").read_text())
+    cases = dict(pinned["handlers"])
+    if "%d.%d" % sys.version_info[:2] == pinned["argparse_python"]:
+        cases.update(pinned["argparse"])
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    assert {command: list(run_cli(*shlex.split(command))) for command in cases} == cases
 
 
 def test_convert_phisym():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -169,6 +170,15 @@ def test_unlabelled_product_matches_brute_expansion():
     assert len(pairs) == 110
     for a, b in pairs:
         assert parkfunc.unlabelled_product(a, b) == parkfunc.unlabelled_product_brute(a, b)
+
+
+def test_unlabelled_product_brute_refuses_before_it_enumerates():
+    # sizes 5 and 4 make a product of size 9, past Limits.endofunctions
+    a, b = parkfunc.graph_certificate(W("23111")), parkfunc.graph_certificate(W("2111"))
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=r"at n=9 .*\(Limits\.endofunctions\)$"):
+        parkfunc.unlabelled_product_brute(a, b)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_unlabelled_coproduct_matches_brute_expansion():

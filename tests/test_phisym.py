@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -161,6 +162,17 @@ def test_basis_round_trips_degree_5():
             assert phisym.sprime_to_phi(LinComb(PHI, sp.terms)) == x
             ss = phisym.phi_to_ssecond(x)
             assert phisym.ssecond_to_phi(LinComb(PHI, ss.terms)) == x
+
+
+def test_phi_to_ssecond_is_the_triangular_inversion():
+    # the Moebius pass against the generic unitriangular solver, term for term:
+    # every permutation up to size 5, 60 seeded ones of size 6 and the identity
+    rng = random.Random(20060512)
+    six = [tuple(rng.sample(range(1, 7), 6)) for _ in range(60)] + [tuple(range(1, 7))]
+    for sigma in [s for n in range(6) for s in permutations(n)] + six:
+        x = LinComb.basis(PHI, sigma)
+        oracle = phisym._triangular_convert(x, phisym.ssecond_expand, phisym.SSECOND_KIND)
+        assert phisym.phi_to_ssecond(x) == oracle, sigma
 
 
 def _labels_upto(n):

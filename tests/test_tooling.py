@@ -69,6 +69,23 @@ def test_traced_rule_layers_see_every_rule_call_of_a_held_sweep(kind, layer):
         assert traced[f"{layer}.{op}.calls"] == sum(seen.values()), op
 
 
+@pytest.mark.parametrize("family, layer", [
+    ("sylvester-q-classes", "qdeform.census"), ("parking-stalactic", "stalactic"),
+])
+def test_traced_layers_see_the_counts_the_cli_calls(family, layer):
+    """The count table calls its functions through their modules at call
+    time, so the tracer's patched module globals reach them."""
+    proc = _traced(
+        "import contextlib, io, json, layertrace\n"
+        "tracer = layertrace.install()\n"
+        "from hopfcomb import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['count', '--family', {family!r}, '5']) == 0\n"
+        "print(json.dumps(tracer.metrics()))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])[f"{layer}.s"] > 0
+
+
 def _public_definitions(path: Path):
     """(name, first line, last line) of each public top-level definition."""
     for node in ast.parse(path.read_text()).body:
