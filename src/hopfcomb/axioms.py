@@ -39,11 +39,15 @@ from .words import Family, enumerate_family, family_size
 class GradedBasis:
     """One basis of an algebra: ``kind`` is "algebra:basis", the labels are
     those of ``family``, and the unit is the empty label ``()``.  Either rule
-    may be None where only the other is defined."""
+    may be None where only the other is defined.  ``twist`` is the
+    bicharacter chi(b, a') of the tensor square in which Delta(ab) =
+    Delta(a) Delta(b) holds, (a (x) b)(a' (x) b') = chi(b, a') aa' (x) bb';
+    None is the plain componentwise product."""
     kind: str
     family: Family
     product: Callable | None        # (label, label) -> LinComb
     coproduct: Callable | None      # label -> LinComb over pairs
+    twist: Callable | None = None   # (label, label) -> coefficient
 
     def labels_upto(self, bound: int) -> dict[int, list]:
         return {n: list(enumerate_family(self.family.name, n)) for n in range(1, bound + 1)}
@@ -125,21 +129,21 @@ def check_each(cases: Iterable[tuple], holds: Callable[..., bool]) -> CheckResul
     return first_failure(checks, ("holds",))["holds"]
 
 
-def graded_labels(labels: Callable[[int], Iterable], bound: int) -> Iterator[tuple]:
-    """One case ``(x,)`` per label of degrees 1..bound, degree by degree."""
-    for n in range(1, bound + 1):
-        for x in labels(n):
-            yield (x,)
+def graded_labels(family: str, bound: int) -> Iterator[tuple]:
+    """One case ``(x,)`` per label of ``family`` of degrees 1..bound, degree
+    by degree.  A bound past the family's ``Limits`` field is refused here,
+    before any case is drawn, and so before a claim calls a rule."""
+    guard(family, bound)
+    return ((x,) for n in range(1, bound + 1) for x in enumerate_family(family, n))
 
 
-def graded_pairs(labels: Callable[[int], Iterable], bound: int) -> Iterator[tuple]:
-    """Label pairs (x, y) of degrees i, j >= 1 with i + j <= bound, in the
-    order of the nested loops over (i, j, x, y); ``labels(n)`` lists degree n."""
-    for i in range(1, bound):
-        for j in range(1, bound - i + 1):
-            for x in labels(i):
-                for y in labels(j):
-                    yield x, y
+def graded_pairs(family: str, bound: int) -> Iterator[tuple]:
+    """Label pairs (x, y) of ``family`` of degrees i, j >= 1 with i + j <=
+    bound, in the order of the nested loops over (i, j, x, y); refused as
+    :func:`graded_labels` is."""
+    guard(family, bound)
+    return ((x, y) for i in range(1, bound) for j in range(1, bound - i + 1)
+            for x in enumerate_family(family, i) for y in enumerate_family(family, j))
 
 
 # A sweep holds its top degree, labels and rule values, only when the family
@@ -295,6 +299,7 @@ def _pair_cases(sweep: _Sweep) -> Cases:
     """
     bound = sweep.bound
     kind = tensor_kind(sweep.alg.kind)
+    twist = sweep.alg.twist
     for i in range(1, bound):
         for j in range(1, bound - i + 1):
             product = sweep.product_rule(i + j)
@@ -312,7 +317,7 @@ def _pair_cases(sweep: _Sweep) -> Cases:
                         lhs = _sum_scaled_into(
                             terms, ((coproduct(l), x) for l, x in ab.terms.items()), kind)
                         rhs = _twisted_tensor_mul_into(
-                            terms, da, sweep.coproduct(b), factor_product, None, -1)
+                            terms, da, sweep.coproduct(b), factor_product, twist, -1)
                         return _cancels(terms, lhs, rhs)
 
                     checks = {"compatibility": compatible}
@@ -357,6 +362,15 @@ def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
     return HopfReport(alg.kind, degree_bound, {name: results[name] for name in order}, tabled)
 
 
+def compatibility_check(alg: GradedBasis, degree_bound: int) -> CheckResult:
+    """Only the compatibility law of :func:`hopf_check`, on its guard, pairs
+    and order, and so with its first counterexample."""
+    sweep_guard(alg.family.name, degree_bound)
+    pairs = _pair_cases(_Sweep(alg, degree_bound))
+    # the pair cases also yield commutativity: the early stop counts it
+    return first_failure(pairs, ("compatibility", "commutativity"))["compatibility"]
+
+
 def duality_check(
     primal: GradedBasis,
     dual_coproduct: Callable,
@@ -377,20 +391,28 @@ def duality_check(
     counterexample is the first triple of the nested loops over (x, y, z).
     This is stricter than reading only the targets: a product term whose
     label is not a target of its degree also fails, and ranks after them.
+    The rows with an empty side are the counit rows: each target z, from
+    degree 1 up and before its degree's rows, fails at ``((), z, z)``
+    unless the only such terms of its coproduct are ((), z) and (z, ()),
+    each with coefficient 1.
     """
     guard(primal.family.name, degree_bound)
     by_degree = primal.labels_upto(degree_bound)
 
     def cases(product: Callable, coproduct: Callable) -> Cases:
-        for total in range(2, degree_bound + 1):
+        for total in range(1, degree_bound + 1):
             targets = by_degree.get(total, [])
             cols: dict = {}
             for z in targets:
+                ends: dict = {}
                 for pair, c in coproduct(z).terms.items():
-                    # a pair with an empty side is no row; its column, one
-                    # dict per target, would only add to the peak memory
                     if pair[0] and pair[1]:
                         cols.setdefault(pair, {})[z] = c
+                    else:
+                        ends[pair] = c
+                # the unit rows <1 y, z> and <x 1, z> are delta, so their
+                # columns, one dict per target, are read off here instead
+                yield ((), z, z), {"duality": lambda: ends == {((), z): 1, (z, ()): 1}}
             for i in range(1, total):
                 for a in by_degree.get(i, []):
                     for b in by_degree.get(total - i, []):

@@ -14,8 +14,7 @@ import sys
 from typing import Callable
 
 from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
-from .axioms import (GradedBasis, check_each, duality_check, graded_pairs, hopf_check,
-                     sweep_guard)
+from .axioms import GradedBasis, compatibility_check, duality_check, hopf_check
 from .limits import LimitExceeded, current_limits
 from .lincomb import LinComb
 from .words import (FAMILIES, Family, family_size, set_partition_to_text, word_from_text,
@@ -51,10 +50,10 @@ _REGISTRY: dict[str, GradedBasis] = {basis.kind: basis for basis in (
     GradedBasis(parkfunc.GRAPH_KIND, parkfunc.PARKING_GRAPHS,
                 parkfunc.unlabelled_product, parkfunc.unlabelled_coproduct),
     GradedBasis(qdeform.F_KIND, FAMILIES["permutations"],
-                qdeform.product_F, qdeform.coproduct_q_F),
+                qdeform.product_F, qdeform.coproduct_q_F, qdeform.chi_len),
     GradedBasis(qdeform.QM_KIND, FAMILIES["compositions"], None, qdeform.coproduct_q_M),
     GradedBasis(qdeform.NS_KIND, FAMILIES["compositions"],
-                qdeform.product_S_ncsf, qdeform.coproduct_q_S),
+                qdeform.product_S_ncsf, qdeform.coproduct_q_S, qdeform.chi_sum),
 )}
 
 ALGEBRAS = sorted({kind.split(":")[0] for kind in _REGISTRY})
@@ -132,11 +131,9 @@ DUALITY_DEGREE = 5  # duality and q = 0 cocommutativity stop at this degree
 
 
 def _fqsym_q_checks(max_degree: int) -> tuple[int, list[str]]:
-    """fqsym-q's sweep: the twisted morphism on every pair of F labels, then
-    cocommutativity at q = 0."""
-    family = _REGISTRY[qdeform.F_KIND].family
-    sweep_guard(family.name, max_degree)
-    res = check_each(graded_pairs(family.labels, max_degree), qdeform.fqsym_twisted_morphism_check)
+    """fqsym-q's sweep: the twisted morphism, the compatibility law of its
+    registered record, on every pair of F labels; then cocommutativity at q = 0."""
+    res = compatibility_check(_REGISTRY[qdeform.F_KIND], max_degree)
     cocom = qdeform.cocommutativity_check(min(max_degree, DUALITY_DEGREE))
     lines = [res.line("twisted-morphism"), cocom.line("q0-cocommutativity")]
     return (0 if res.passed and cocom.passed else 1), lines

@@ -43,8 +43,8 @@ class QPoly:
         return QPoly._normal((n,) if n else ())
 
     @staticmethod
-    def monomial(exponent: int, coeff: int = 1) -> "QPoly":
-        return QPoly._normal((0,) * exponent + (coeff,) if coeff else ())
+    def monomial(exponent: int) -> "QPoly":
+        return QPoly._normal((0,) * exponent + (1,))
 
     @staticmethod
     def coerce(value: "QPoly | int") -> "QPoly":

@@ -17,6 +17,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .axioms import CheckResult, GradedBasis, check_each
+from .limits import guard
 from .lincomb import LinComb, tensor_kind
 from .realize import oracle_product_check
 from .words import (FAMILIES, Word, cut_points, enumerate_family, exact_quotient, inverse,
@@ -208,6 +209,7 @@ def free_dimensions(generators: Callable[[int], int], bound: int) -> list[int]:
 def free_generation_check(bound: int) -> CheckResult:
     """The free algebra on the enumerated connected endofunctions has
     dimension n^n in each degree n <= bound; one case per degree."""
+    guard("endofunctions", bound)
     dims = free_dimensions(brute_connected_count, bound)
     return check_each(((n,) for n in range(bound + 1)), lambda n: dims[n] == n**n)
 

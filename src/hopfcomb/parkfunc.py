@@ -31,8 +31,6 @@ from .words import (
     is_nondecreasing,
     is_parking,
     multisets,
-    nondecreasing_parking_functions,
-    parking_functions,
 )
 
 MPA_KIND = "cpqsym:Mpa"
@@ -51,7 +49,7 @@ coproduct_Mpa = relabelled(tensor_kind(MPA_KIND), eqsym.coproduct_M)
 
 def parking_closure_check(degree_bound: int) -> CheckResult:
     """Every term of a product of parking labels is again a parking label."""
-    return check_each(graded_pairs(parking_functions, degree_bound),
+    return check_each(graded_pairs("parking", degree_bound),
                       lambda p, q: all(map(is_parking, product_Mpa(p, q).terms)))
 
 
@@ -225,6 +223,7 @@ def connected_graph_counts(bound: int) -> list[int]:
 def free_polynomial_check(bound: int) -> CheckResult:
     """Unlabelled dimensions match multisets of connected generators, both
     read off the certificates of the parking functions; one case per degree."""
+    guard("parking", bound)
     dims = multisets(connected_graph_counts(bound))
     return check_each(((n,) for n in range(bound + 1)),
                       lambda n: dims[n] == len(unlabelled_certificates(n)))
@@ -252,7 +251,7 @@ def cc_ideal_check(degree_bound: int) -> CheckResult:
         terms = itertools.chain(product_Mpa(p, q).terms, product_Mpa(q, p).terms)
         return is_nondecreasing(p) or not any(map(is_nondecreasing, terms))
 
-    return check_each(graded_pairs(parking_functions, degree_bound), stays)
+    return check_each(graded_pairs("parking", degree_bound), stays)
 
 
 # Dual-side class product: shifted concatenation of nondecreasing labels.
@@ -275,6 +274,7 @@ def connected_nondecreasing_count(n: int) -> int:
 def cc_freeness_check(bound: int) -> CheckResult:
     """Catalan dimensions match words in connected nondecreasing generators;
     one case per degree."""
+    guard("nondecreasing_parking", bound)
     dims = eqsym.free_dimensions(connected_nondecreasing_count, bound)
     return check_each(((n,) for n in range(bound + 1)), lambda n: dims[n] == catalan(n))
 
@@ -299,7 +299,7 @@ def reordering_not_subalgebra_example(degree_bound: int = 4) -> CheckResult:
                          LinComb(MPA_KIND, dict.fromkeys(rearrangements(q), 1)), product_Mpa)
         return all(len({total[w] for w in rearrangements(h)}) == 1 for h in total.terms)
 
-    return check_each(graded_pairs(nondecreasing_parking_functions, degree_bound), closes)
+    return check_each(graded_pairs("nondecreasing_parking", degree_bound), closes)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .words import (
     cycle_words,
     cycles,
     from_cycles,
-    permutations,
     shuffle,
     standardized_cycles,
 )
@@ -222,7 +221,7 @@ def coproduct_Y(lam: IntegerPartition) -> LinComb:
 def y_representative_independent(degree_bound: int) -> CheckResult:
     """Cycle-type class products do not depend on the representatives."""
     return check_each(
-        graded_pairs(permutations, degree_bound),
+        graded_pairs("permutations", degree_bound),
         lambda sigma, tau: product_phi(sigma, tau).map_labels(cycle_type, Y_KIND)
         == product_Y(cycle_type(sigma), cycle_type(tau)))
 
@@ -241,7 +240,7 @@ def y_to_sym(lam: IntegerPartition) -> LinComb:
 def y_iso_check(degree_bound: int) -> CheckResult:
     """The cycle-type quotient maps to Sym as an algebra morphism."""
     return check_each(
-        graded_pairs(symfunc.partitions, degree_bound),
+        graded_pairs("partitions", degree_bound),
         lambda l1, l2: product_Y(l1, l2).apply(y_to_sym, kind=symfunc.kind("m"))
         == symfunc.m_mul(y_to_sym(l1), y_to_sym(l2)))
 

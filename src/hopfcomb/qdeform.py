@@ -30,7 +30,6 @@ from .words import (
     connected_factorization,
     descent_composition,
     inversions,
-    permutations,
     shifted_shuffle,
     standardize,
 )
@@ -85,14 +84,6 @@ def coproduct_q_S(comp: Composition) -> LinComb:
     return out
 
 
-def ncsf_twisted_morphism_check(comp1: Composition, comp2: Composition) -> bool:
-    lhs = coproduct_q_S(comp1 + comp2)
-    rhs = twisted_tensor_mul(
-        coproduct_q_S(comp1), coproduct_q_S(comp2), product_S_ncsf, chi_sum
-    )
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # FQSym_q
 
@@ -118,14 +109,6 @@ def coproduct_q_F(sigma: Word) -> LinComb:
         prev = terms.get(key)
         terms[key] = power if prev is None else prev + power
     return LinComb(tensor_kind(F_KIND), terms)
-
-
-def fqsym_twisted_morphism_check(alpha: Word, beta: Word) -> bool:
-    lhs = product_F(alpha, beta).apply(coproduct_q_F, kind=tensor_kind(F_KIND))
-    rhs = twisted_tensor_mul(
-        coproduct_q_F(alpha), coproduct_q_F(beta), product_F, chi_len
-    )
-    return lhs == rhs
 
 
 def coproduct_q1_F(sigma: Word) -> LinComb:
@@ -274,6 +257,7 @@ def confluence_check(system: str, length: int, n_letters: int) -> CheckResult:
                     frontier.append(nxt)
         return len(normal_forms) == 1
 
+    guard("rewrite_length", length)
     words = itertools.product(range(1, n_letters + 1), repeat=length)
     return check_each(((w,) for w in words), confluent)
 
@@ -340,4 +324,4 @@ def cocommutativity_check(degree_bound: int) -> CheckResult:
         cop = q0_coproduct(sigma)
         return tensor_swap(cop) == cop
 
-    return check_each(graded_labels(permutations, degree_bound), symmetric)
+    return check_each(graded_labels("permutations", degree_bound), symmetric)

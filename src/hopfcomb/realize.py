@@ -17,9 +17,11 @@ cycle by cycle as a product T x B of top and bottom words, which
 row bitmask and skips a group whose rows meet with one ``&``, so it sorts
 only the products that survive; ``qvar_mul`` and ``qdeform.phi_realized``
 accumulate one integer coefficient list per exponent vector and wrap each
-in a ``QPoly`` once.  The brute-force filters, the ``QPoly``-by-term sums
-and the expanded biword product ``biword_mul`` survive only in the tests,
-as their oracles.
+in a ``QPoly`` once.  The brute-force filters and the ``QPoly``-by-term
+sums survive only in the tests, as their oracles.  The expanded biword
+route, ``biword_mul`` with ``realize_phi`` and ``collect_biwords``, is
+called only by the tests, as the oracle of the factored check, and stays
+here because the benchmark's layer tracer wraps those three by name.
 
 A product check is faithful only when the truncation N is at least the
 total degree n + m: below it, labels of the product have no realization

@@ -30,13 +30,13 @@ from .words import (
     cycle_supports,
     cycle_type,
     cycles,
+    enumerate_family,
     from_cycles,
     multiset_splits,
     ordered_cycle_type,
     partition_of_word,
     permutations,
     permutations_of_type,
-    set_partitions,
     shuffle,
     sort_composition,
     standardize,
@@ -406,8 +406,8 @@ def subalgebra_closure_check(predicate: Callable, degree_bound: int) -> CheckRes
             images = product_M(*labels).terms
         return not all(map(predicate, labels)) or all(map(predicate, images))
 
-    cases = itertools.chain(graded_labels(permutations, degree_bound),
-                            graded_pairs(permutations, degree_bound))
+    cases = itertools.chain(graded_labels("permutations", degree_bound),
+                            graded_pairs("permutations", degree_bound))
     return check_each(cases, closed)
 
 
@@ -422,7 +422,7 @@ def product_V(comp1: Composition, comp2: Composition) -> LinComb:
 def quotient_well_defined(degree_bound: int) -> CheckResult:
     """Class products are independent of the representative set partitions."""
     return check_each(
-        graded_pairs(set_partitions, degree_bound),
+        graded_pairs("set_partitions", degree_bound),
         lambda pi1, pi2: product_Mw(pi1, pi2).map_labels(block_composition, V_KIND)
         == product_V(block_composition(pi1), block_composition(pi2)))
 
@@ -483,7 +483,7 @@ def full_cycle_S_primitive(n: int) -> CheckResult:
     """Dual-side primitivity of the classes of full cycles: one case per
     permutation of size n."""
     return check_each(
-        ((sigma,) for sigma in permutations(n)),
+        ((sigma,) for sigma in enumerate_family("permutations", n)),
         lambda sigma: len(cycles(sigma)) != 1
         or coproduct_S(sigma).terms == {(sigma, ()): 1, ((), sigma): 1})
 

@@ -14,7 +14,6 @@ from hopfcomb.coeffs import QPoly
 from hopfcomb.lincomb import LinComb, tensor_kind, twisted_tensor_mul
 from hopfcomb.words import (
     catalan,
-    compositions,
     endofunctions,
     inverse,
     permutations,
@@ -349,17 +348,10 @@ def test_criterion_8_bell_polynomials():
 
 
 def test_criterion_9_q_structure():
-    for i in range(1, 4):
-        for j in range(1, 5 - i):
-            for a in permutations(i):
-                for b in permutations(j):
-                    assert qdeform.fqsym_twisted_morphism_check(a, b), (a, b)
-
-    for i in range(1, 4):
-        for j in range(1, 5 - i):
-            for c1 in compositions(i):
-                for c2 in compositions(j):
-                    assert qdeform.ncsf_twisted_morphism_check(c1, c2), (c1, c2)
+    # the twisted morphism laws are the compatibility law of the twisted records
+    for kind in (qdeform.F_KIND, qdeform.NS_KIND):
+        report = hopf_check(cli._REGISTRY[kind], 4)
+        assert report.passed, (kind, report.lines())
 
     verdicts = _phi_morphism_verdicts()
     assert len(verdicts) == 93

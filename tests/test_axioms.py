@@ -6,27 +6,30 @@ counterexample in the checker's visiting order.  The expected tuples were
 recorded from the straightforward nested-loop checker, so they also pin that
 the sweep order of the table-driven checker is unchanged.
 """
+import time
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
-from hopfcomb import axioms, cli, eqsym, parkfunc, phisym, qdeform, sgqsym
+from hopfcomb import axioms, cli, eqsym, limits, parkfunc, phisym, qdeform, sgqsym, stalactic
 from hopfcomb.axioms import (
     CheckResult,
     HopfReport,
     _Sweep,
     check_each,
+    compatibility_check,
     duality_check,
     first_failure,
+    graded_labels,
     graded_pairs,
     hopf_check,
     sweep_guard,
 )
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
-from hopfcomb.words import is_involution, set_partition_from_text, word_from_text
+from hopfcomb.words import compositions, is_involution, set_partition_from_text, word_from_text
 
 W = word_from_text
 
@@ -260,18 +263,23 @@ def test_degree_bounds_below_one_check_nothing(monkeypatch):
 
 def test_graded_pairs_keep_the_nested_loop_order():
     def labels(n):
-        return [f"{n}{c}" for c in "ab"[:n]]
+        return list(compositions(n))
 
-    assert list(graded_pairs(labels, 3)) == [
-        ("1a", "1a"), ("1a", "2a"), ("1a", "2b"), ("2a", "1a"), ("2b", "1a"),
+    assert list(graded_pairs("compositions", 3)) == [
+        ((1,), (1,)), ((1,), (1, 1)), ((1,), (2,)), ((1, 1), (1,)), ((2,), (1,)),
     ]
     nested = [(x, y)
               for i in range(1, 5) for j in range(1, 5 - i + 1)
               for x in labels(i) for y in labels(j)]
-    assert list(graded_pairs(labels, 5)) == nested
-    assert list(graded_pairs(labels, 1)) == []
-    assert list(graded_pairs(labels, 2)) == [("1a", "1a")]
-    assert list(graded_pairs(labels, 0)) == []
+    assert list(graded_pairs("compositions", 5)) == nested
+    assert list(graded_pairs("compositions", 1)) == []
+    assert list(graded_pairs("compositions", 2)) == [((1,), (1,))]
+    assert list(graded_pairs("compositions", 0)) == []
+    assert list(graded_labels("compositions", 2)) == [((1,),), ((1, 1),), ((2,),)]
+    # refused when called, before a case is drawn
+    for cases in (graded_pairs, graded_labels):
+        with pytest.raises(LimitExceeded, match=r"\(Limits\.compositions\)$"):
+            cases("compositions", 11)
 
 
 def _duality(bound, dual_coproduct=eqsym.coproduct_S, dual_product=eqsym.product_S,
@@ -310,6 +318,43 @@ def test_checks_refuse_bounds_beyond_the_family_bound_before_any_rule_call():
     with pytest.raises(LimitExceeded, match=r"\(Limits\.compositions\)$"):
         duality_check(alg, _no_rule_call, 11,
                       dual_product=_no_rule_call, primal_coproduct=_no_rule_call)
+    with pytest.raises(LimitExceeded, match=r"\(Limits\.compositions\)$"):
+        compatibility_check(alg, 11)
+
+
+# Every claim check that takes a degree bound, called one past its family's
+# bound.  Each was refused only after it had enumerated the degrees below,
+# some for minutes, or not at all.
+CLAIMS_PAST_THEIR_BOUND = {
+    "eqsym.free_generation_check":
+        lambda L: eqsym.free_generation_check(L.endofunctions + 1),
+    "parkfunc.parking_closure_check": lambda L: parkfunc.parking_closure_check(L.parking + 1),
+    "parkfunc.free_polynomial_check": lambda L: parkfunc.free_polynomial_check(L.parking + 1),
+    "parkfunc.cc_ideal_check": lambda L: parkfunc.cc_ideal_check(L.parking + 1),
+    "parkfunc.cc_freeness_check":
+        lambda L: parkfunc.cc_freeness_check(L.nondecreasing_parking + 1),
+    "parkfunc.reordering_not_subalgebra_example":
+        lambda L: parkfunc.reordering_not_subalgebra_example(L.nondecreasing_parking + 1),
+    "phisym.y_representative_independent":
+        lambda L: phisym.y_representative_independent(L.permutations + 1),
+    "phisym.y_iso_check": lambda L: phisym.y_iso_check(L.partitions + 1),
+    "sgqsym.subalgebra_closure_check":
+        lambda L: sgqsym.subalgebra_closure_check(is_involution, L.permutations + 1),
+    "sgqsym.quotient_well_defined": lambda L: sgqsym.quotient_well_defined(L.set_partitions + 1),
+    "sgqsym.full_cycle_S_primitive": lambda L: sgqsym.full_cycle_S_primitive(L.permutations + 1),
+    "qdeform.cocommutativity_check": lambda L: qdeform.cocommutativity_check(L.permutations + 1),
+    "qdeform.confluence_check": lambda L: qdeform.confluence_check("qS", L.rewrite_length + 1, 3),
+    "stalactic.class_product_well_defined":
+        lambda L: stalactic.class_product_well_defined("parking", L.parking + 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS_PAST_THEIR_BOUND))
+def test_claim_checks_refuse_a_bound_past_their_family_at_once(name):
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded):
+        CLAIMS_PAST_THEIR_BOUND[name](limits.LIMITS)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -659,3 +704,33 @@ def test_a_family_with_no_enumerator_is_refused_before_any_rule(kind, family):
         duality_check(record, untouched, 3, untouched, untouched)
     with pytest.raises(ValueError, match=message):
         sweep_guard(family, 3)
+
+
+# ---------------------------------------------------------------------------
+# every registered record
+
+# The records no sweep can reach, and why.
+UNSWEPT_RECORDS = {
+    "ncsf:V": "one rule: the product only",
+    "qsym-q:M": "one rule: the coproduct only",
+    "forest:M": "no enumerator: forests have no Limits bound",
+    "parkgraph:N": "no enumerator: parking graphs have no Limits bound",
+}
+
+
+def test_every_registered_record_with_both_rules_and_an_enumerator_is_a_hopf_algebra():
+    swept = []
+    for kind, record in cli._REGISTRY.items():
+        both_rules = record.product is not None and record.coproduct is not None
+        enumerable = getattr(limits.LIMITS, record.family.name, None) is not None
+        assert (kind not in UNSWEPT_RECORDS) == (both_rules and enumerable), kind
+        if kind not in UNSWEPT_RECORDS:
+            report = hopf_check(record, 5)
+            assert report.passed, (kind, report.lines())
+            swept.append(kind)
+    assert len(swept) == 17
+    # the q-twisted records pass through their twist alone
+    for kind in (qdeform.F_KIND, qdeform.NS_KIND):
+        untwisted = replace(cli._REGISTRY[kind], twist=None)
+        assert hopf_check(untwisted, 5).checks["compatibility"] == CheckResult(
+            False, ((1,), (1,)))

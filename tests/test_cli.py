@@ -454,12 +454,29 @@ def test_verify_failure_output_eqsym(monkeypatch):
     ]
 
 
-def test_verify_failure_output_fqsym_q(monkeypatch):
-    from hopfcomb import qdeform
+def _drop_fqsym_q_product_terms(monkeypatch, broken):
+    """Swap the fqsym-q record for one whose product drops its largest term
+    at each pair of ``broken``."""
+    from dataclasses import replace
 
-    check = qdeform.fqsym_twisted_morphism_check
-    monkeypatch.setattr(qdeform, "fqsym_twisted_morphism_check",
-                        lambda a, b: (a, b) != ((1,), (2, 1)) and check(a, b))
+    from hopfcomb.lincomb import LinComb
+
+    record = cli._REGISTRY["fqsym-q:F"]
+    product_F = record.product
+
+    def drop_one_term(a, b):
+        x = product_F(a, b)
+        if (a, b) not in broken:
+            return x
+        terms = dict(x.terms)
+        del terms[max(terms)]
+        return LinComb(x.kind, terms)
+
+    monkeypatch.setitem(cli._REGISTRY, "fqsym-q:F", replace(record, product=drop_one_term))
+
+
+def test_verify_failure_output_fqsym_q(monkeypatch):
+    _drop_fqsym_q_product_terms(monkeypatch, {((1,), (2, 1))})
     code, out, err = run_cli("verify", "--algebra", "fqsym-q", "--max-degree", "3")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
@@ -469,18 +486,36 @@ def test_verify_failure_output_fqsym_q(monkeypatch):
 
 
 def test_verify_fqsym_q_reports_only_the_first_twisted_failure(monkeypatch):
-    from hopfcomb import qdeform
-
-    check = qdeform.fqsym_twisted_morphism_check
-    broken = {((2, 1), (1,)), ((1,), (2, 1))}
-    monkeypatch.setattr(qdeform, "fqsym_twisted_morphism_check",
-                        lambda a, b: (a, b) not in broken and check(a, b))
+    _drop_fqsym_q_product_terms(monkeypatch, {((2, 1), (1,)), ((1,), (2, 1))})
     code, out, err = run_cli("verify", "--algebra", "fqsym-q", "--max-degree", "3")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
         "twisted-morphism: FAIL at ((1,), (2, 1))",
         "q0-cocommutativity: yes",
     ]
+
+
+def test_verify_ccqsym_fails_on_a_dual_coproduct_without_its_counit_term(monkeypatch):
+    """Duality checks the counit rows: a dual coproduct that loses (z, ())
+    fails at its first target, though every row with two nonempty sides
+    still matches."""
+    from dataclasses import replace
+
+    from hopfcomb.lincomb import LinComb
+
+    record = cli._REGISTRY["ccqsym:S"]
+    coproduct_S = record.coproduct
+
+    def drop_right_unit(p):
+        x = coproduct_S(p)
+        return LinComb(x.kind, {pair: c for pair, c in x.terms.items() if pair != (p, ())})
+
+    monkeypatch.setitem(cli._REGISTRY, "ccqsym:S", replace(record, coproduct=drop_right_unit))
+    with open(GOLDEN_SWEEP) as fh:
+        expected = json.load(fh)["ccqsym"]["lines"]
+    code, out, err = run_cli("verify", "--algebra", "ccqsym")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == expected[:-1] + ["duality-consistency: FAIL at ((), (1,), (1,))"]
 
 
 # Labels outside their basis's family: left unchecked, some of these crash
@@ -628,7 +663,7 @@ def test_verify_passes_at_degree_three(algebra):
 
 # the algebras whose default-degree sweep holds its top degree
 HELD_AT_THE_DEFAULT_DEGREE = [
-    "sgqsym", "piqsym", "wsym", "qsym-embed", "sym-embed", "phisym", "ccqsym",
+    "sgqsym", "piqsym", "wsym", "qsym-embed", "sym-embed", "phisym", "ccqsym", "fqsym-q",
 ]
 
 
