@@ -16,14 +16,7 @@ from .axioms import CheckResult, check_each, graded_labels
 from .coeffs import QPoly
 from .lincomb import LinComb, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
 from .limits import guard
-from .realize import (
-    ExponentVector,
-    add_product_into,
-    nonzero_coeffs,
-    qpoly_terms,
-    qvar_mul,
-    realize_fundamental,
-)
+from .realize import QMONO_KIND, qvar_mul, realize_fundamental
 from .words import (
     Composition,
     Word,
@@ -146,15 +139,17 @@ def _fundamental(comp: Composition, n_trunc: int) -> LinComb:
 def phi_realized(x: LinComb, n_trunc: int) -> LinComb:
     """Evaluate an image of phi in the ring of q-commuting variables.
 
-    Each fundamental's terms are scaled by their composition's coefficient
-    into one integer list per exponent vector, as :func:`qvar_mul` does.
+    Each cached fundamental's terms are shifted to each power of q in its
+    composition's coefficient.
     """
-    out: dict[ExponentVector, list[int]] = {}
+    out: dict[tuple, int] = {}
     for comp, c in x.terms.items():
-        c = nonzero_coeffs(c)
-        for vec, f in _fundamental(comp, n_trunc).terms.items():
-            add_product_into(out.setdefault(vec, []), c, f.coeffs, 0)
-    return qpoly_terms(out)
+        powers = [(e, a) for e, a in enumerate(QPoly.coerce(c).coeffs) if a]
+        for (vec, ef), f in _fundamental(comp, n_trunc).terms.items():
+            for e, a in powers:
+                key = (vec, ef + e)
+                out[key] = out.get(key, 0) + a * f
+    return LinComb(QMONO_KIND, out)
 
 
 def phi_morphism_check(alpha: Word, beta: Word, n_trunc: int | None = None) -> bool:

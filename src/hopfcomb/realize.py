@@ -16,12 +16,12 @@ cycle by cycle as a product T x B of top and bottom words, which
 ``realize_phi`` expands; ``row_mul`` groups the right factor's monomials by
 row bitmask and skips a group whose rows meet with one ``&``, so it sorts
 only the products that survive; ``qvar_mul`` and ``qdeform.phi_realized``
-accumulate one integer coefficient list per exponent vector and wrap each
-in a ``QPoly`` once.  The brute-force filters and the ``QPoly``-by-term
-sums survive only in the tests, as their oracles.  The expanded biword
-route, ``biword_mul`` with ``realize_phi`` and ``collect_biwords``, is
-called only by the tests, as the oracle of the factored check, and stays
-here because the benchmark's layer tracer wraps those three by name.
+add plain ints at labels that carry the power of q (see ``QMONO_KIND``).
+The brute-force filters and the ``QPoly``-by-term sums survive only in the
+tests, as their oracles.  The expanded biword route, ``biword_mul`` with
+``realize_phi`` and ``collect_biwords``, is called only by the tests, as
+the oracle of the factored check, and stays here because the benchmark's
+layer tracer wraps those three by name.
 
 A product check is faithful only when the truncation N is at least the
 total degree n + m: below it, labels of the product have no realization
@@ -36,7 +36,6 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .coeffs import QPoly
 from .lincomb import LinComb
 from .words import (
     Cycle,
@@ -221,49 +220,31 @@ def collect_biwords(x: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 # q-commuting variables
 
+# A q-commuting polynomial is a LinComb of this kind with plain int
+# coefficients, labelled (vec, e): the normal-ordered monomial
+# x_1^vec[0] ... x_N^vec[N-1] of the truncation N = len(vec), times q^e.
 QMONO_KIND = "qring"
-ExponentVector = tuple[int, ...]
 
 
 def qvar_mul(x: LinComb, y: LinComb) -> LinComb:
     """Product with x_j x_i = q x_i x_j for j > i, results normal ordered.
 
     Moving x_i^b past x_j^a for j > i costs q^(a*b), so a pair of monomials
-    picks up q^swaps with swaps = sum_i vb[i] * sum(va[i+1:]).  Coefficients
-    accumulate as one integer list per exponent vector.
+    picks up q^swaps with swaps = sum_i vb[i] * sum(va[i+1:]).  Both factors
+    must be of :data:`QMONO_KIND` at one truncation, else ``ValueError``.
     """
-    right = [(vb, QPoly.coerce(cb).coeffs) for vb, cb in y.terms.items()]
-    out: dict[ExponentVector, list[int]] = {}
-    for va, ca in x.terms.items():
-        ca = nonzero_coeffs(ca)
+    if x.kind != QMONO_KIND or y.kind != QMONO_KIND:
+        raise ValueError(f"qvar_mul of kinds {x.kind!r} and {y.kind!r}")
+    if len({len(vec) for vec, _ in itertools.chain(x.terms, y.terms)}) > 1:
+        raise ValueError("qvar_mul of factors at different truncations")
+    right = [(vb, eb, cb) for (vb, eb), cb in y.terms.items()]
+    out: dict[tuple, int] = {}
+    for (va, ea), ca in x.terms.items():
         suffix = list(itertools.accumulate(reversed(va[1:]), initial=0))[::-1]
-        for vb, cb in right:
-            swaps = sum(map(mul, vb, suffix))
-            add_product_into(out.setdefault(tuple(map(add, va, vb)), []), ca, cb, swaps)
-    return qpoly_terms(out)
-
-
-def nonzero_coeffs(c: QPoly | int) -> list[tuple[int, int]]:
-    """The (exponent, coefficient) pairs of c with a nonzero coefficient."""
-    return [(i, a) for i, a in enumerate(QPoly.coerce(c).coeffs) if a]
-
-
-def add_product_into(acc: list[int], a: list[tuple[int, int]], b: Sequence[int],
-                     shift: int) -> None:
-    """Add q^shift times a times b into the coefficient list acc, growing it
-    as needed: a is given by :func:`nonzero_coeffs`, b as its coefficient list."""
-    size = shift + a[-1][0] + len(b)
-    if len(acc) < size:
-        acc.extend([0] * (size - len(acc)))
-    for i, x in a:
-        for j, y in enumerate(b, start=shift + i):
-            acc[j] += x * y
-
-
-def qpoly_terms(lists: dict[ExponentVector, list[int]]) -> LinComb:
-    """The q-commuting polynomial with one integer coefficient list per
-    exponent vector, each wrapped in a :class:`QPoly` once."""
-    return LinComb(QMONO_KIND, {vec: QPoly(acc) for vec, acc in lists.items()})
+        for vb, eb, cb in right:
+            key = (tuple(map(add, va, vb)), ea + eb + sum(map(mul, vb, suffix)))
+            out[key] = out.get(key, 0) + ca * cb
+    return LinComb(QMONO_KIND, out)
 
 
 def realize_fundamental(comp: Sequence[int], n_trunc: int) -> LinComb:
@@ -276,21 +257,17 @@ def realize_fundamental(comp: Sequence[int], n_trunc: int) -> LinComb:
         acc += part
         descents.add(acc)
 
-    terms: dict[ExponentVector, QPoly] = {}
+    terms: dict[tuple, int] = {}
 
     def rec(position: int, lowest: int, vec: list[int]) -> None:
         if position == n:
-            key = tuple(vec)
-            prev = terms.get(key)
-            one = QPoly.const(1)
-            terms[key] = one if prev is None else prev + one
+            key = (tuple(vec), 0)
+            terms[key] = terms.get(key, 0) + 1
             return
         for letter in range(lowest, n_trunc + 1):
             vec[letter - 1] += 1
             rec(position + 1, letter + 1 if position + 1 in descents else letter, vec)
             vec[letter - 1] -= 1
 
-    if n == 0:
-        return LinComb(QMONO_KIND, {(0,) * n_trunc: QPoly.const(1)})
     rec(0, 1, [0] * n_trunc)
     return LinComb(QMONO_KIND, terms)

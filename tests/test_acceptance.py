@@ -15,7 +15,6 @@ from hopfcomb.lincomb import LinComb, tensor_kind, twisted_tensor_mul
 from hopfcomb.words import (
     catalan,
     endofunctions,
-    inverse,
     permutations,
     set_partition_from_text as SP,
     set_partitions,

@@ -13,7 +13,6 @@ from hopfcomb.words import (
     descent_composition,
     inversions,
     permutations,
-    standardize,
     word_from_text as W,
 )
 
@@ -133,6 +132,15 @@ def test_phi_is_twisted_morphism_degree_4():
                     assert qdeform.phi_morphism_check(a, b), (a, b)
 
 
+def _qpoly_terms(x):
+    """A q-commuting polynomial as one QPoly per exponent vector: the form
+    the QPoly oracles below compute in."""
+    out = {}
+    for (vec, e), c in x.terms.items():
+        out[vec] = out.get(vec, 0) + c * QPoly.monomial(e)
+    return out
+
+
 def test_phi_realized_matches_the_apply_form_on_products():
     # the fundamentals scaled by QPoly and summed through LinComb.apply
     for i in range(6):
@@ -142,8 +150,10 @@ def test_phi_realized_matches_the_apply_form_on_products():
                     image = qdeform.phi_lincomb(qdeform.product_F(a, b))
                     for n_trunc in (i + j, i + j + 1):
                         expected = image.apply(
-                            lambda comp: realize_fundamental(comp, n_trunc), kind=QMONO_KIND)
-                        assert qdeform.phi_realized(image, n_trunc) == expected, (a, b)
+                            lambda comp: LinComb(QMONO_KIND, _qpoly_terms(
+                                realize_fundamental(comp, n_trunc))), kind=QMONO_KIND)
+                        got = qdeform.phi_realized(image, n_trunc)
+                        assert _qpoly_terms(got) == expected.terms, (a, b)
 
 
 def test_phi_morphism_check_rejects_a_truncation_below_the_degree():
@@ -154,10 +164,11 @@ def test_phi_morphism_check_rejects_a_truncation_below_the_degree():
 
 
 def _qvar_mul_by_qpoly_loop(x, y):
-    """The QPoly-by-QPoly product: each pair of monomials times q^swaps."""
+    """The QPoly-by-QPoly product of two :func:`_qpoly_terms` dicts: each
+    pair of monomials times q^swaps."""
     out = {}
-    for va, ca in x.terms.items():
-        for vb, cb in y.terms.items():
+    for va, ca in x.items():
+        for vb, cb in y.items():
             swaps = 0
             for i in range(len(vb)):
                 if vb[i]:
@@ -183,7 +194,51 @@ def test_qvar_mul_matches_the_qpoly_loop_on_phi_realizations():
     for n, x in images:
         for m, y in images:
             if n + m <= 5:
-                assert qvar_mul(x, y).terms == _qvar_mul_by_qpoly_loop(x, y), (x, y)
+                expected = _qvar_mul_by_qpoly_loop(_qpoly_terms(x), _qpoly_terms(y))
+                assert _qpoly_terms(qvar_mul(x, y)) == expected, (x, y)
+
+
+def test_qvar_mul_refuses_factors_at_different_truncations_or_kinds():
+    # map(add, va, vb) would stop at the shorter vector and lose x_3
+    with pytest.raises(ValueError):
+        qvar_mul(realize_fundamental((1,), 3), realize_fundamental((1,), 2))
+    with pytest.raises(ValueError):
+        qvar_mul(realize_fundamental((1,), 3), LinComb.basis("other", ((1, 0, 0), 0)))
+    product = qvar_mul(realize_fundamental((1,), 3), realize_fundamental((1,), 3))
+    assert {len(vec) for vec, _ in product.terms} == {3}
+
+
+def _drop_last_term(value):
+    if len(value.terms) < 2:
+        return value
+    terms = dict(value.terms)
+    del terms[list(terms)[-1]]
+    return LinComb(value.kind, terms)
+
+
+def _double_last_coefficient(value):
+    terms = dict(value.terms)
+    label = list(terms)[-1]
+    terms[label] = 2 * terms[label]
+    return LinComb(value.kind, terms)
+
+
+@pytest.mark.parametrize("mutation", ["drop", "double"])
+def test_the_q_commuting_oracle_catches_a_broken_product(monkeypatch, mutation):
+    # the crosscheck workload's pairs, in its order: total degree <= 5
+    pairs = [(a, b) for i in range(1, 5) for j in range(1, 6 - i)
+             for a in permutations(i) for b in permutations(j)]
+    product_F = qdeform.product_F
+
+    def broken(alpha, beta):
+        value = product_F(alpha, beta)
+        if mutation == "drop":
+            return _drop_last_term(value)
+        return _double_last_coefficient(value) if alpha and beta else value
+
+    monkeypatch.setattr(qdeform, "product_F", broken)
+    caught = next(((a, b) for a, b in pairs if not qdeform.phi_morphism_check(a, b, 6)), None)
+    assert caught == pairs[0] == ((1,), (1,))
 
 
 def test_cached_fundamentals_are_not_mutated_by_the_checks():

@@ -1,6 +1,6 @@
 """Repository tooling: the benchmark's layer tracer must still find every
-function it wraps and see every rule call, and the package keeps no dead
-helpers."""
+function it wraps and see every rule call, the package keeps no dead
+helpers, and no module imports a name it does not use."""
 import ast
 import json
 import os
@@ -121,6 +121,27 @@ def test_no_dead_helpers():
                        if not (path == module and first <= number <= last)):
                 dead.append(f"{module.name}:{name}")
     assert dead == []
+
+
+def test_no_unused_imports():
+    """Every name a module of the package or the tests imports at its top
+    level is read in that module; ``__init__.py`` re-exports and ``from
+    __future__`` are exempt."""
+    unused = []
+    for path in sorted([*(ROOT / "src" / "hopfcomb").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert unused == []
 
 
 def test_one_bounds_value():
