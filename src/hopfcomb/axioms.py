@@ -42,12 +42,14 @@ class GradedBasis:
     may be None where only the other is defined.  ``twist`` is the
     bicharacter chi(b, a') of the tensor square in which Delta(ab) =
     Delta(a) Delta(b) holds, (a (x) b)(a' (x) b') = chi(b, a') aa' (x) bb';
-    None is the plain componentwise product."""
+    None is the plain componentwise product.  ``dual`` is the kind of the
+    basis that :func:`duality_check` pairs this one with, if any."""
     kind: str
     family: Family
     product: Callable | None        # (label, label) -> LinComb
     coproduct: Callable | None      # label -> LinComb over pairs
     twist: Callable | None = None   # (label, label) -> coefficient
+    dual: str | None = None
 
     def labels_upto(self, bound: int) -> dict[int, list]:
         return {n: list(enumerate_family(self.family.name, n)) for n in range(1, bound + 1)}

@@ -228,8 +228,4 @@ def oracle_check(f: Word, g: Word, n_trunc: int | None = None) -> bool:
 
 
 def algebra() -> GradedBasis:
-    return GradedBasis(M_KIND, FAMILIES["endofunctions"], product_M, coproduct_M)
-
-
-def dual_algebra() -> GradedBasis:
-    return GradedBasis(S_KIND, FAMILIES["endofunctions"], product_S, coproduct_S)
+    return GradedBasis(M_KIND, FAMILIES["endofunctions"], product_M, coproduct_M, dual=S_KIND)

@@ -53,10 +53,6 @@ def parking_closure_check(degree_bound: int) -> CheckResult:
                       lambda p, q: all(map(is_parking, product_Mpa(p, q).terms)))
 
 
-def algebra() -> GradedBasis:
-    return GradedBasis(MPA_KIND, FAMILIES["parking"], product_Mpa, coproduct_Mpa)
-
-
 # ---------------------------------------------------------------------------
 # functional-graph certificates
 
@@ -280,7 +276,8 @@ def cc_freeness_check(bound: int) -> CheckResult:
 
 
 def cc_algebra() -> GradedBasis:
-    return GradedBasis(CC_KIND, FAMILIES["nondecreasing_parking"], cc_product, cc_coproduct)
+    return GradedBasis(CC_KIND, FAMILIES["nondecreasing_parking"], cc_product, cc_coproduct,
+                       dual=CC_DUAL_KIND)
 
 
 def reordering_not_subalgebra_example(degree_bound: int = 4) -> CheckResult:
@@ -306,22 +303,13 @@ def reordering_not_subalgebra_example(degree_bound: int = 4) -> CheckResult:
 # rooted forests from nondecreasing parking functions
 
 def forest_certificate(p: Word) -> tuple:
-    """Support forest: edges to the image, roots at loops, canonized."""
+    """Support forest: edges to the image, roots at loops, canonized.  A
+    nondecreasing parking function has p(i) <= i, so each component of its
+    graph is a loop carrying one tree, and the forest is the trees of
+    :func:`graph_certificate`."""
     if not (is_nondecreasing(p) and is_parking(p)):
         raise ValueError("forest supports require nondecreasing parking functions")
-    n = len(p)
-    children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    roots = []
-    for i in range(1, n + 1):
-        if p[i - 1] == i:
-            roots.append(i)
-        else:
-            children[p[i - 1]].append(i)
-
-    def canon(v: int) -> tuple:
-        return tuple(sorted(canon(u) for u in children[v]))
-
-    return tuple(sorted(canon(r) for r in roots))
+    return tuple(tree for (tree,) in graph_certificate(p))
 
 
 def forest_text(cert: tuple) -> str:

@@ -16,11 +16,10 @@ from functools import lru_cache
 from math import factorial, prod
 
 from . import eqsym, symfunc
-from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
+from .axioms import CheckResult, check_each, graded_pairs
 from .lincomb import LinComb, bilinear, relabelled, tensor, tensor_kind, tensor_mul
 from .realize import phi_factors
 from .words import (
-    FAMILIES,
     Cycle,
     CycleSet,
     IntegerPartition,
@@ -295,7 +294,3 @@ def biword_product_check(sigma: Word, tau: Word, n_trunc: int | None = None) -> 
         if (True in inside and total != lhs_bottoms) or (False in inside and total):
             return False
     return lhs_tops <= groups.keys()
-
-
-def algebra() -> GradedBasis:
-    return GradedBasis(PHI_KIND, FAMILIES["permutations"], product_phi, coproduct_phi)

@@ -492,24 +492,4 @@ def full_cycle_S_primitive(n: int) -> CheckResult:
 # algebra adapters
 
 def algebra() -> GradedBasis:
-    return GradedBasis(M_KIND, FAMILIES["permutations"], product_M, coproduct_M)
-
-
-def dual_algebra() -> GradedBasis:
-    return GradedBasis(S_KIND, FAMILIES["permutations"], product_S, coproduct_S)
-
-
-def piqsym_algebra() -> GradedBasis:
-    return GradedBasis(UPI_KIND, FAMILIES["set_partitions"], product_upi, coproduct_upi)
-
-
-def wsym_algebra() -> GradedBasis:
-    return GradedBasis(MW_KIND, FAMILIES["set_partitions"], product_Mw, coproduct_Mw)
-
-
-def qsym_algebra() -> GradedBasis:
-    return GradedBasis(UQ_KIND, FAMILIES["compositions"], product_uq, coproduct_uq)
-
-
-def sym_algebra() -> GradedBasis:
-    return GradedBasis(UL_KIND, FAMILIES["partitions"], product_ul, coproduct_ul)
+    return GradedBasis(M_KIND, FAMILIES["permutations"], product_M, coproduct_M, dual=S_KIND)

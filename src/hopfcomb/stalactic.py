@@ -21,6 +21,8 @@ from .words import (
     Word,
     canonical_set_partition,
     enumerate_family,
+    is_endofunction,
+    is_initial,
     is_parking,
     shifted_concat,
 )
@@ -185,10 +187,11 @@ def pack(w: Word) -> Word:
 # induced products on stalactic classes
 
 _PROJECTIONS = {"parking": parkize, "initial_words": pack}
-_CLASS_KINDS = {
-    "parking": PARK_CLASS_KIND,
-    "endofunctions": ENDO_CLASS_KIND,
-    "initial_words": INITIAL_CLASS_KIND,
+# family -> (class kind, membership test, the family's words in the plural)
+_CLASS_FAMILIES = {
+    "parking": (PARK_CLASS_KIND, is_parking, "parking functions"),
+    "endofunctions": (ENDO_CLASS_KIND, is_endofunction, "endofunctions"),
+    "initial_words": (INITIAL_CLASS_KIND, is_initial, "initial words"),
 }
 
 
@@ -215,13 +218,13 @@ def class_product(family: str, u: Word, v: Word) -> LinComb:
     parkization and packing, and the product collects all words of the family
     whose prefix and suffix project onto the two factors.
     """
-    kind = _CLASS_KINDS.get(family)
-    if kind is None:
+    if family not in _CLASS_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    kind, member, words = _CLASS_FAMILIES[family]
+    if not (member(u) and member(v)):
+        raise ValueError(f"class representatives must be {words}")
     if family == "endofunctions":
         return LinComb.basis(kind, canonical_form(shifted_concat(u, v)))
-    if family == "parking" and not (is_parking(u) and is_parking(v)):
-        raise ValueError("class representatives must be parking functions")
     terms = _product_fibers(family, len(u), len(v)).get((u, v), {})
     return LinComb(kind, dict(terms))
 

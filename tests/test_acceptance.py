@@ -258,36 +258,33 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_hopf_axiom_suites():
     # every algebra `verify` sweeps with `hopf_check`, on its default basis
     reports = {}
-    for name, plan in cli._VERIFY.items():
-        if not callable(plan):
+    for name in cli.VERIFIABLE:
+        if name not in cli._VERIFY:
             reports[name] = hopf_check(cli._lookup(name, None), 5)
             assert reports[name].passed, (name, reports[name].lines())
-    assert len(reports) == 9
+    assert len(reports) == 10
     for name in ("eqsym", "sgqsym", "piqsym", "cpqsym", "ccqsym", "qsym-embed", "sym-embed"):
         assert reports[name].commutative, name
     assert not reports["eqsym"].cocommutative
+    assert not reports["ncsf-q"].commutative and not reports["ncsf-q"].cocommutative
     assert reports["phisym"].cocommutative
     assert reports["wsym"].cocommutative
     res = qdeform.cocommutativity_check(4)
     assert res.passed, res.counterexample
 
-    _ok("4 hopf axiom suites", "9 bases at degree 5; Q-side commutative; "
+    _ok("4 hopf axiom suites", "10 bases at degree 5; Q-side commutative; "
         "cycle basis, orbit words and q=0 coproduct cocommutative")
 
 
 def test_criterion_5_duality():
-    res = duality_check(
-        eqsym.algebra(), eqsym.coproduct_S, 5,
-        dual_product=eqsym.product_S, primal_coproduct=eqsym.coproduct_M)
-    assert res.passed, ("eqsym", res)
-    res = duality_check(
-        sgqsym.algebra(), sgqsym.coproduct_S, 5,
-        dual_product=sgqsym.product_S, primal_coproduct=sgqsym.coproduct_M)
-    assert res.passed, ("sgqsym", res)
-    res = duality_check(
-        parkfunc.cc_algebra(), parkfunc.cc_dual_coproduct, 5,
-        dual_product=parkfunc.cc_dual_product, primal_coproduct=parkfunc.cc_coproduct)
-    assert res.passed, ("ccqsym", res)
+    # the dual pairs the registry's records name
+    pairs = {kind: record.dual for kind, record in cli._REGISTRY.items() if record.dual}
+    assert pairs == {"eqsym:M": "eqsym:S", "sgqsym:M": "sgqsym:S", "ccqsym:Mpa": "ccqsym:S"}
+    for kind, dual_kind in pairs.items():
+        primal, dual = cli._REGISTRY[kind], cli._REGISTRY[dual_kind]
+        res = duality_check(primal, dual.coproduct, 5,
+                            dual_product=dual.product, primal_coproduct=primal.coproduct)
+        assert res.passed, (kind, res)
     _ok("5 duality", "three dual pairs, all triples of total degree <= 5")
 
 

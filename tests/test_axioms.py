@@ -104,7 +104,7 @@ HOPF_CASES = {
     ),
     # the cocommutative dual: Delta(S_12) gains a second 1 (x) S_12
     "dual made non-cocommutative": (
-        eqsym.dual_algebra(),
+        cli._REGISTRY["eqsym:S"],
         {"coproduct": ((W("12"),), bump(((), W("12"))))},
     ),
     # M_12 M_11 loses a term; M_11 precedes M_12 in degree 2, so the equal-degree
@@ -192,7 +192,7 @@ def drop_first(terms):
 
 
 def lossy_algebra(name, edit):
-    alg = {"cpqsym": parkfunc.algebra, "wsym": sgqsym.wsym_algebra}[name]()
+    alg = cli._REGISTRY[{"cpqsym": "cpqsym:Mpa", "wsym": "wsym:Mw"}[name]]
     return replace(alg, product=lossy(alg.product, edit))
 
 
@@ -312,7 +312,7 @@ def _no_rule_call(*args):
 
 
 def test_checks_refuse_bounds_beyond_the_family_bound_before_any_rule_call():
-    alg = replace(sgqsym.qsym_algebra(), product=_no_rule_call, coproduct=_no_rule_call)
+    alg = replace(cli._REGISTRY["qsym-embed:uq"], product=_no_rule_call, coproduct=_no_rule_call)
     with pytest.raises(LimitExceeded, match=r"\(Limits\.compositions\)$"):
         hopf_check(alg, 11)
     with pytest.raises(LimitExceeded, match=r"\(Limits\.compositions\)$"):
@@ -398,7 +398,7 @@ def test_held_and_streamed_top_degrees_report_alike(name, monkeypatch):
 
 
 def test_a_held_sweep_computes_each_rule_value_once():
-    alg = phisym.algebra()
+    alg = cli._REGISTRY["phisym:phi"]
     assert _Sweep(alg, 5).held_upto == 5
     calls: Counter = Counter()
     assert hopf_check(counted(alg, calls), 5).passed
@@ -407,8 +407,13 @@ def test_a_held_sweep_computes_each_rule_value_once():
     assert set(calls.values()) == {1}
 
 
+# the algebras whose default record names the dual `verify` pairs it with;
+# test_criterion_5_duality pins the three pairs
+DUAL_ALGEBRAS = [algebra for algebra in cli.VERIFIABLE if cli._lookup(algebra, None).dual]
+
+
 @pytest.mark.parametrize("held", [True, False], ids=["held", "streamed"])
-@pytest.mark.parametrize("algebra", ["eqsym", "sgqsym", "ccqsym"])
+@pytest.mark.parametrize("algebra", DUAL_ALGEBRAS)
 def test_verify_duality_reads_the_sweep_tables(algebra, held, monkeypatch):
     """The primal rules reach no argument in ``verify`` that ``hopf_check``
     alone does not, and none more often."""
@@ -440,10 +445,10 @@ def _cached(rule, handed_out):
     return cached
 
 
-@pytest.mark.parametrize("alg", [
-    sgqsym.algebra(), phisym.algebra(), parkfunc.algebra(),
-], ids=["sgqsym", "phisym", "parkfunc"])
-def test_hopf_check_never_mutates_cached_rule_values(alg):
+@pytest.mark.parametrize("kind", ["sgqsym:M", "phisym:phi", "cpqsym:Mpa"],
+                         ids=["sgqsym", "phisym", "parkfunc"])
+def test_hopf_check_never_mutates_cached_rule_values(kind):
+    alg = cli._REGISTRY[kind]
     handed_out: list = []
     shared = replace(alg, product=_cached(alg.product, handed_out),
                      coproduct=_cached(alg.coproduct, handed_out))
@@ -453,13 +458,13 @@ def test_hopf_check_never_mutates_cached_rule_values(alg):
         assert value.terms == snapshot
 
 
-@pytest.mark.parametrize("algebra", ["eqsym", "sgqsym", "ccqsym"])
+@pytest.mark.parametrize("algebra", DUAL_ALGEBRAS)
 def test_verify_never_mutates_cached_rule_values(algebra, monkeypatch):
     """The values the sweep tables and duality then reads, from the primal
     and the dual rules, come out of ``verify`` as they went in."""
     handed_out: list = []
-    for basis in (None, cli._VERIFY[algebra]):
-        record = cli._lookup(algebra, basis)
+    primal = cli._lookup(algebra, None)
+    for record in (primal, cli._REGISTRY[primal.dual]):
         monkeypatch.setitem(cli._REGISTRY, record.kind, replace(
             record, product=_cached(record.product, handed_out),
             coproduct=_cached(record.coproduct, handed_out)))
@@ -600,9 +605,9 @@ REFERENCE_CASES = {
     **{f"{name} {edit}": (lossy_algebra(name, EDITS[edit]), 5) for name, edit in LOSSY_EXPECTED},
     **{f"wrong kind: {name}": (alg, 4) for name, alg in WRONG_KIND_CASES.items()},
     "eqsym at 5": (eqsym.algebra(), 5),
-    "cpqsym at 5": (parkfunc.algebra(), 5),
-    "phisym at 5": (phisym.algebra(), 5),
-    "wsym at 5": (sgqsym.wsym_algebra(), 5),
+    "cpqsym at 5": (cli._REGISTRY["cpqsym:Mpa"], 5),
+    "phisym at 5": (cli._REGISTRY["phisym:phi"], 5),
+    "wsym at 5": (cli._REGISTRY["wsym:Mw"], 5),
 }
 
 

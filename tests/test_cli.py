@@ -6,6 +6,7 @@ import shlex
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -650,8 +651,26 @@ def test_default_basis_prints_as_named_basis(algebra, fmt):
 def test_verifiable_algebras_keep_the_sweep_order():
     assert cli.VERIFIABLE == [
         "eqsym", "sgqsym", "piqsym", "wsym", "qsym-embed", "sym-embed",
-        "phisym", "cpqsym", "ccqsym", "fqsym-q",
+        "phisym", "cpqsym", "ccqsym", "fqsym-q", "ncsf-q",
     ]
+    assert list(cli._VERIFY) == ["fqsym-q"]
+
+
+NCSF_Q_REPORT = [
+    "associativity: ok", "unit: ok", "coassociativity: ok", "counit: ok",
+    "compatibility: ok", "commutativity: no", "cocommutativity: no",
+]
+
+
+def test_verify_sweeps_the_twisted_ncsf_record(monkeypatch):
+    monkeypatch.delenv("HOPFCOMB_MAX_DEGREE", raising=False)
+    code, out, err = run_cli("verify", "--algebra", "ncsf-q")
+    assert (code, out.splitlines(), err) == (0, NCSF_Q_REPORT, "")
+    # without its twist the record is no bialgebra, and verify says where
+    monkeypatch.setitem(cli._REGISTRY, "ncsf-q:S", replace(cli._REGISTRY["ncsf-q:S"], twist=None))
+    code, out, err = run_cli("verify", "--algebra", "ncsf-q")
+    assert code == 1 and err == ""
+    assert "compatibility: FAIL at ((1,), (1,))" in out.splitlines()
 
 
 @pytest.mark.parametrize("algebra", cli.VERIFIABLE)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from conftest import LOOPING_ROUTES, lc, tensor_terms
-from hopfcomb import eqsym, parkfunc
+from hopfcomb import cli, eqsym, parkfunc
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb
@@ -334,7 +334,7 @@ def test_forest_certificate_requires_nondecreasing():
 
 
 def test_hopf_axioms_degree_4():
-    report = hopf_check(parkfunc.algebra(), 4)
+    report = hopf_check(cli._REGISTRY["cpqsym:Mpa"], 4)
     assert report.passed and report.commutative
     report = hopf_check(parkfunc.cc_algebra(), 4)
     assert report.passed and report.commutative

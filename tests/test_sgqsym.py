@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import LOOPING_ROUTES, SORTING_ROUTES, lc
-from hopfcomb import eqsym, sgqsym, symfunc
+from hopfcomb import cli, eqsym, sgqsym, symfunc
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, bilinear, pairing, tensor, tensor_kind
 from hopfcomb.words import (
@@ -426,16 +426,11 @@ def test_full_cycle_duals_primitive():
 
 
 def test_hopf_axioms_all_adapters_degree_4():
-    for adapter in (
-        sgqsym.algebra(),
-        sgqsym.piqsym_algebra(),
-        sgqsym.qsym_algebra(),
-        sgqsym.sym_algebra(),
-    ):
-        report = hopf_check(adapter, 4)
-        assert report.passed, (adapter.kind, report.lines())
-        assert report.commutative, adapter.kind
-    wsym = hopf_check(sgqsym.wsym_algebra(), 4)
+    for kind in ("sgqsym:M", "piqsym:upi", "qsym-embed:uq", "sym-embed:ul"):
+        report = hopf_check(cli._REGISTRY[kind], 4)
+        assert report.passed, (kind, report.lines())
+        assert report.commutative, kind
+    wsym = hopf_check(cli._REGISTRY["wsym:Mw"], 4)
     assert wsym.passed and wsym.cocommutative
 
 

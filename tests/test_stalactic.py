@@ -204,6 +204,17 @@ def test_class_product_examples():
         stalactic.class_product("nope", (1,), (1,))
 
 
+@pytest.mark.parametrize("family, u, v, words", [
+    ("parking", (2,), (1,), "parking functions"),
+    ("endofunctions", (5,), (1,), "endofunctions"),
+    ("initial_words", (2,), (1,), "initial words"),
+    ("initial_words", (1,), (1, 3), "initial words"),
+], ids=["parking", "endofunctions", "initial_words", "initial_words-gap"])
+def test_class_product_refuses_representatives_outside_the_family(family, u, v, words):
+    with pytest.raises(ValueError, match=f"^class representatives must be {words}$"):
+        stalactic.class_product(family, u, v)
+
+
 def test_class_products_well_defined():
     for family in ("parking", "endofunctions", "initial_words"):
         for n, m in [(1, 2), (2, 2), (2, 3), (3, 3)]:

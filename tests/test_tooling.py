@@ -162,3 +162,35 @@ def test_one_bounds_value():
                 if any(param.arg == "limits" for param in params):
                     found.append(f"{module.name}:{node.lineno} takes limits")
     assert found == []
+
+
+
+# where the package builds a basis record: the registry, and the three
+# module adapters the benchmark calls
+RECORD_BUILDERS = {("cli.py", "_REGISTRY"), ("eqsym.py", "algebra"), ("sgqsym.py", "algebra"),
+                   ("parkfunc.py", "cc_algebra")}
+
+
+def _defined_name(node: ast.stmt) -> str | None:
+    """The name a top-level statement defines or assigns, if any."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return next((t.id for t in targets if isinstance(t, ast.Name)), None)
+
+
+def test_one_registry_of_basis_records():
+    """No module of the package builds a ``GradedBasis`` outside the
+    registry and the three adapters, so every record is one ``verify`` sees."""
+    found = []
+    for module in sorted((ROOT / "src" / "hopfcomb").glob("*.py")):
+        for top in ast.parse(module.read_text()).body:
+            if (module.name, _defined_name(top)) in RECORD_BUILDERS:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "GradedBasis":
+                        found.append(f"{module.name}:{node.lineno} calls GradedBasis(")
+    assert found == []
