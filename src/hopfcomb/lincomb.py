@@ -115,12 +115,16 @@ class LinComb:
 
 
 def relabelled(kind: str, rule: Callable) -> Callable:
-    """``rule`` with each value's terms re-wrapped, not copied, under ``kind``.
+    """``rule`` with each value's terms re-wrapped, not copied, under ``kind``;
+    ``inspect.unwrap`` of the result gives ``rule`` back.
 
     >>> relabelled("u", lambda a: LinComb.basis("t", a))((1,))
     LinComb(u: 1*(1,))
     """
-    return lambda *labels: LinComb(kind, rule(*labels).terms)
+    def rule_in_kind(*labels):
+        return LinComb(kind, rule(*labels).terms)
+    rule_in_kind.__wrapped__ = rule
+    return rule_in_kind
 
 
 def bilinear(x: LinComb, y: LinComb, rule: Callable, kind: str | None = None) -> LinComb:

@@ -19,7 +19,7 @@ from . import eqsym
 from .axioms import CheckResult, GradedBasis, check_each, graded_pairs
 from .limits import guard
 from .lincomb import LinComb, bilinear, relabelled, tensor_kind
-from .sgqsym import multiset_rules
+from .sgqsym import min_rotation, multiset_rules
 from .words import (
     FAMILIES,
     Family,
@@ -96,14 +96,7 @@ def graph_certificate(p: Word) -> tuple:
             return (canon(kids[0]),)
         return tuple(sorted(map(canon, kids)))
 
-    components = []
-    for cycle in cycles:
-        seq = tuple(map(canon, cycle))
-        if len(seq) > 1:
-            seq = min(seq[k:] + seq[:k] for k in range(len(seq)))
-        components.append(seq)
-    components.sort()
-    return tuple(components)
+    return tuple(sorted(min_rotation(map(canon, cycle)) for cycle in cycles))
 
 
 def tree_text(t: tuple) -> str:

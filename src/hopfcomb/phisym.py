@@ -1,11 +1,14 @@
 """The cocommutative Hopf algebra of permutations built on cycle structure.
 
 Products merge cycles through the matching (Wick-style) product of cyclic
-shuffles; the coproduct unshuffles cycles.  Two multiplicative bases are
-provided, both triangular over the natural one by cycle count, and both
-multiply by shifted concatenation: ``Ss`` is the S basis of sgqsym, and
-``Sp`` comultiplies factor by factor, as phi on each connected factor.  The
-quotient by cycle type is isomorphic to ordinary symmetric functions.
+shuffles; the coproduct unshuffles cycles.  The unions of cycles are the
+subsets stable with a stable complement, so that coproduct is the
+stable-split coproduct of the endofunction dual, and is bound to it.  Two
+multiplicative bases are provided, both triangular over the natural one by
+cycle count, and both multiply by shifted concatenation: ``Ss`` is the S
+basis of sgqsym, and ``Sp`` comultiplies factor by factor, as phi on each
+connected factor.  The quotient by cycle type is isomorphic to ordinary
+symmetric functions.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from . import eqsym, symfunc
+from . import eqsym, sgqsym, symfunc
 from .axioms import CheckResult, check_each, graded_pairs
 from .lincomb import LinComb, bilinear, relabelled, tensor, tensor_kind, tensor_mul
 from .realize import phi_factors
@@ -32,7 +35,6 @@ from .words import (
     cycles,
     from_cycles,
     shuffle,
-    standardized_cycles,
 )
 
 PHI_KIND = "phisym:phi"
@@ -91,16 +93,8 @@ def product_phi(sigma: Word, tau: Word) -> LinComb:
     return LinComb(PHI_KIND, terms)
 
 
-def coproduct_phi(sigma: Word) -> LinComb:
-    """Unshuffle the cycles: split the cycle set, renumbering both parts."""
-    cyc = cycles(sigma)
-    terms: dict[tuple[Word, Word], int] = {}
-    for size in range(len(cyc) + 1):
-        for chosen in itertools.combinations(range(len(cyc)), size):
-            rest = tuple(i for i in range(len(cyc)) if i not in chosen)
-            key = (standardized_cycles(cyc, chosen), standardized_cycles(cyc, rest))
-            terms[key] = terms.get(key, 0) + 1
-    return LinComb(tensor_kind(PHI_KIND), terms)
+# Unshuffle the cycles, renumbering both parts: the stable splits of sigma.
+coproduct_phi = relabelled(tensor_kind(PHI_KIND), eqsym.coproduct_S)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +221,8 @@ def y_representative_independent(degree_bound: int) -> CheckResult:
 
 def y_to_sym(lam: IntegerPartition) -> LinComb:
     """Image of a cycle-type class in monomial symmetric functions."""
-    numerator = 1
-    for mult in Counter(lam).values():
-        numerator *= factorial(mult)
-    denominator = 1
-    for part in lam:
-        denominator *= factorial(part - 1)
-    return symfunc.sym("m", lam, Fraction(numerator, denominator))
+    denominator = prod(factorial(part - 1) for part in lam)
+    return symfunc.sym("m", lam, Fraction(sgqsym.commutative_image_coeff(lam), denominator))
 
 
 def y_iso_check(degree_bound: int) -> CheckResult:

@@ -2,9 +2,11 @@
 
 The deformation never touches the products; coproducts acquire powers of q
 counted by crossing inversions, and comultiplicativity holds for the tensor
-product twisted by q^(deg x deg).  Two q-rewriting systems give quotients
-with class censuses by descent compositions and by binary trees, counted as
-the irreducible permutations that a local rule on adjacent letters generates.
+product twisted by q^(deg x deg).  QSym_q's M basis deconcatenates with
+coefficient 1, as the uq basis of sgqsym's quasi-symmetric embedding does,
+and takes that rule.  Two q-rewriting systems give quotients with class
+censuses by descent compositions and by binary trees, counted as the
+irreducible permutations that a local rule on adjacent letters generates.
 """
 from __future__ import annotations
 
@@ -12,9 +14,10 @@ import itertools
 from functools import lru_cache, partial
 from typing import Iterator
 
+from . import sgqsym
 from .axioms import CheckResult, check_each, graded_labels
 from .coeffs import QPoly
-from .lincomb import LinComb, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
+from .lincomb import LinComb, relabelled, tensor_kind, tensor_mul, tensor_swap, twisted_tensor_mul
 from .limits import guard
 from .realize import QMONO_KIND, qvar_mul, realize_fundamental
 from .words import (
@@ -48,11 +51,7 @@ def chi_sum(b: Composition, a: Composition) -> QPoly:
 # ---------------------------------------------------------------------------
 # QSym_q and NCSF_q on compositions
 
-def coproduct_q_M(comp: Composition) -> LinComb:
-    terms = {
-        (comp[:k], comp[k:]): QPoly.const(1) for k in range(len(comp) + 1)
-    }
-    return LinComb(tensor_kind(QM_KIND), terms)
+coproduct_q_M = relabelled(tensor_kind(QM_KIND), sgqsym.coproduct_uq)
 
 
 def product_S_ncsf(comp1: Composition, comp2: Composition) -> LinComb:
@@ -174,20 +173,15 @@ def phi_morphism_check(alpha: Word, beta: Word, n_trunc: int | None = None) -> b
 # ---------------------------------------------------------------------------
 # q-congruences: rewriting to canonical forms
 
-def _qh_applicable(w: Word, i: int) -> bool:
-    c, a = w[i], w[i + 1]
-    if a >= c:
-        return False
-    if any(a < w[s] <= c for s in range(i)):
-        return True
-    return any(a <= w[t] < c for t in range(i + 2, len(w)))
-
-
 def _qs_applicable(w: Word, i: int) -> bool:
     c, a = w[i], w[i + 1]
-    if a >= c:
-        return False
-    return any(a <= w[t] < c for t in range(i + 2, len(w)))
+    return a < c and any(a <= w[t] < c for t in range(i + 2, len(w)))
+
+
+def _qh_applicable(w: Word, i: int) -> bool:
+    """A descent c a with a witness on its left, a < w[s] <= c, or a qS step."""
+    c, a = w[i], w[i + 1]
+    return a < c and (any(a < w[s] <= c for s in range(i)) or _qs_applicable(w, i))
 
 
 # Each system's step predicate and its follower rule: the only letter below c

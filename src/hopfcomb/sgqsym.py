@@ -40,7 +40,6 @@ from .words import (
     shuffle,
     sort_composition,
     standardize,
-    standardized_cycles,
 )
 
 M_KIND = "sgqsym:M"
@@ -84,6 +83,7 @@ def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
     n, m = len(alpha), len(beta)
     alpha_type = cycle_type(alpha)
     gamma_type = sort_composition(alpha_type + cycle_type(beta))
+    ground = range(1, n + m + 1)
     terms: dict[Word, int] = {}
     for gamma in permutations_of_type(gamma_type, n + m):
         cyc = cycles(gamma)
@@ -91,11 +91,11 @@ def product_M_dual_count(alpha: Word, beta: Word) -> LinComb:
         for chosen in itertools.combinations(range(len(cyc)), len(alpha_type)):
             if sort_composition([len(cyc[i]) for i in chosen]) != alpha_type:
                 continue
-            rest = tuple(i for i in range(len(cyc)) if i not in chosen)
-            if (
-                standardized_cycles(cyc, chosen) == alpha
-                and standardized_cycles(cyc, rest) == beta
-            ):
+            inside = {a for i in chosen for a in cyc[i]}
+            subset = tuple(a for a in ground if a in inside)
+            complement = tuple(a for a in ground if a not in inside)
+            if (eqsym.restrict_std(gamma, subset) == alpha
+                    and eqsym.restrict_std(gamma, complement) == beta):
                 count += 1
         if count:
             terms[gamma] = count

@@ -226,28 +226,6 @@ def from_cycles(cycle_set: Iterable[Cycle], n: int | None = None) -> Word:
     return tuple(word)
 
 
-def standardized_cycles(cycle_list: Sequence[Cycle], chosen: Sequence[int]) -> Word:
-    """The permutation formed by the chosen cycles, renumbered onto 1..k.
-
-    The cycles of one permutation are disjoint, so the renumbered word is
-    written directly, each letter sent to the rank of its successor.
-
-    >>> standardized_cycles(((1, 3), (2,), (4, 5)), (0, 2))
-    (2, 1, 4, 3)
-    """
-    support = sorted(a for i in chosen for a in cycle_list[i])
-    rank = {a: i for i, a in enumerate(support)}
-    word = [0] * len(support)
-    for i in chosen:
-        c = cycle_list[i]
-        prev = rank[c[-1]]
-        for a in c:
-            r = rank[a]
-            word[prev] = r + 1
-            prev = r
-    return tuple(word)
-
-
 def cycle_words(c: Cycle) -> list[Cycle]:
     """All rotations of a cycle word."""
     return [c[k:] + c[:k] for k in range(len(c))]
@@ -693,33 +671,38 @@ def _cycles_from_text(text: str) -> list[Cycle]:
     return out
 
 
+def _bracketed(text: str, noun: str, brackets: str,
+               sep: str | None = None) -> list[tuple[int, ...]]:
+    """The comma-separated numbers between the two ``brackets``, cut into
+    groups at ``sep`` when it is given; an empty inside has no group.  Any
+    other text is refused as ``not <noun>: '<text>'``.
+
+    >>> _bracketed("{1,5|2}", "a set partition", "{}", "|")
+    [(1, 5), (2,)]
+    """
+    text = text.strip()
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise ValueError(f"not {noun}: {text!r}")
+    inner = text[1:-1]
+    groups = inner.split(sep) if sep else [inner]
+    return [_numbers(group.split(","), text, noun) for group in groups] if inner else []
+
+
 def set_partition_to_text(pi: SetPartition) -> str:
     return "{" + "|".join(",".join(str(a) for a in b) for b in pi) + "}"
 
 
 def set_partition_from_text(text: str) -> SetPartition:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"not a set partition: {text!r}")
-    inner = text[1:-1]
-    if not inner:
-        return ()
-    blocks = [_numbers(chunk.split(","), text, "a set partition") for chunk in inner.split("|")]
-    return canonical_set_partition(blocks)
+    return canonical_set_partition(_bracketed(text, "a set partition", "{}", "|"))
 
 
 def composition_to_text(parts: Sequence[int]) -> str:
     return "(" + ",".join(str(a) for a in parts) + ")"
 
 
-def composition_from_text(text: str) -> Composition:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"not a composition: {text!r}")
-    inner = text[1:-1]
-    if not inner:
-        return ()
-    return _numbers(inner.split(","), text, "a composition")
+def composition_from_text(text: str, noun: str = "a composition") -> Composition:
+    """``(2,1,1)``; a partition is read as a composition, refused by its own noun."""
+    return next(iter(_bracketed(text, noun, "()")), ())
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +770,7 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
            _checked(composition_from_text, _positive, "a composition"),
            composition_to_text, sum),
     Family("partitions", partitions, lambda n: multisets([1] * n)[n],
-           _checked(lambda text: sort_composition(composition_from_text(text)), _positive,
-                   "a partition"),
+           _checked(lambda text: sort_composition(composition_from_text(text, "a partition")),
+                    _positive, "a partition"),
            composition_to_text, sum),
 )}

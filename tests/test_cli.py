@@ -547,12 +547,15 @@ def test_wrong_family_labels_exit_two(argv):
     assert "Traceback" not in err
 
 
-# A letter that is not a number names the label, not Python's int().
+# A letter that is not a number names the label, not Python's int(); a
+# partition, though read as a composition, is refused as a partition.
 @pytest.mark.parametrize("argv, message", [
     ("product --algebra eqsym 1a 1", "not a word: '1a'"),
     ("product --algebra eqsym 1,a 1", "not a word: '1,a'"),
     ("product --algebra wsym {1,a} {1}", "not a set partition: '{1,a}'"),
     ("coproduct --algebra qsym-q (1,a)", "not a composition: '(1,a)'"),
+    ("product --algebra sym-embed (1) (2,a)", "not a partition: '(2,a)'"),
+    ("product --algebra sym-embed 2 (1)", "not a partition: '2'"),
     ("product --algebra parkgraph 1a 1", "not a word: '1a'"),
 ])
 def test_non_numeric_letters_are_refused_with_the_label(argv, message):

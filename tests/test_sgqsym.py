@@ -18,7 +18,6 @@ from hopfcomb.words import (
     permutations,
     set_partition_from_text as SP,
     set_partitions,
-    standardized_cycles,
     word_from_text as W,
 )
 
@@ -82,8 +81,10 @@ def _dual_counts_by_scan(total):
         cyc = cycles(gamma)
         for size in range(len(cyc) + 1):
             for chosen in itertools.combinations(range(len(cyc)), size):
-                rest = tuple(i for i in range(len(cyc)) if i not in chosen)
-                key = (standardized_cycles(cyc, chosen), standardized_cycles(cyc, rest))
+                inside = {a for i in chosen for a in cyc[i]}
+                subset = tuple(a for a in range(1, total + 1) if a in inside)
+                complement = tuple(a for a in range(1, total + 1) if a not in inside)
+                key = (eqsym.restrict_std(gamma, subset), eqsym.restrict_std(gamma, complement))
                 counts = table.setdefault(key, {})
                 counts[gamma] = counts.get(gamma, 0) + 1
     return table

@@ -1,7 +1,10 @@
 """Repository tooling: the benchmark's layer tracer must still find every
 function it wraps and see every rule call, the package keeps no dead
-helpers, and no module imports a name it does not use."""
+helpers, no module imports a name it does not use, and no structure
+constant has two rules."""
 import ast
+import inspect
+import itertools
 import json
 import os
 import re
@@ -194,3 +197,32 @@ def test_one_registry_of_basis_records():
                     if name == "GradedBasis":
                         found.append(f"{module.name}:{node.lineno} calls GradedBasis(")
     assert found == []
+
+
+AUDIT_DEGREE = 4
+
+
+def test_one_rule_per_structure_constant():
+    """Two registered records over one label family whose products agree on
+    every pair, or whose coproducts agree on every label, of total degree at
+    most ``AUDIT_DEGREE`` compute one structure constant, so they must share
+    one rule: ``inspect.unwrap`` sees through ``lincomb.relabelled``."""
+    by_family = {}
+    for kind, record in cli._REGISTRY.items():
+        if record.family.labels is not None:
+            by_family.setdefault(record.family, []).append((kind, record))
+    duplicates = []
+    for family, records in by_family.items():
+        labels = [x for n in range(AUDIT_DEGREE + 1) for x in family.labels(n)]
+        cases = {"product": [(x, y) for x in labels for y in labels
+                             if family.degree(x) + family.degree(y) <= AUDIT_DEGREE],
+                 "coproduct": [(x,) for x in labels]}
+        for op, op_cases in cases.items():
+            rules = [(kind, getattr(record, op)) for kind, record in records
+                     if getattr(record, op) is not None]
+            values = {kind: [rule(*case).terms for case in op_cases] for kind, rule in rules}
+            for (kind1, rule1), (kind2, rule2) in itertools.combinations(rules, 2):
+                if (values[kind1] == values[kind2]
+                        and inspect.unwrap(rule1) is not inspect.unwrap(rule2)):
+                    duplicates.append(f"{op} of {kind1} and {kind2}")
+    assert duplicates == []

@@ -43,7 +43,6 @@ from hopfcomb.words import (
     shifted_shuffle,
     shuffle,
     standardize,
-    standardized_cycles,
     word_from_text,
     word_to_text,
 )
@@ -111,21 +110,6 @@ def test_cycles_round_trip_to_degree_7():
     for n in range(8):
         for sigma in permutations(n):
             assert from_cycles(cycles(sigma), n) == sigma
-
-
-def test_standardized_cycles_match_the_from_cycles_route_to_degree_6():
-    # reference: renumber the chosen cycles, then recompose through from_cycles
-    for n in range(7):
-        for sigma in permutations(n):
-            cyc = cycles(sigma)
-            for size in range(len(cyc) + 1):
-                for chosen in itertools.combinations(range(len(cyc)), size):
-                    support = sorted(a for i in chosen for a in cyc[i])
-                    rank = {a: r for r, a in enumerate(support, start=1)}
-                    expected = from_cycles(
-                        [tuple(rank[a] for a in cyc[i]) for i in chosen], len(support)
-                    )
-                    assert standardized_cycles(cyc, chosen) == expected, (sigma, chosen)
 
 
 def test_permutations_of_type_partition_each_symmetric_group():
