@@ -102,11 +102,13 @@ def coproduct_M(h: Word) -> LinComb:
     """Sum of M_u (x) M_v over the cuts of h = u . v; every cut is distinct.
 
     The cuts are those of :func:`~hopfcomb.words.cut_points`; the trivial
-    cuts 0 and len(h) reuse h.
+    cuts 0 and len(h) reuse h, so only a disconnected h walks its cuts.
     """
     terms = {((), h): 1}
-    for k in cut_points(h)[1:-1]:
-        terms[(h[:k], tuple(a - k for a in h[k:]))] = 1
+    cuts = cut_points(h)
+    if len(cuts) > 2:
+        for k in cuts[1:-1]:
+            terms[(h[:k], tuple(a - k for a in h[k:]))] = 1
     if h:
         terms[(h, ())] = 1
     return LinComb(M_TENSOR_KIND, terms)

@@ -11,6 +11,7 @@ irreducible permutations that a local rule on adjacent letters generates.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from functools import lru_cache, partial
 from typing import Iterator
 
@@ -185,11 +186,11 @@ def _qh_applicable(w: Word, i: int) -> bool:
 
 
 # Each system's step predicate and its follower rule: the only letter below c
-# that may follow c in an irreducible permutation, given the unused letters (a
-# value that is no unused letter below c lets none follow).
+# that may follow c in an irreducible permutation, given the unused letters in
+# increasing order (a value that is no unused letter below c lets none follow).
 _SYSTEMS = {
     "qH": (_qh_applicable, lambda c, unused: c - 1),
-    "qS": (_qs_applicable, lambda c, unused: max((b for b in unused if b < c), default=0)),
+    "qS": (_qs_applicable, lambda c, unused: ((0,) + unused)[bisect(unused, c)]),
 }
 
 
@@ -259,7 +260,9 @@ def irreducible_permutations(system: str, n: int) -> Iterator[Word]:
     a step exactly when a value strictly between a and c lies to its right
     (qS) or anywhere (qH).  So after the last letter c any unused larger
     letter may follow, since every earlier descent's gap is filled, and of
-    the smaller ones only the largest unused one (qS) or c - 1 (qH).
+    the smaller ones only the largest unused one (qS) or c - 1 (qH).  An
+    extension b that leaves letters unused, none of which may follow b, is a
+    dead end and is skipped: they all lie below b, so only the largest could.
     """
     _, follower = _system(system)
     if n < 0:
@@ -272,7 +275,9 @@ def irreducible_permutations(system: str, n: int) -> Iterator[Word]:
         below = follower(c, unused)
         for k, b in enumerate(unused):
             if b > c or b == below:
-                yield from grow(prefix + (b,), b, unused[:k] + unused[k + 1 :])
+                rest = unused[:k] + unused[k + 1 :]
+                if not rest or rest[-1] > b or follower(b, rest) == rest[-1]:
+                    yield from grow(prefix + (b,), b, rest)
 
     return grow((), 0, tuple(range(1, n + 1)))
 

@@ -129,8 +129,10 @@ def cut_points(h: Sequence[int]) -> list[int]:
     """Positions k where h splits as a shifted concatenation of length-k and rest.
 
     Includes the trivial cuts 0 and len(h).  An interior k is a cut exactly
-    when max(h[:k]) <= k < min(h[k:]), read off a running prefix maximum and
-    a precomputed suffix minimum, so the scan is linear.
+    when max(h[:k]) <= k < min(h[k:]).  One pass keeps the prefix maximum and
+    takes min(h[k:]) only where that maximum already allows a cut, so a word
+    whose prefix maximum exceeds every interior k scans no suffix; a word
+    with many such positions and no cut, like 1 1 2 3 ... n-1, costs O(n^2).
 
     >>> cut_points((1, 3, 2, 4))
     [0, 1, 3, 4]
@@ -138,13 +140,12 @@ def cut_points(h: Sequence[int]) -> list[int]:
     [0]
     """
     n = len(h)
-    tail_min = list(itertools.accumulate(reversed(h), min))  # [j] = min(h[n-1-j:])
     cuts = [0]
     head_max = 0
     for k in range(1, n):
         if h[k - 1] > head_max:
             head_max = h[k - 1]
-        if head_max <= k < tail_min[n - 1 - k]:
+        if head_max <= k < min(h[k:]):
             cuts.append(k)
     if n > 0:
         cuts.append(n)

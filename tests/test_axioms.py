@@ -407,6 +407,21 @@ def test_a_held_sweep_computes_each_rule_value_once():
     assert set(calls.values()) == {1}
 
 
+def test_the_eqsym_sweep_makes_its_recorded_rule_calls():
+    """A census of the rule calls of one streamed sweep, so that a faster rule
+    or sweep that drops or adds a case fails here: degree 5 has 3,125
+    endofunctions, more than HELD_TOP_LABELS, so its top degree is streamed."""
+    alg = eqsym.algebra()
+    assert _Sweep(alg, 5).held_upto == 4
+    calls: Counter = Counter()
+    assert hopf_check(counted(alg, calls), 5).passed
+    census = {
+        rule: (sum(n for args, n in calls.items() if len(args) == arity),
+               sum(1 for args in calls if len(args) == arity))
+        for rule, arity in (("product", 2), ("coproduct", 1))}
+    assert census == {"product": (8_760, 7_634), "coproduct": (7_780, 3_414)}
+
+
 # the algebras whose default record names the dual `verify` pairs it with;
 # test_criterion_5_duality pins the three pairs
 DUAL_ALGEBRAS = [algebra for algebra in cli.VERIFIABLE if cli._lookup(algebra, None).dual]

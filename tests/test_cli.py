@@ -39,6 +39,15 @@ def test_product_text_output():
     assert out.strip() == "M[133] + M[223] + M[323]"
 
 
+def test_a_partition_is_read_as_a_multiset_of_parts():
+    # as {2|1} is read as the set partition {1|2}, (1,2) is read as (2,1)
+    unsorted = run_cli("product", "--algebra", "sym-embed", "(1,2)", "(1)")
+    assert unsorted == run_cli("product", "--algebra", "sym-embed", "(2,1)", "(1)")
+    assert unsorted == (0, "2*ul[(2,1,1)]\n", "")
+    assert (run_cli("product", "--algebra", "piqsym", "{2|1}", "{1}")
+            == run_cli("product", "--algebra", "piqsym", "{1|2}", "{1}"))
+
+
 def test_output_is_deterministic():
     first = run_cli("product", "--algebra", "sgqsym", "--basis", "M", "12", "321")
     second = run_cli("product", "--algebra", "sgqsym", "--basis", "M", "12", "321")

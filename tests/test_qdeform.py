@@ -305,6 +305,32 @@ def test_generated_irreducible_permutations_match_the_scan(system):
         assert set(generated) == _irreducible_by_scan(system, n), n
 
 
+def _grown_with_dead_ends(system, n):
+    """The generator before it skipped dead ends: every extension whose
+    letter may follow is grown, whether or not the rest can follow it."""
+    follower = {
+        "qH": lambda c, unused: c - 1,
+        "qS": lambda c, unused: max((b for b in unused if b < c), default=0),
+    }[system]
+
+    def grow(prefix, c, unused):
+        if not unused:
+            yield prefix
+        below = follower(c, unused)
+        for k, b in enumerate(unused):
+            if b > c or b == below:
+                yield from grow(prefix + (b,), b, unused[:k] + unused[k + 1 :])
+
+    return grow((), 0, tuple(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("system", ["qH", "qS"])
+def test_skipping_dead_ends_keeps_the_irreducible_permutations_in_order(system):
+    for n in range(10):
+        assert (list(qdeform.irreducible_permutations(system, n))
+                == list(_grown_with_dead_ends(system, n))), n
+
+
 def _rewrite_by_listed_steps(w, system):
     exponent = 0
     while steps := qdeform.rewrite_steps(w, system):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -369,15 +370,37 @@ def _cut_points_quadratic(h):
     return [0] + inner + ([n] if n else [])
 
 
-def test_cut_points_matches_quadratic_definition_up_to_degree_6():
-    for n in range(7):
-        for h in enumerate_family("endofunctions", n):
-            assert cut_points(h) == _cut_points_quadratic(h), h
-
-
 @given(st.lists(st.integers(min_value=1, max_value=20), max_size=9).map(tuple))
 def test_cut_points_matches_quadratic_definition_on_large_letters(h):
     assert cut_points(h) == _cut_points_quadratic(h)
+
+
+def _cut_points_by_definition(h):
+    """Every k in 0..n with max(h[:k]) <= k < min(h[k:]), where the max of
+    nothing is 0 and the min of nothing is infinite."""
+    return [k for k in range(len(h) + 1)
+            if max(h[:k], default=0) <= k < min(h[k:], default=math.inf)]
+
+
+def test_cut_points_match_their_definition_on_small_endofunctions_and_s7():
+    small = (h for n in range(7) for h in enumerate_family("endofunctions", n))
+    for h in itertools.chain(small, enumerate_family("permutations", 7)):
+        assert cut_points(h) == _cut_points_by_definition(h), h
+
+
+def _endofunctions_st(max_size):
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n).map(tuple))
+
+
+# shifted concatenations of small endofunctions, so that most words have cuts
+_glued_st = st.lists(_endofunctions_st(4), max_size=4).map(
+    lambda parts: functools.reduce(shifted_concat, parts, ()))
+
+
+@given(st.one_of(_endofunctions_st(12), _glued_st))
+def test_cut_points_match_their_definition_on_random_endofunctions(h):
+    assert cut_points(h) == _cut_points_by_definition(h)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), max_size=7))
