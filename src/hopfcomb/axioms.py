@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator
 
 from . import limits
@@ -29,6 +29,8 @@ from .lincomb import (
     _sum_scaled_into,
     _tensor_apply_into,
     _twisted_tensor_mul_into,
+    bilinear,
+    tensor,
     tensor_kind,
     tensor_swap,
 )
@@ -371,6 +373,46 @@ def compatibility_check(alg: GradedBasis, degree_bound: int) -> CheckResult:
     pairs = _pair_cases(_Sweep(alg, degree_bound))
     # the pair cases also yield commutativity: the early stop counts it
     return first_failure(pairs, ("compatibility", "commutativity"))["compatibility"]
+
+
+def morphism_check(source: GradedBasis, target: GradedBasis, f: Callable,
+                   bound: int) -> CheckResult:
+    """Whether ``f``, a map from ``source`` labels to ``target`` values, is a
+    morphism up to the degree bound.  The cases, in order: f(()) is the
+    target's unit, at ``((),)``; f(xy) = f(x) f(y) at each of
+    :func:`graded_pairs`; and, where both records have a coproduct,
+    (f (x) f) Delta x = Delta f(x) at each of :func:`graded_labels`.  Each
+    identity is one signed sum, as in :func:`hopf_check`; ``f`` is called
+    once per label."""
+    image = cache(f)
+    kind, pair_kind = target.kind, tensor_kind(target.kind)
+
+    def multiplies(x, y) -> bool:
+        terms: dict = {}
+        xy = source.product(x, y).terms.items()
+        lhs = _sum_scaled_into(terms, ((image(l), c) for l, c in xy), kind)
+        rhs = _sum_scaled_into(terms, [(bilinear(image(x), image(y), target.product), -1)], kind)
+        return _cancels(terms, lhs, rhs)
+
+    def comultiplies(x) -> bool:
+        terms: dict = {}
+        cop = source.coproduct(x).terms.items()
+        lhs = _sum_scaled_into(terms, ((tensor(image(u), image(v)), c) for (u, v), c in cop),
+                               pair_kind)
+        rhs = _sum_scaled_into(terms, ((target.coproduct(l), -c)
+                                       for l, c in image(x).terms.items()), pair_kind)
+        return _cancels(terms, lhs, rhs)
+
+    # both families are guarded here, before any rule is called
+    pairs = graded_pairs(source.family.name, bound)
+    labels = (graded_labels(source.family.name, bound)
+              if source.coproduct is not None and target.coproduct is not None else ())
+    for cases, law in (([((),)], lambda e: _is_basis_element(image(e), kind, e)),
+                       (pairs, multiplies), (labels, comultiplies)):
+        result = check_each(cases, law)
+        if not result.passed:
+            break
+    return result
 
 
 def duality_check(

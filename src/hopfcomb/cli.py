@@ -17,8 +17,8 @@ from . import eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic, symfunc
 from .axioms import GradedBasis, compatibility_check, duality_check, hopf_check
 from .limits import LimitExceeded, current_limits
 from .lincomb import LinComb
-from .words import (FAMILIES, Family, family_size, set_partition_to_text, word_from_text,
-                    word_to_text)
+from .words import (FAMILIES, Family, block_composition, cycle_type, family_size,
+                    is_nondecreasing, set_partition_to_text, word_from_text, word_to_text)
 
 
 # Keyed by kind, "algebra:basis"; an algebra's first basis is its default.
@@ -62,6 +62,25 @@ _REGISTRY: dict[str, GradedBasis] = {basis.kind: basis for basis in (
 )}
 
 ALGEBRAS = sorted({kind.split(":")[0] for kind in _REGISTRY})
+
+# The relations between registered algebras, for `axioms.morphism_check`:
+# name -> (source kind, target kind, map from a source label to a target
+# value).  The entries name their records by kind, looked up in `_REGISTRY`
+# when a check runs, so that the benchmark's tracer reaches every rule.
+MORPHISMS: dict[str, tuple[str, str, Callable]] = {
+    "upi->M": (sgqsym.UPI_KIND, sgqsym.M_KIND, sgqsym.upi_expand),
+    "uq->M": (sgqsym.UQ_KIND, sgqsym.M_KIND, sgqsym.uq_expand),
+    "ul->M": (sgqsym.UL_KIND, sgqsym.M_KIND, sgqsym.ul_expand),
+    "phi->Y": (phisym.PHI_KIND, phisym.Y_KIND,
+               lambda sigma: LinComb.basis(phisym.Y_KIND, cycle_type(sigma))),
+    "Mw->V": (sgqsym.MW_KIND, sgqsym.V_KIND,
+              lambda pi: LinComb.basis(sgqsym.V_KIND, block_composition(pi))),
+    "Sp->phi": (phisym.SPRIME_KIND, phisym.PHI_KIND, phisym.sprime_expand),
+    "Ss->phi": (phisym.SSECOND_KIND, phisym.PHI_KIND, phisym.ssecond_expand),
+    # the quotient by the span of the labels that are not nondecreasing
+    "Mpa->cc": (parkfunc.MPA_KIND, parkfunc.CC_KIND,
+                lambda p: LinComb(parkfunc.CC_KIND, {p: 1} if is_nondecreasing(p) else {})),
+}
 
 
 def _lookup(algebra: str, basis: str | None) -> GradedBasis:

@@ -232,17 +232,6 @@ def cc_product(p: Word, q: Word) -> LinComb:
 cc_coproduct = relabelled(tensor_kind(CC_KIND), eqsym.coproduct_M)
 
 
-def cc_ideal_check(degree_bound: int) -> CheckResult:
-    """Products against a non-nondecreasing label stay in the ideal: at each
-    pair (p, q) with p outside the quotient's labels, no term of pq or qp is
-    nondecreasing."""
-    def stays(p: Word, q: Word) -> bool:
-        terms = itertools.chain(product_Mpa(p, q).terms, product_Mpa(q, p).terms)
-        return is_nondecreasing(p) or not any(map(is_nondecreasing, terms))
-
-    return check_each(graded_pairs("parking", degree_bound), stays)
-
-
 # Dual-side class product: shifted concatenation of nondecreasing labels.
 cc_dual_product = relabelled(CC_DUAL_KIND, eqsym.product_S)
 

@@ -211,14 +211,6 @@ def coproduct_Y(lam: IntegerPartition) -> LinComb:
         lambda ab: (cycle_type(ab[0]), cycle_type(ab[1])), tensor_kind(Y_KIND))
 
 
-def y_representative_independent(degree_bound: int) -> CheckResult:
-    """Cycle-type class products do not depend on the representatives."""
-    return check_each(
-        graded_pairs("permutations", degree_bound),
-        lambda sigma, tau: product_phi(sigma, tau).map_labels(cycle_type, Y_KIND)
-        == product_Y(cycle_type(sigma), cycle_type(tau)))
-
-
 def y_to_sym(lam: IntegerPartition) -> LinComb:
     """Image of a cycle-type class in monomial symmetric functions."""
     denominator = prod(factorial(part - 1) for part in lam)

@@ -419,14 +419,6 @@ def product_V(comp1: Composition, comp2: Composition) -> LinComb:
     return product.map_labels(block_composition, V_KIND)
 
 
-def quotient_well_defined(degree_bound: int) -> CheckResult:
-    """Class products are independent of the representative set partitions."""
-    return check_each(
-        graded_pairs("set_partitions", degree_bound),
-        lambda pi1, pi2: product_Mw(pi1, pi2).map_labels(block_composition, V_KIND)
-        == product_V(block_composition(pi1), block_composition(pi2)))
-
-
 def bell_polynomial(n: int) -> dict[IntegerPartition, int]:
     """Coefficients c_lam of the n-th power of the one-block class."""
     if n < 0:

@@ -129,10 +129,10 @@ def cut_points(h: Sequence[int]) -> list[int]:
     """Positions k where h splits as a shifted concatenation of length-k and rest.
 
     Includes the trivial cuts 0 and len(h).  An interior k is a cut exactly
-    when max(h[:k]) <= k < min(h[k:]).  One pass keeps the prefix maximum and
-    takes min(h[k:]) only where that maximum already allows a cut, so a word
-    whose prefix maximum exceeds every interior k scans no suffix; a word
-    with many such positions and no cut, like 1 1 2 3 ... n-1, costs O(n^2).
+    when max(h[:k]) <= k < min(h[k:]).  One pass keeps the prefix maximum;
+    at the first k where that maximum allows a cut, the suffix minima from k
+    on are listed once, and read from then on.  A word whose prefix maximum
+    exceeds every interior k lists none, and no word costs more than O(n).
 
     >>> cut_points((1, 3, 2, 4))
     [0, 1, 3, 4]
@@ -142,11 +142,16 @@ def cut_points(h: Sequence[int]) -> list[int]:
     n = len(h)
     cuts = [0]
     head_max = 0
+    tail_min = None
     for k in range(1, n):
         if h[k - 1] > head_max:
             head_max = h[k - 1]
-        if head_max <= k < min(h[k:]):
-            cuts.append(k)
+        if head_max <= k:
+            if tail_min is None:
+                # tail_min[n - 1 - j] is min(h[j:]), for every j >= k
+                tail_min = list(itertools.accumulate(reversed(h[k:]), min))
+            if k < tail_min[n - 1 - k]:
+                cuts.append(k)
     if n > 0:
         cuts.append(n)
     return cuts

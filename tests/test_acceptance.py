@@ -7,9 +7,9 @@ import functools
 import itertools
 import math
 
-from conftest import lc, phi_route_coproduct, phi_route_product, tensor_terms
+from conftest import lc, tensor_terms
 from hopfcomb import cli, eqsym, parkfunc, phisym, qdeform, sgqsym, stalactic
-from hopfcomb.axioms import duality_check, hopf_check
+from hopfcomb.axioms import duality_check, hopf_check, morphism_check
 from hopfcomb.coeffs import QPoly
 from hopfcomb.lincomb import LinComb, tensor_kind, twisted_tensor_mul
 from hopfcomb.words import (
@@ -18,6 +18,7 @@ from hopfcomb.words import (
     permutations,
     set_partition_from_text as SP,
     set_partitions,
+    shifted_concat,
     word_from_text as W,
 )
 
@@ -297,29 +298,28 @@ def test_criterion_6_cross_basis_consistency():
             ss = phisym.phi_to_ssecond(x)
             assert phisym.ssecond_to_phi(LinComb("phisym:phi", ss.terms)) == x
 
-    from hopfcomb.words import shifted_concat
-
+    # the multiplicative bases multiply, and Ss comultiplies, as the dual
+    # basis does; the Sp -> phi and Ss -> phi morphisms tie them to phi
     for i in range(1, 4):
         for j in range(1, 5 - i):
             for a in permutations(i):
                 for b in permutations(j):
-                    target = {shifted_concat(a, b): 1}
-                    assert phi_route_product("Sp", a, b).terms == target
-                    assert phi_route_product("Ss", a, b).terms == target
-                    assert sgqsym.product_S(a, b).terms == target
-    # the second multiplicative basis matches the dual-basis coproduct as well
+                    for rule in (phisym.product_sprime, phisym.product_ssecond,
+                                 sgqsym.product_S):
+                        assert rule(a, b).terms == {shifted_concat(a, b): 1}
     for n in range(1, 5):
         for sigma in permutations(n):
-            assert (
-                phi_route_coproduct("Ss", sigma).terms
-                == sgqsym.coproduct_S(sigma).terms
-            )
+            assert phisym.coproduct_ssecond(sigma).terms == sgqsym.coproduct_S(sigma).terms
+    for name, (source, target, f) in cli.MORPHISMS.items():
+        res = morphism_check(cli._REGISTRY[source], cli._REGISTRY[target], f, 5)
+        assert res.passed, (name, res)
 
     res = phisym.y_iso_check(6)
     assert res.passed, res.counterexample
     _ok("6 cross-basis consistency",
         "round trips at degree 5; multiplicative bases match the dual basis at "
-        "degree 4; cycle-type quotient maps to Sym multiplicatively to degree 6")
+        "degree 4; the eight MORPHISMS hold at degree 5; cycle-type quotient maps "
+        "to Sym multiplicatively to degree 6")
 
 
 def test_criterion_7_stalactic_well_definedness():

@@ -6,6 +6,7 @@ counterexample in the checker's visiting order.  The expected tuples were
 recorded from the straightforward nested-loop checker, so they also pin that
 the sweep order of the table-driven checker is unchanged.
 """
+import math
 import time
 from collections import Counter
 from dataclasses import replace
@@ -25,21 +26,24 @@ from hopfcomb.axioms import (
     graded_labels,
     graded_pairs,
     hopf_check,
+    morphism_check,
     sweep_guard,
 )
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb, tensor_apply, tensor_kind, tensor_mul, tensor_swap
-from hopfcomb.words import compositions, is_involution, set_partition_from_text, word_from_text
+from hopfcomb.words import (compositions, enumerate_family, is_involution, multiset_splits,
+                            set_partition_from_text, sort_composition, word_from_text)
 
 W = word_from_text
 
 
 def corrupt(rule, label, edit):
-    """``rule`` with its value at ``label`` replaced by ``edit(terms)``."""
+    """``rule`` with its value at ``label``, or at every label if None,
+    replaced by ``edit(terms)``."""
 
     def broken(*args):
         out = rule(*args)
-        if args != label:
+        if label is not None and args != label:
             return out
         return LinComb(out.kind, edit(dict(out.terms)))
 
@@ -326,21 +330,18 @@ def test_checks_refuse_bounds_beyond_the_family_bound_before_any_rule_call():
 # bound.  Each was refused only after it had enumerated the degrees below,
 # some for minutes, or not at all.
 CLAIMS_PAST_THEIR_BOUND = {
+    "axioms.morphism_check": lambda L: run_morphism("phi->Y", L.permutations + 1),
     "eqsym.free_generation_check":
         lambda L: eqsym.free_generation_check(L.endofunctions + 1),
     "parkfunc.parking_closure_check": lambda L: parkfunc.parking_closure_check(L.parking + 1),
     "parkfunc.free_polynomial_check": lambda L: parkfunc.free_polynomial_check(L.parking + 1),
-    "parkfunc.cc_ideal_check": lambda L: parkfunc.cc_ideal_check(L.parking + 1),
     "parkfunc.cc_freeness_check":
         lambda L: parkfunc.cc_freeness_check(L.nondecreasing_parking + 1),
     "parkfunc.reordering_not_subalgebra_example":
         lambda L: parkfunc.reordering_not_subalgebra_example(L.nondecreasing_parking + 1),
-    "phisym.y_representative_independent":
-        lambda L: phisym.y_representative_independent(L.permutations + 1),
     "phisym.y_iso_check": lambda L: phisym.y_iso_check(L.partitions + 1),
     "sgqsym.subalgebra_closure_check":
         lambda L: sgqsym.subalgebra_closure_check(is_involution, L.permutations + 1),
-    "sgqsym.quotient_well_defined": lambda L: sgqsym.quotient_well_defined(L.set_partitions + 1),
     "sgqsym.full_cycle_S_primitive": lambda L: sgqsym.full_cycle_S_primitive(L.permutations + 1),
     "qdeform.cocommutativity_check": lambda L: qdeform.cocommutativity_check(L.permutations + 1),
     "qdeform.confluence_check": lambda L: qdeform.confluence_check("qS", L.rewrite_length + 1, 3),
@@ -650,6 +651,62 @@ def test_a_side_that_mixes_kinds_raises():
 
 
 # ---------------------------------------------------------------------------
+# morphisms between registered algebras
+
+def run_morphism(name: str, bound: int) -> CheckResult:
+    """The ``cli.MORPHISMS`` entry ``name``, its records read from the registry now."""
+    source, target, f = cli.MORPHISMS[name]
+    return morphism_check(cli._REGISTRY[source], cli._REGISTRY[target], f, bound)
+
+
+@pytest.mark.parametrize("name", list(cli.MORPHISMS))
+def test_every_registered_morphism_holds(name):
+    assert run_morphism(name, 5) == CheckResult(True)
+    # and each fails at its first case, the unit, once its map is doubled
+    source, target, f = cli.MORPHISMS[name]
+    doubled = morphism_check(cli._REGISTRY[source], cli._REGISTRY[target],
+                             lambda x: f(x).scale(2), 5)
+    assert doubled == CheckResult(False, ((),))
+
+
+def double_last(terms):
+    terms[next(reversed(terms))] *= 2
+    return terms
+
+
+# ncsf:V has no coproduct, so Mw -> V is checked through the product only
+@pytest.mark.parametrize("name, rule", [(name, rule) for name in cli.MORPHISMS
+                                        for rule in ("product", "coproduct")
+                                        if (name, rule) != ("Mw->V", "coproduct")])
+def test_a_doubled_source_rule_fails_its_morphism_at_its_first_case(name, rule, monkeypatch):
+    source = cli._REGISTRY[cli.MORPHISMS[name][0]]
+    broken = corrupt(getattr(source, rule), None, double_last)
+    monkeypatch.setitem(cli._REGISTRY, source.kind, replace(source, **{rule: broken}))
+    # the first case that reads the rule: the one label of degree 1, squared
+    # or comultiplied
+    one = next(enumerate_family(source.family.name, 1))
+    first = (one, one) if rule == "product" else (one,)
+    assert run_morphism(name, 5) == CheckResult(False, first)
+
+
+def test_the_other_normalization_of_sym_passes_the_axioms_but_not_its_morphism(monkeypatch):
+    """N_A = prod x_c^(m_c) with no m_c!: the product coefficient is 1 and the
+    coproduct binomial, a Hopf algebra that ul -> M does not embed in sgqsym:M."""
+
+    def coproduct(a):
+        return LinComb(tensor_kind(sgqsym.UL_KIND), {
+            (sort_composition(left), sort_composition(right)):
+                math.prod(math.comb(a.count(c), left.count(c)) for c in set(a))
+            for left, right in multiset_splits(a)})
+
+    other = replace(cli._REGISTRY[sgqsym.UL_KIND], coproduct=coproduct,
+                    product=lambda a, b: LinComb.basis(sgqsym.UL_KIND, sort_composition(a + b)))
+    assert hopf_check(other, 6).passed
+    monkeypatch.setitem(cli._REGISTRY, sgqsym.UL_KIND, other)
+    assert run_morphism("ul->M", 6) == CheckResult(False, ((1,), (1,)))
+
+
+# ---------------------------------------------------------------------------
 # the paper's claims: one CheckResult each, through first_failure
 
 def test_a_check_result_has_no_truth_value():
@@ -687,9 +744,11 @@ def _rotated_terms(rule, kind):
 
 # (module, rule name, broken rule, claim, its first counterexample)
 BROKEN_CLAIMS = {
-    # (1), (1, 1), (1, 2) are nondecreasing: 21 is the first label of the ideal
+    # sorting moves every term into the nondecreasing labels, in Mpa and in
+    # the quotient alike, so the law first fails at a factor outside them:
+    # M_1 M_21 keeps its sorted terms, but f(21) = 0
     "ideal": (parkfunc, "product_Mpa", _sorted_terms(parkfunc.product_Mpa, parkfunc.MPA_KIND),
-              lambda: parkfunc.cc_ideal_check(4), ((2, 1), (1,))),
+              lambda: run_morphism("Mpa->cc", 4), ((1,), (2, 1))),
     # M_1 M_1 = 2 M_12 rotates to the involution 21; M_1 M_12 holds M_123 -> 231
     "involutions": (sgqsym, "product_M", _rotated_terms(sgqsym.product_M, sgqsym.M_KIND),
                     lambda: sgqsym.subalgebra_closure_check(is_involution, 4),
@@ -705,6 +764,10 @@ BROKEN_CLAIMS = {
 def test_a_broken_rule_fails_its_claim_at_the_first_counterexample(name, monkeypatch):
     module, rule, broken, claim, counterexample = BROKEN_CLAIMS[name]
     assert claim().passed
+    # the rule is broken in its module and in every record that holds it
+    for kind, record in cli._REGISTRY.items():
+        if record.product is getattr(module, rule):
+            monkeypatch.setitem(cli._REGISTRY, kind, replace(record, product=broken))
     monkeypatch.setattr(module, rule, broken)
     assert claim() == CheckResult(False, counterexample)
 

@@ -231,11 +231,6 @@ def test_cc_product_matches_the_looping_route():
             rule(W("1"), W("21"))
 
 
-def test_ideal_is_stable():
-    res = parkfunc.cc_ideal_check(4)
-    assert res.passed, res.counterexample
-
-
 def test_catalan_dimensions():
     assert [
         sum(1 for _ in nondecreasing_parking_functions(n)) for n in range(1, 5)

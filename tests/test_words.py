@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -360,6 +361,16 @@ def test_partition_of_word():
 def test_cut_points():
     assert cut_points((4, 2, 3, 2, 2, 7, 7)) == [0, 5, 7]
     assert cut_points(()) == [0]
+
+
+def test_cut_points_take_linear_time_where_every_prefix_allows_a_cut():
+    # the prefix maximum of 1 2 ... n-1 1 allows a cut at every k and its
+    # last letter forbids each; taking min(h[k:]) at each k took 0.7 s here
+    n = 10_000
+    h = tuple(range(1, n)) + (1,)
+    start = time.perf_counter()
+    assert cut_points(h) == [0, n]
+    assert time.perf_counter() - start < 0.1
 
 
 def _cut_points_quadratic(h):
