@@ -1,6 +1,8 @@
 import itertools
+from dataclasses import replace
 
-from hopfcomb import parkfunc, phisym, sgqsym
+from hopfcomb import cli, parkfunc, phisym, sgqsym
+from hopfcomb.axioms import CheckResult, morphism_check
 from hopfcomb.lincomb import LinComb, tensor_kind
 from hopfcomb.realize import classify_biword
 from hopfcomb.words import (
@@ -22,6 +24,14 @@ def lc(kind, *pairs):
             label = word_from_text(label)
         out = out + LinComb.basis(kind, label, coeff)
     return out
+
+
+def run_morphism(name: str, bound: int, **rules) -> CheckResult:
+    """The ``cli.MORPHISMS`` entry ``name``, its records read from the
+    registry now, with the source's rules replaced by ``rules``: with
+    ``coproduct=None`` only the unit and the products are checked."""
+    source, target, f = cli.MORPHISMS[name]
+    return morphism_check(replace(cli._REGISTRY[source], **rules), cli._REGISTRY[target], f, bound)
 
 
 def tensor_terms(kind, *triples):

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import run_morphism
 from hopfcomb import axioms, cli, eqsym, limits, parkfunc, phisym, qdeform, sgqsym, stalactic
 from hopfcomb.axioms import (
     CheckResult,
@@ -330,7 +331,9 @@ def test_checks_refuse_bounds_beyond_the_family_bound_before_any_rule_call():
 # bound.  Each was refused only after it had enumerated the degrees below,
 # some for minutes, or not at all.
 CLAIMS_PAST_THEIR_BOUND = {
-    "axioms.morphism_check": lambda L: run_morphism("phi->Y", L.permutations + 1),
+    "cli.MORPHISMS:Mpa->cc": lambda L: run_morphism("Mpa->cc", L.parking + 1),
+    "cli.MORPHISMS:Mw->V": lambda L: run_morphism("Mw->V", L.set_partitions + 1),
+    "cli.MORPHISMS:phi->Y": lambda L: run_morphism("phi->Y", L.permutations + 1),
     "eqsym.free_generation_check":
         lambda L: eqsym.free_generation_check(L.endofunctions + 1),
     "parkfunc.parking_closure_check": lambda L: parkfunc.parking_closure_check(L.parking + 1),
@@ -652,12 +655,6 @@ def test_a_side_that_mixes_kinds_raises():
 
 # ---------------------------------------------------------------------------
 # morphisms between registered algebras
-
-def run_morphism(name: str, bound: int) -> CheckResult:
-    """The ``cli.MORPHISMS`` entry ``name``, its records read from the registry now."""
-    source, target, f = cli.MORPHISMS[name]
-    return morphism_check(cli._REGISTRY[source], cli._REGISTRY[target], f, bound)
-
 
 @pytest.mark.parametrize("name", list(cli.MORPHISMS))
 def test_every_registered_morphism_holds(name):

@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from conftest import LOOPING_ROUTES, lc, tensor_terms
+from conftest import LOOPING_ROUTES, lc, run_morphism, tensor_terms
 from hopfcomb import cli, eqsym, parkfunc
-from hopfcomb.axioms import duality_check, hopf_check
+from hopfcomb.axioms import CheckResult, duality_check, hopf_check
 from hopfcomb.limits import LimitExceeded
 from hopfcomb.lincomb import LinComb
 from hopfcomb.words import (
@@ -229,6 +229,11 @@ def test_cc_product_matches_the_looping_route():
     for rule in (parkfunc.cc_product, LOOPING_ROUTES["cc_product"]):
         with pytest.raises(ValueError):
             rule(W("1"), W("21"))
+
+
+def test_ideal_is_stable():
+    # the labels that are not nondecreasing span an ideal
+    assert run_morphism("Mpa->cc", 5, coproduct=None) == CheckResult(True)
 
 
 def test_catalan_dimensions():

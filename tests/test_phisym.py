@@ -4,9 +4,9 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import LOOPING_ROUTES, lc, tensor_terms
+from conftest import LOOPING_ROUTES, lc, run_morphism, tensor_terms
 from hopfcomb import cli, phisym, sgqsym
-from hopfcomb.axioms import hopf_check
+from hopfcomb.axioms import CheckResult, hopf_check
 from hopfcomb.lincomb import LinComb, tensor_kind, tensor_swap
 from hopfcomb.realize import (
     BIWORD_KIND,
@@ -259,6 +259,11 @@ def test_y_products_golden():
     }
     assert phisym.product_Y((1,), (4,)).terms == {(4, 1): 1, (5,): 4}
     assert phisym.product_Y((3,), (2,)).terms == {(3, 2): 1, (5,): 12}
+
+
+def test_y_representative_independence():
+    # product_Y does not depend on the representatives of the cycle types
+    assert run_morphism("phi->Y", 5, coproduct=None) == CheckResult(True)
 
 
 def test_y_basis_is_a_commutative_cocommutative_hopf_algebra():

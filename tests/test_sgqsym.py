@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import LOOPING_ROUTES, SORTING_ROUTES, lc
+from conftest import LOOPING_ROUTES, SORTING_ROUTES, lc, run_morphism
 from hopfcomb import cli, eqsym, sgqsym, symfunc
-from hopfcomb.axioms import duality_check, hopf_check
-from hopfcomb.lincomb import LinComb, pairing, tensor
+from hopfcomb.axioms import CheckResult, duality_check, hopf_check
+from hopfcomb.lincomb import LinComb, pairing, tensor, tensor_swap
 from hopfcomb.words import (
     compositions,
     cycle_type,
@@ -147,6 +147,22 @@ def test_upi_squared_degree_one():
     assert r.terms == {SP("{1|2}"): 2}
 
 
+def swapped(rule):
+    """``rule``, a coproduct, with its tensor factors exchanged."""
+    return lambda label: tensor_swap(rule(label))
+
+
+def test_upi_expansion_commutes_with_products():
+    assert run_morphism("upi->M", 5, coproduct=None) == CheckResult(True)
+
+
+def test_upi_expansion_is_a_coalgebra_map():
+    assert run_morphism("upi->M", 5) == CheckResult(True)
+    # the law reads the order of the factors: the image of {12|3} is not cocommutative
+    assert run_morphism("upi->M", 5, coproduct=swapped(sgqsym.coproduct_upi)) == \
+        CheckResult(False, (SP("{1,2|3}"),))
+
+
 def _set_partitions_upto(n):
     return [pi for k in range(n + 1) for pi in set_partitions(k)]
 
@@ -192,9 +208,25 @@ def test_uq_one_part_compositions():
     assert r.terms == {(2, 3): 1, (3, 2): 1}
 
 
+def test_uq_expansion_consistency():
+    assert run_morphism("uq->M", 5, coproduct=None) == CheckResult(True)
+
+
 def test_ul_product_golden():
     assert sgqsym.product_ul((3, 3, 2, 1), (3, 1, 1)).terms == {(3, 3, 3, 2, 1, 1, 1): 9}
     assert sgqsym.product_ul((1,), (1,)).terms == {(1, 1): 2}
+
+
+def test_ul_expansion_consistency():
+    assert run_morphism("ul->M", 5, coproduct=None) == CheckResult(True)
+
+
+def test_image_coproducts_match_lifted_expansions():
+    assert run_morphism("ul->M", 5) == run_morphism("uq->M", 5) == CheckResult(True)
+    # the image of Sym is cocommutative, that of QSym is not from M_12 on
+    assert run_morphism("ul->M", 5, coproduct=swapped(sgqsym.coproduct_ul)) == CheckResult(True)
+    assert run_morphism("uq->M", 5, coproduct=swapped(sgqsym.coproduct_uq)) == \
+        CheckResult(False, ((1, 2),))
 
 
 def test_wsym_realization_contains_orbit_word():
@@ -294,6 +326,11 @@ def test_derangement_closure_recorded():
 def test_all_permutations_closed():
     res = sgqsym.subalgebra_closure_check(is_permutation, 4)
     assert res.passed, res.counterexample
+
+
+def test_quotient_well_defined():
+    # V has no coproduct, so Mw -> V is checked through its products
+    assert run_morphism("Mw->V", 6) == CheckResult(True)
 
 
 def test_word_quotient_rules_match_the_looping_routes():
