@@ -61,7 +61,12 @@ _REGISTRY: dict[str, GradedBasis] = {basis.kind: basis for basis in (
                 qdeform.product_S_ncsf, qdeform.coproduct_q_S, qdeform.chi_sum),
 )}
 
-ALGEBRAS = sorted({kind.split(":")[0] for kind in _REGISTRY})
+# algebra -> its default kind, the first registered, in registry order
+_DEFAULT_KIND: dict[str, str] = {}
+for _kind in _REGISTRY:
+    _DEFAULT_KIND.setdefault(_kind.split(":")[0], _kind)
+
+ALGEBRAS = sorted(_DEFAULT_KIND)
 
 # The relations between registered algebras, for `axioms.morphism_check`:
 # name -> (source kind, target kind, map from a source label to a target
@@ -85,10 +90,10 @@ MORPHISMS: dict[str, tuple[str, str, Callable]] = {
 
 def _lookup(algebra: str, basis: str | None) -> GradedBasis:
     """A registered basis; without a name, the algebra's first registered one."""
-    kinds = [kind for kind in _REGISTRY if kind.startswith(f"{algebra}:")]
-    if not kinds:
+    default = _DEFAULT_KIND.get(algebra)
+    if default is None:
         raise KeyError(f"unknown algebra {algebra!r}")
-    kind = kinds[0] if basis is None else f"{algebra}:{basis}"
+    kind = default if basis is None else f"{algebra}:{basis}"
     if kind not in _REGISTRY:
         raise KeyError(f"unknown basis {basis!r} for algebra {algebra!r}")
     return _REGISTRY[kind]
@@ -177,8 +182,7 @@ def _sweepable(basis: GradedBasis) -> bool:
 # The algebras whose default record is sweepable, in registry order.
 # `perfbench/make_golden.py` records the sweep in this order; the recorded
 # sweep the benchmark runs holds the first ten, from before ncsf-q.
-VERIFIABLE = [algebra for algebra in dict.fromkeys(kind.split(":")[0] for kind in _REGISTRY)
-              if _sweepable(_lookup(algebra, None))]
+VERIFIABLE = [algebra for algebra, kind in _DEFAULT_KIND.items() if _sweepable(_REGISTRY[kind])]
 
 
 def _verify(algebra: str, max_degree: int) -> tuple[int, list[str]]:
@@ -303,10 +307,11 @@ def _cmd_verify(args) -> int:
 # argument parsing
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The whole argument tree, built on the first call and shared by every
-    later one: parsing reads it and never changes it.  Each subcommand's
-    parser names its handler as ``run``."""
+    later one: parsing reads it and never changes it.  Returns the top parser
+    and its subparsers' own ``choices``, each command's parser by name; each
+    names its handler as ``run``."""
     parser = argparse.ArgumentParser(
         prog="hopfcomb",
         description="Exact computations in combinatorial Hopf algebras of "
@@ -362,11 +367,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--limit", type=int, default=None,
                    help="alias for --max-degree resource guard")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``parse_args`` of the top parser gives, but a request
+    that starts with a command goes straight to that command's parser: the
+    top parser only answers help and refusals.  Arguments left over are
+    refused as ``parse_args`` refuses them, with the top parser's usage."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(args)
     except LimitExceeded as exc:

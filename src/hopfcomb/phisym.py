@@ -131,14 +131,27 @@ def ssecond_expand(sigma: Word) -> LinComb:
 
 
 def _triangular_convert(x: LinComb, expand, target_kind: str) -> LinComb:
-    """Invert a unitriangular (by cycle count) basis expansion exactly."""
-    work = LinComb(PHI_KIND, dict(x.terms))
+    """Invert a unitriangular (by cycle count) basis expansion exactly.  The
+    pending phi terms are kept in one dict per cycle count; each step solves
+    for the largest label of the largest count and subtracts its expansion
+    in place."""
+    pending: dict[int, dict[Word, object]] = {}
+    for sigma, c in x.terms.items():
+        pending.setdefault(len(cycles(sigma)), {})[sigma] = c
     out: dict[Word, object] = {}
-    while work:
-        sigma = max(work.terms, key=lambda s: (len(cycles(s)), s))
-        c = work.terms[sigma]
+    while pending:
+        top = pending[max(pending)]
+        sigma = max(top)
+        c = top[sigma]
         out[sigma] = out.get(sigma, 0) + c
-        work = work - expand(sigma).scale(c)
+        for tau, d in expand(sigma).terms.items():
+            k = len(cycles(tau))
+            bucket = pending.setdefault(k, {})
+            bucket[tau] = bucket.get(tau, 0) - d * c
+            if not bucket[tau]:
+                del bucket[tau]
+                if not bucket:
+                    del pending[k]
     return LinComb(target_kind, out)
 
 

@@ -10,6 +10,7 @@ from hopfcomb.words import (
     canonical_set_partition,
     consecutive_blocks,
     cycle_type,
+    cycles,
     is_nondecreasing,
     sort_composition,
     word_from_text,
@@ -32,6 +33,46 @@ def run_morphism(name: str, bound: int, **rules) -> CheckResult:
     ``coproduct=None`` only the unit and the products are checked."""
     source, target, f = cli.MORPHISMS[name]
     return morphism_check(replace(cli._REGISTRY[source], **rules), cli._REGISTRY[target], f, bound)
+
+
+def filtered_stable_splits(h):
+    """Every subset A of [n] with h(A) in A and h([n] - A) in [n] - A, with its
+    complement, by size and then lexicographically: the oracle of
+    `eqsym.stable_splits`, which forms only the unions of components."""
+    ground = range(1, len(h) + 1)
+    for size in range(len(h) + 1):
+        for subset in itertools.combinations(ground, size):
+            inside = set(subset)
+            complement = tuple(i for i in ground if i not in inside)
+            if all(h[i - 1] in inside for i in subset) and all(
+                    h[i - 1] not in inside for i in complement):
+                yield subset, complement
+
+
+def stable_split_coproduct(h):
+    """The terms of the stable-split coproduct (`eqsym.coproduct_S`) by brute
+    force: one per split of `filtered_stable_splits`, each side h restricted
+    to its part and renumbered in order."""
+    terms = {}
+    for split in filtered_stable_splits(h):
+        key = tuple(tuple(part.index(h[i - 1]) + 1 for i in part) for part in split)
+        terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
+def triangular_convert(x, expand, target_kind):
+    """The unitriangular solve of `phisym._triangular_convert` as first
+    written, its oracle term for term and in order: each step takes the
+    largest remaining term by (cycle count, label) over the whole work
+    element and subtracts the scaled expansion from it."""
+    work = LinComb(phisym.PHI_KIND, dict(x.terms))
+    out = {}
+    while work:
+        sigma = max(work.terms, key=lambda s: (len(cycles(s)), s))
+        c = work.terms[sigma]
+        out[sigma] = out.get(sigma, 0) + c
+        work = work - expand(sigma).scale(c)
+    return LinComb(target_kind, out)
 
 
 def tensor_terms(kind, *triples):

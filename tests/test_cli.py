@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -207,6 +208,39 @@ def test_refusals_usage_errors_and_help_keep_their_bytes(monkeypatch):
         cases.update(pinned["argparse"])
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     assert {command: list(run_cli(*shlex.split(command))) for command in cases} == cases
+
+
+def _parsed(parse, argv):
+    """The namespace, or the exit code and printed text of a refusal or help."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_a_command_request_parses_as_the_top_parser_parses_it(monkeypatch):
+    """`cli._parse` sends a request that starts with a command straight to
+    that command's parser; it must give what the top parser's `parse_args`
+    gives: every request of the benchmark's pool (read only), every pinned
+    case, and the argv shapes the top parser treats on its own."""
+    queries = runpy.run_path(str(PERFBENCH / "queries.py"))
+    pool = [argv for entries in queries["build_pool"]().values() for argv in entries]
+    pinned = json.loads((Path(__file__).parent / "cli_pinned.json").read_text())
+    edges = ["product --alg eqsym --basis M 1 1", "coproduct --algebra eqsym 12 extra more",
+             "count --family parking 3 --bogus", "-- count --family parking 3",
+             "count -- --family parking 3", "count --family=parking 3", "verify --help",
+             "product", "nope --algebra eqsym", "-h", "--he"]
+    cases = pool + [shlex.split(c) for c in [*pinned["handlers"], *pinned["argparse"], *edges]]
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = cli._build_parser()
+    parsed = 0
+    for argv in cases:
+        direct = _parsed(cli._parse, argv)
+        assert direct == _parsed(parser.parse_args, argv), argv
+        parsed += isinstance(direct, argparse.Namespace)
+    assert parsed > len(pool) == 1128  # the pool and the pinned handler refusals parse
 
 
 def test_convert_phisym():

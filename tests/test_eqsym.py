@@ -1,10 +1,9 @@
-import itertools
 import math
 import random
 
 import pytest
 
-from conftest import lc, tensor_terms
+from conftest import filtered_stable_splits, lc, tensor_terms
 from hopfcomb import cli, eqsym
 from hopfcomb.axioms import duality_check, hopf_check
 from hopfcomb.limits import LimitExceeded
@@ -209,23 +208,10 @@ def test_set_split_product_matches_conjugation_up_to_degree_5():
                         assert out == LinComb.basis(M, f + g), (f, g)
 
 
-def _filtered_stable_splits(h):
-    """Oracle for ``stable_splits``: every subset of [n], kept when it and its
-    complement are both h-stable."""
-    ground = range(1, len(h) + 1)
-    for size in range(len(h) + 1):
-        for subset in itertools.combinations(ground, size):
-            inside = set(subset)
-            complement = tuple(i for i in ground if i not in inside)
-            if all(h[i - 1] in inside for i in subset) and all(
-                    h[i - 1] not in inside for i in complement):
-                yield subset, complement
-
-
 def test_stable_splits_match_the_subset_filter_up_to_degree_5():
     for n in range(6):
         for h in endofunctions(n):
-            assert list(eqsym.stable_splits(h)) == list(_filtered_stable_splits(h)), h
+            assert list(eqsym.stable_splits(h)) == list(filtered_stable_splits(h)), h
     # two components: 1 -> 1 and 2 -> 4 -> 3 -> 3
     assert [s for s, _ in eqsym.stable_splits(W("1433"))] == [
         (), (1,), (2, 3, 4), (1, 2, 3, 4)]

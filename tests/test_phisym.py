@@ -4,7 +4,8 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import LOOPING_ROUTES, lc, run_morphism, tensor_terms
+from conftest import (LOOPING_ROUTES, lc, run_morphism, stable_split_coproduct, tensor_terms,
+                      triangular_convert)
 from hopfcomb import cli, phisym, sgqsym
 from hopfcomb.axioms import CheckResult, hopf_check
 from hopfcomb.lincomb import LinComb, tensor_kind, tensor_swap
@@ -166,15 +167,32 @@ def test_basis_round_trips_degree_5():
             assert phisym.ssecond_to_phi(LinComb(PHI, ss.terms)) == x
 
 
-def test_phi_to_ssecond_is_the_triangular_inversion():
-    # the Moebius pass against the generic unitriangular solver, term for term:
-    # every permutation up to size 5, 60 seeded ones of size 6 and the identity
+def _solve_cases():
+    """Every permutation up to size 5, 60 seeded ones of size 6 and the identity."""
     rng = random.Random(20060512)
     six = [tuple(rng.sample(range(1, 7), 6)) for _ in range(60)] + [tuple(range(1, 7))]
-    for sigma in [s for n in range(6) for s in permutations(n)] + six:
+    return [s for n in range(6) for s in permutations(n)] + six
+
+
+def test_phi_to_ssecond_is_the_triangular_inversion():
+    # the Moebius pass against the first unitriangular solver, term for term
+    for sigma in _solve_cases():
         x = LinComb.basis(PHI, sigma)
-        oracle = phisym._triangular_convert(x, phisym.ssecond_expand, phisym.SSECOND_KIND)
+        oracle = triangular_convert(x, phisym.ssecond_expand, phisym.SSECOND_KIND)
         assert phisym.phi_to_ssecond(x) == oracle, sigma
+
+
+def test_phi_to_sprime_solves_as_the_first_solver_in_its_term_order():
+    # the per-cycle-count solve against the loop it replaced, term for term and
+    # in order, on basis elements and on seeded sums of size-5 elements
+    rng = random.Random(38)
+    fives = list(permutations(5))
+    sums = [LinComb(PHI, {sigma: rng.choice([-3, -1, 2, 5]) for sigma in rng.sample(fives, 6)})
+            for _ in range(10)]
+    for x in [LinComb.basis(PHI, sigma) for sigma in _solve_cases()] + sums:
+        oracle = triangular_convert(x, phisym.sprime_expand, phisym.SPRIME_KIND)
+        got = phisym.phi_to_sprime(x)
+        assert (got.kind, list(got.terms.items())) == (oracle.kind, list(oracle.terms.items())), x
 
 
 def _labels_upto(n):
@@ -224,11 +242,14 @@ def test_phi_coproduct_constants_equal_dual_basis_constants():
 
 
 def test_ssecond_coproduct_constants_match_dual_basis():
-    # the Sp -> phi and Ss -> phi entries of cli.MORPHISMS check both
-    # coproducts against the phi coproduct
-    kind = tensor_kind(phisym.SSECOND_KIND)
+    # both coproducts restate eqsym's stable-split rule, so each is compared
+    # with the split of every subset of [n]; the Sp -> phi and Ss -> phi
+    # entries of cli.MORPHISMS check both against the phi coproduct
+    ss, s = tensor_kind(phisym.SSECOND_KIND), tensor_kind(sgqsym.S_KIND)
     for sigma in _labels_upto(5):
-        assert phisym.coproduct_ssecond(sigma) == LinComb(kind, sgqsym.coproduct_S(sigma).terms)
+        want = stable_split_coproduct(sigma)
+        assert phisym.coproduct_ssecond(sigma) == LinComb(ss, want), sigma
+        assert sgqsym.coproduct_S(sigma) == LinComb(s, want), sigma
 
 
 @pytest.mark.parametrize("kind", [phisym.SPRIME_KIND, phisym.SSECOND_KIND])

@@ -242,7 +242,9 @@ def test_wsym_word_realization_product():
 
 
 def test_wsym_piqsym_duality():
-    # <upi_a upi_b, Mw_pi> = <upi_a (x) upi_b, Delta Mw_pi>, degree <= 5
+    # Only the first law of `axioms.duality_check`, degree <= 5: upi products
+    # against Mw coproducts, <upi_a upi_b, Mw_pi> = <upi_a (x) upi_b, Delta Mw_pi>.
+    # The transposed law, upi coproducts against Mw products, fails (below).
     for i in range(1, 5):
         for j in range(1, 6 - i):
             for a in set_partitions(i):
@@ -256,6 +258,14 @@ def test_wsym_piqsym_duality():
                             "piqsym:upi(x)piqsym:upi", sgqsym.coproduct_Mw(pi).terms
                         )
                         assert prod[pi] == pairing(left, cop), (a, b, pi)
+    # <Delta upi_12, Mw_1 (x) Mw_1> = 0, since coproduct_upi({12}) is its two
+    # counit terms, while <upi_12, Mw_1 Mw_1> = 1: the two records are not dual
+    # Hopf algebras, and the registry gives piqsym:upi no `dual=`
+    upi, mw = cli._REGISTRY[sgqsym.UPI_KIND], cli._REGISTRY[sgqsym.MW_KIND]
+    assert upi.dual is None
+    res = duality_check(upi, mw.coproduct, 5, dual_product=mw.product,
+                        primal_coproduct=upi.coproduct)
+    assert res == CheckResult(False, (((1,),), ((1,),), ((1, 2),)))
 
 
 def test_trace_minor_permanent_identities():
