@@ -152,11 +152,13 @@ def graded_pairs(family: str, bound: int) -> Iterator[tuple]:
 
 # A sweep holds its top degree, labels and rule values, only when the family
 # has at most this many labels there.  A held top degree's values are most of
-# the sweep's memory: holding the 46,656 endofunctions of size 6 took the peak
-# RSS of `verify --algebra eqsym` from 23 MB to 97 MB, and the 16,807 parking
-# functions took cpqsym's from 20 MB to 46 MB, so those top degrees stream.
-# At this bound the largest held sweep the guards allow, wsym at degree 7
-# (877 labels), peaks at 26 MB; at 5,040, piqsym at degree 8 reached 55 MB.
+# the sweep's memory, though the tables hold no unit products and their
+# values share the sweep's label objects: holding the 46,656 endofunctions of
+# size 6 takes the peak RSS of `verify --algebra eqsym` from 20.5 MB to
+# 54 MB, and the 16,807 parking functions take cpqsym's from 19 MB to 29 MB,
+# so those top degrees stream.  At this bound the largest held sweep the
+# guards allow, wsym at degree 7 (877 labels), peaks at 19 MB; at 5,040,
+# piqsym at degree 8 peaks at 25 MB (fresh processes, CPython 3.11).
 HELD_TOP_LABELS = 1_000
 
 
@@ -172,6 +174,14 @@ class _Sweep:
     shared between the axioms, and the report hands them on as its
     ``tabled`` basis; that is safe because no ``LinComb`` operation mutates
     its operands.
+
+    A held value's labels, and the factors of a held coproduct's pairs, are
+    the sweep's own label objects (``own``), so a label is stored once
+    however many values hold it.  Products by the unit are not in
+    ``products``: once the unit law has passed (``unit_passed``), x M_()
+    and M_() x are the basis element x at every listed label x; the rule's
+    value is asked, and kept in ``unit_products``, only for M_() M_() and
+    where the unit law did not vouch for x.
     """
 
     def __init__(self, alg: GradedBasis, bound: int):
@@ -181,7 +191,10 @@ class _Sweep:
         hold_top = bound >= 1 and family_size(alg.family.name, bound) <= HELD_TOP_LABELS
         self.held_upto = bound if hold_top else bound - 1
         self.held_labels = alg.labels_upto(self.held_upto)
+        self.own = {x: x for xs in self.held_labels.values() for x in xs}
+        self.unit_passed = False
         self.products: dict = {}
+        self.unit_products: dict = {}
         self.coproducts: dict = {}
 
     def labels(self, n: int) -> Iterable:
@@ -190,11 +203,19 @@ class _Sweep:
         return self.held_labels[n]
 
     def product(self, a, b) -> LinComb:
-        value = self.products.get((a, b))
+        table = self.products
+        if not a or not b:
+            x = self.own.get(a or b) if self.unit_passed else None
+            if x is not None:
+                return LinComb(self.alg.kind, {x: 1})
+            table = self.unit_products
+        value = table.get((a, b))
         if value is None:
             value = self.alg.product(a, b)
             if self.degree(a) + self.degree(b) <= self.held_upto:
-                self.products[(a, b)] = value
+                own = self.own
+                value = LinComb(value.kind, {own.get(l, l): c for l, c in value.terms.items()})
+                table[(a, b)] = value
         return value
 
     def coproduct(self, a) -> LinComb:
@@ -202,6 +223,9 @@ class _Sweep:
         if value is None:
             value = self.alg.coproduct(a)
             if self.degree(a) <= self.held_upto:
+                own = self.own
+                value = LinComb(value.kind, {(own.get(u, u), own.get(v, v)): c
+                                             for (u, v), c in value.terms.items()})
                 self.coproducts[a] = value
         return value
 
@@ -248,14 +272,14 @@ def _associativity_cases(sweep: _Sweep) -> Cases:
 
 def _label_cases(sweep: _Sweep) -> Cases:
     """One coproduct per label serves coassociativity, counit and
-    cocommutativity.  The unit law's products below the top degree go
-    through the table, where compatibility's tensor products read them; at
-    the top nothing else asks for them, so they are not kept."""
+    cocommutativity.  The unit law asks the rule itself at every label, and
+    its values are not kept: once it has passed, the sweep answers the
+    products by the unit that compatibility's tensor products read."""
     alg = sweep.alg
     kind = alg.kind
+    product = alg.product
     unit = ()
     for n in range(1, sweep.bound + 1):
-        product = sweep.product if n < sweep.bound else alg.product
         for a in sweep.labels(n):
             cop = sweep.coproduct_rule(n)(a)
 
@@ -359,6 +383,7 @@ def hopf_check(alg: GradedBasis, degree_bound: int) -> HopfReport:
     results = first_failure(_associativity_cases(sweep), ("associativity",))
     results.update(first_failure(
         _label_cases(sweep), ("unit", "coassociativity", "counit", "cocommutativity")))
+    sweep.unit_passed = results["unit"].passed
     results.update(first_failure(_pair_cases(sweep), ("compatibility", "commutativity")))
     order = ("associativity", "unit", "coassociativity", "counit",
              "compatibility", "commutativity", "cocommutativity")

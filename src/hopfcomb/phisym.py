@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
 
 from . import eqsym, sgqsym, symfunc
@@ -195,14 +195,23 @@ def coproduct_sprime(sigma: Word) -> LinComb:
     """The product of the coproducts of the connected factors: on a
     connected f, S'_f = phi_f, so each is phi's coproduct, converted."""
     out = LinComb.basis(tensor_kind(SPRIME_KIND), ((), ()))
+    # One solve converts each label once, but the solves of a call's labels
+    # meet the same lower labels: they share one memo of the expansions.
+    expand = cache(sprime_expand)
+
+    @cache
+    def convert(tau: Word) -> LinComb:
+        return _triangular_convert(phi_elem(tau), expand, SPRIME_KIND)
+
     for factor in connected_factorization(sigma):
-        cop = _convert_tensor(coproduct_phi(factor), phi_to_sprime, SPRIME_KIND)
+        cop = _convert_tensor(coproduct_phi(factor), convert, SPRIME_KIND)
         out = tensor_mul(out, cop, product_sprime)
     return out
 
 
 def _convert_tensor(t: LinComb, convert, target_kind: str) -> LinComb:
-    return t.apply(lambda ab: tensor(convert(phi_elem(ab[0])), convert(phi_elem(ab[1]))),
+    """``t`` with each factor label replaced by ``convert`` of it."""
+    return t.apply(lambda ab: tensor(convert(ab[0]), convert(ab[1])),
                    kind=tensor_kind(target_kind))
 
 

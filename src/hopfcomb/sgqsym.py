@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import eqsym, symfunc
 from .axioms import CheckResult, GradedBasis, check_each, graded_labels, graded_pairs
@@ -27,13 +27,11 @@ from .words import (
     Word,
     block_composition,
     consecutive_blocks,
-    cycle_supports,
     cycle_type,
     cycles,
     enumerate_family,
     from_cycles,
     multiset_splits,
-    ordered_cycle_type,
     partition_of_word,
     permutations,
     permutations_of_type,
@@ -137,12 +135,11 @@ def cstd(circular_words: Iterable[Sequence]) -> Word:
 # PiQSym: orbit sums indexed by set partitions (dual word symmetric functions)
 
 def upi_expand(pi: SetPartition) -> LinComb:
-    """uπ as a sum of M over permutations with the given cycle supports."""
+    """uπ as a sum of M over permutations with the given cycle supports: one
+    cyclic order of each block, (|B| - 1)! per block, all chosen together."""
     n = sum(len(b) for b in pi)
-    terms = {
-        sigma: 1 for sigma in permutations(n) if cycle_supports(sigma) == pi
-    }
-    return LinComb(M_KIND, terms)
+    orders = [[(b[0], *others) for others in itertools.permutations(b[1:])] for b in pi]
+    return LinComb(M_KIND, {from_cycles(cs, n): 1 for cs in itertools.product(*orders)})
 
 
 def product_upi(pi1: SetPartition, pi2: SetPartition) -> LinComb:
@@ -260,11 +257,26 @@ def mw_word_product_check(pi1: SetPartition, pi2: SetPartition) -> bool:
 # QSym embedding on compositions
 
 def uq_expand(comp: Composition) -> LinComb:
-    n = sum(comp)
-    terms = {
-        sigma: 1 for sigma in permutations(n) if ordered_cycle_type(sigma) == comp
-    }
+    """The sum of :func:`upi_expand` over the set partitions whose blocks,
+    in order of their least letters, have the sizes of ``comp``."""
+    terms: dict[Word, int] = {}
+    for pi in _blocks_of_sizes(comp, tuple(range(1, sum(comp) + 1))):
+        terms.update(upi_expand(pi).terms)
     return LinComb(M_KIND, terms)
+
+
+def _blocks_of_sizes(sizes: Composition, unused: Word) -> Iterator[SetPartition]:
+    """The set partitions of ``unused`` whose i-th block by least letter has
+    ``sizes[i]`` letters: each block takes the least unused letter and a
+    choice of the others."""
+    if not sizes:
+        yield ()
+        return
+    first, rest = unused[0], unused[1:]
+    for others in itertools.combinations(rest, sizes[0] - 1):
+        left = tuple(a for a in rest if a not in others)
+        for blocks in _blocks_of_sizes(sizes[1:], left):
+            yield ((first, *others), *blocks)
 
 
 def product_uq(comp1: Composition, comp2: Composition) -> LinComb:

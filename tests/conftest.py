@@ -9,9 +9,12 @@ from hopfcomb.words import (
     block_composition,
     canonical_set_partition,
     consecutive_blocks,
+    cycle_supports,
     cycle_type,
     cycles,
     is_nondecreasing,
+    ordered_cycle_type,
+    permutations,
     sort_composition,
     word_from_text,
 )
@@ -179,6 +182,21 @@ SORTING_ROUTES = {
     "product_Mw": sorting_product_Mw,
     "coproduct_Mw": sorting_coproduct_Mw,
 }
+
+
+# The class sums of the embeddings into the M basis as first written, by
+# filtering all n! permutations: the oracles of `sgqsym.upi_expand` and
+# `sgqsym.uq_expand`, which generate each class directly.
+
+def filtered_upi_expand(pi):
+    n = sum(len(b) for b in pi)
+    return LinComb(sgqsym.M_KIND, {
+        sigma: 1 for sigma in permutations(n) if cycle_supports(sigma) == pi})
+
+
+def filtered_uq_expand(comp):
+    return LinComb(sgqsym.M_KIND, {
+        sigma: 1 for sigma in permutations(sum(comp)) if ordered_cycle_type(sigma) == comp})
 
 
 # The label maps written as loops that sum each image's coefficients into a

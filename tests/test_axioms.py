@@ -97,6 +97,12 @@ HOPF_CASES = {
         eqsym.algebra(),
         {"product": ((W("12"), W("12")), drop_last)},
     ),
+    # M_() M_() loses its only term: only compatibility's tensor products
+    # read it, first at (1, 1), so the sweep must ask the rule for it
+    "unit square": (
+        eqsym.algebra(),
+        {"product": (((), ()), drop_last)},
+    ),
     # Delta(M_113) loses its middle term
     "coproduct corrupted": (
         eqsym.algebra(),
@@ -146,6 +152,11 @@ HOPF_EXPECTED = {
     "top-degree product": {
         "associativity": (W("1"), W("1"), W("12")), "unit": OK, "coassociativity": OK,
         "counit": OK, "compatibility": (W("12"), W("12")), "commutativity": OK,
+        "cocommutativity": (W("113"),),
+    },
+    "unit square": {
+        "associativity": OK, "unit": OK, "coassociativity": OK, "counit": OK,
+        "compatibility": (W("1"), W("1")), "commutativity": OK,
         "cocommutativity": (W("113"),),
     },
     "coproduct corrupted": {
@@ -424,6 +435,30 @@ def test_the_eqsym_sweep_makes_its_recorded_rule_calls():
                sum(1 for args in calls if len(args) == arity))
         for rule, arity in (("product", 2), ("coproduct", 1))}
     assert census == {"product": (8_760, 7_634), "coproduct": (7_780, 3_414)}
+
+
+def test_a_sweep_holds_no_unit_product_and_each_label_once():
+    """The unit law vouches for x M_() and M_() x, so the products table holds
+    none of them, and a held value's labels, its pairs' factors included,
+    are the very objects the sweep lists."""
+    sweep = hopf_check(eqsym.algebra(), 5).tabled.product.__self__
+    assert sweep.products and all(a and b for a, b in sweep.products)
+    listed = {x: x for xs in sweep.held_labels.values() for x in xs}
+    held = [l for value in sweep.products.values() for l in value.terms]
+    held += [l for value in sweep.coproducts.values() for pair in value.terms
+             for l in pair if l]
+    assert held and all(listed[l] is l for l in held)
+
+
+@pytest.mark.parametrize("args, counterexample", [
+    (((), W("12")), (W("1"), W("12"))),
+    ((W("12"), ()), (W("12"), W("1"))),
+])
+def test_compatibility_alone_asks_the_rule_for_unit_products(args, counterexample):
+    """No unit law runs before `compatibility_check`, so a broken M_x M_()
+    is met where compatibility's tensor products first read it."""
+    alg = replace(EQ, product=corrupt(EQ.product, args, drop_last))
+    assert compatibility_check(alg, 4) == CheckResult(False, counterexample)
 
 
 # the algebras whose default record names the dual `verify` pairs it with;

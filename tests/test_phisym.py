@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -193,6 +194,23 @@ def test_phi_to_sprime_solves_as_the_first_solver_in_its_term_order():
         oracle = triangular_convert(x, phisym.sprime_expand, phisym.SPRIME_KIND)
         got = phisym.phi_to_sprime(x)
         assert (got.kind, list(got.terms.items())) == (oracle.kind, list(oracle.terms.items())), x
+
+
+def test_an_sprime_coproduct_expands_each_label_once(monkeypatch):
+    # the factors' conversions share one memo of the expansions: without it,
+    # 623451 expands 35 labels 76 times
+    sigma = W("623451")
+    want = phisym.coproduct_sprime(sigma)
+    calls = Counter()
+    expand = phisym.sprime_expand
+
+    def counted(tau):
+        calls[tau] += 1
+        return expand(tau)
+
+    monkeypatch.setattr(phisym, "sprime_expand", counted)
+    assert phisym.coproduct_sprime(sigma) == want
+    assert len(calls) == 35 and set(calls.values()) == {1}
 
 
 def _labels_upto(n):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import LOOPING_ROUTES, SORTING_ROUTES, lc, run_morphism
+from conftest import (LOOPING_ROUTES, SORTING_ROUTES, filtered_upi_expand, filtered_uq_expand, lc,
+                      run_morphism)
 from hopfcomb import cli, eqsym, sgqsym, symfunc
 from hopfcomb.axioms import CheckResult, duality_check, hopf_check
 from hopfcomb.lincomb import LinComb, pairing, tensor, tensor_swap
@@ -210,6 +211,15 @@ def test_uq_one_part_compositions():
 
 def test_uq_expansion_consistency():
     assert run_morphism("uq->M", 5, coproduct=None) == CheckResult(True)
+
+
+def test_class_sums_match_the_permutation_filters():
+    """upi_expand and uq_expand generate their classes; the oracles filter S_n."""
+    for n in range(7):
+        for pi in set_partitions(n):
+            assert sgqsym.upi_expand(pi) == filtered_upi_expand(pi), pi
+        for comp in compositions(n):
+            assert sgqsym.uq_expand(comp) == filtered_uq_expand(comp), comp
 
 
 def test_ul_product_golden():

@@ -89,6 +89,32 @@ def test_traced_layers_see_the_counts_the_cli_calls(family, layer):
     assert json.loads(proc.stdout.splitlines()[-1])[f"{layer}.s"] > 0
 
 
+# The tracemalloc peak of hopf_check(eqsym.algebra(), 5), in bytes: 182 KB on
+# CPython 3.11, where the sweep's tables hold no unit products and share the
+# label objects it lists, plus 10%.  Holding the unit products read 372 KB,
+# and a second copy of each held label 213 KB.
+SWEEP_PEAK_BYTES = 200_000
+
+
+def test_the_eqsym_sweep_holds_no_more_than_its_recorded_memory():
+    """Measured in a fresh interpreter, after a smaller sweep has filled the
+    rules' module-level caches.  A tuple freed during the sweep goes to
+    CPython's free list for its size and stays traced, so those lists are
+    filled with untraced tuples first; the peak is then what the sweep holds."""
+    proc = _traced(
+        "import tracemalloc\n"
+        "from hopfcomb import eqsym\n"
+        "from hopfcomb.axioms import hopf_check\n"
+        "hopf_check(eqsym.algebra(), 4)\n"
+        "spare = [tuple(range(k)) for k in range(1, 21) for _ in range(2000)]\n"
+        "del spare\n"
+        "tracemalloc.start()\n"
+        "report = hopf_check(eqsym.algebra(), 5)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) <= SWEEP_PEAK_BYTES
+
+
 def _public_definitions(path: Path):
     """(name, first line, last line) of each public top-level definition."""
     for node in ast.parse(path.read_text()).body:
